@@ -22,8 +22,6 @@ from .errors import (
     BoundNotIntegralError,
     MarkedPointMismatchError,
     ModelMismatchError,
-    NotCompactError,
-    NotDelzantError,
     NotMonotoneError,
     ReducedPolytopeMismatchError,
     UnsupportedClaimError,
@@ -297,14 +295,10 @@ def auto_certify_monotone(p: Polytope) -> Certificate:
     offset.
     """
     canon = p.canonical_form()
-    if not canon.is_compact():
-        raise NotCompactError("automatic certification needs a compact polytope")
-    if not canon.is_delzant():
-        raise NotDelzantError("automatic certification needs a Delzant polytope")
+    wv = monotone_weights(canon)  # NotCompactError, then NotDelzantError
     lam = canon.is_monotone()
     if lam is None:
         raise NotMonotoneError("automatic certification needs equal positive offsets")
-    wv = monotone_weights(canon)
     k = wv.pivot
     leaf_weights = (1,) + tuple(m for i, m in enumerate(wv.weights) if i != k)
     ambient = weighted_projective(leaf_weights, lam)

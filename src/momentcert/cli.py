@@ -308,9 +308,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_point(argv: list[str]) -> list[str]:
+    """Join each --point to its value with "=".
+
+    argparse reads a separate value that starts with "-", such as the point
+    -1/2,0, as an option; attached with "=" it stays the option's value.
+    """
+    out = []
+    args = iter(argv)
+    for arg in args:
+        value = next(args, None) if arg == "--point" else None
+        out.append(arg if value is None else f"--point={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_point(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except DocumentError as exc:

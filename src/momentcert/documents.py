@@ -17,6 +17,10 @@ from .errors import DocumentError, MomentcertError
 from .polytope import Polytope, polytope
 from .reduction import AffineReduction, section
 
+# Deepest certificate tree accepted: base facts at this many product or
+# reduce levels below the root.  Verification recurses once per level.
+MAX_DEPTH = 64
+
 
 def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
@@ -128,7 +132,9 @@ def section_to_doc(sec: AffineReduction) -> dict:
 
 # -- certificates ------------------------------------------------------------
 
-def _node_from_doc(doc, claim_kind: str, where: str):
+def _node_from_doc(doc, claim_kind: str, where: str, depth: int = 0):
+    if depth > MAX_DEPTH:
+        raise DocumentError(f"{where}: certificate tree nested deeper than {MAX_DEPTH} levels")
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected an object")
     if "base" in doc:
@@ -151,7 +157,7 @@ def _node_from_doc(doc, claim_kind: str, where: str):
             raise DocumentError(f"{where}.product: expected a non-empty list")
         return Product(
             tuple(
-                _node_from_doc(c, claim_kind, f"{where}.product[{i}]")
+                _node_from_doc(c, claim_kind, f"{where}.product[{i}]", depth + 1)
                 for i, c in enumerate(children)
             )
         )
@@ -160,7 +166,7 @@ def _node_from_doc(doc, claim_kind: str, where: str):
         if not isinstance(red, dict) or "child" not in red:
             raise DocumentError(f"{where}.reduce: needs 'A', optional 'x0', and 'child'")
         sec = section_from_doc(red, f"{where}.reduce")
-        child = _node_from_doc(red["child"], claim_kind, f"{where}.reduce.child")
+        child = _node_from_doc(red["child"], claim_kind, f"{where}.reduce.child", depth + 1)
         target = None
         if "target" in red:
             target = polytope_from_doc(red["target"], f"{where}.reduce.target")
@@ -233,10 +239,16 @@ def load_json(path) -> dict:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DocumentError(f"{path}: {exc}") from exc
+    return _decode(text, str(path))
+
+
+def _decode(text: str, where: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DocumentError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        raise DocumentError(f"{where}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise DocumentError(f"{where}: JSON nested too deeply") from None
 
 
 def save_json(path, doc) -> None:
@@ -250,11 +262,7 @@ def load_polytope(path) -> Polytope:
 def load_section(path_or_inline: str) -> AffineReduction:
     text = str(path_or_inline).strip()
     if text.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"inline section:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        return section_from_doc(doc, "inline section")
+        return section_from_doc(_decode(text, "inline section"), "inline section")
     return section_from_doc(load_json(text), text)
 
 

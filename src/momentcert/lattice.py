@@ -8,7 +8,7 @@ floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ZeroVectorError
 
@@ -188,26 +188,73 @@ def is_surjective_onto_lattice(mat) -> bool:
     return len(factors) == ncols and all(f == 1 for f in factors)
 
 
-def rank_exact(mat) -> int:
-    """Rank over the rationals, by fraction Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in mat]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
+def _integer_rows(mat) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, and the product of those lcms.
+
+    ints and Fractions are read through numerator and denominator, so no
+    Fraction is built; anything else Fraction accepts is converted first.
+    """
+    rows = []
+    scale = 1
+    for row in mat:
+        try:
+            dens = [x.denominator for x in row]
+        except AttributeError:
+            row = [Fraction(x) for x in row]
+            dens = [x.denominator for x in row]
+        den = lcm(*dens)
+        if den == 1:
+            rows.append([x.numerator for x in row])
+        else:
+            rows.append([x.numerator * (den // d) for x, d in zip(row, dens)])
+            scale *= den
+    return rows, scale
+
+
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Columns are scanned left to right over the first ncols; the pivot is the
+    first nonzero entry at or below the current row.  Every other row is
+    updated as (p * row - f * pivot_row) // prev, with p the new pivot and
+    prev the one before it (Bareiss).  By Sylvester's identity every entry
+    is then a minor of the input, so the division is exact, and each pivot
+    row ends up d times its row of the reduced row echelon form, where d is
+    the last pivot.  Returns (pivot columns, d, number of row swaps).
+    """
+    m = len(rows)
+    pivots: list[int] = []
+    prev = 1
+    swaps = 0
     for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            swaps += 1
+        top = rows[r]
+        p = top[col]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[col]
+            if f:
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                rows[i] = [p * x // prev for x in row]
+        pivots.append(col)
+        prev = p
+    return pivots, prev, swaps
+
+
+def rank_exact(mat) -> int:
+    """Rank over the rationals."""
+    rows, _ = _integer_rows(mat)
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
 def det_exact(mat) -> Fraction:
@@ -215,22 +262,11 @@ def det_exact(mat) -> Fraction:
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("determinant of a non-square matrix")
-    rows = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for i in range(col + 1, n):
-            if rows[i][col] != 0:
-                f = rows[i][col] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    return det
+    rows, scale = _integer_rows(mat)
+    pivots, d, swaps = _eliminate(rows, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(-d if swaps % 2 else d, scale)
 
 
 def solve_exact(rows, rhs):
@@ -240,38 +276,21 @@ def solve_exact(rows, rhs):
     None when the system is inconsistent.  kernel_basis is a tuple of
     rational vectors spanning the solution space of the homogeneous system.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs, strict=True)]
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
+    n = len(rows[0]) if rows else 0
+    aug, _ = _integer_rows([(*row, b) for row, b in zip(rows, rhs, strict=True)])
+    pivots, d, _ = _eliminate(aug, n)
+    if any(row[n] for row in aug[len(pivots):]):
+        return None
     particular = [Fraction(0)] * n
-    for i, col in enumerate(pivot_cols):
-        particular[col] = aug[i][n]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
+    for row, col in zip(aug, pivots):
+        particular[col] = Fraction(row[n], d)
     kernel = []
-    for free in free_cols:
+    for free in range(n):
+        if free in pivots:
+            continue
         vec = [Fraction(0)] * n
         vec[free] = Fraction(1)
-        for i, col in enumerate(pivot_cols):
-            vec[col] = -aug[i][free]
+        for row, col in zip(aug, pivots):
+            vec[col] = Fraction(-row[free], d)
         kernel.append(tuple(vec))
     return tuple(particular), tuple(kernel)

@@ -217,6 +217,11 @@ def vertex_cone_coords(p: Polytope, target: IntVec):
         raise NotCompactError("vertex cones only cover the whole space for compact polytopes")
     if not p.is_delzant():
         raise NotDelzantError("vertex normals must form Z-bases")
+    return _vertex_cone_coords(p, target)
+
+
+def _vertex_cone_coords(p: Polytope, target: IntVec):
+    """vertex_cone_coords without its checks: p must be compact and Delzant."""
     for vertex in p.vertices():
         active = sorted(vertex.active)
         rows = lattice.transpose([p.facets[i].normal for i in active])
@@ -248,7 +253,7 @@ def monotone_weights(p: Polytope) -> WeightVector:
     total = tuple(sum(nu[i] for nu in canon.normals) for i in range(n))
     if all(x == 0 for x in total):
         return WeightVector((1,) * canon.d, canon.d - 1)
-    hit = vertex_cone_coords(canon, lattice.neg(total))
+    hit = _vertex_cone_coords(canon, lattice.neg(total))
     if hit is None:
         raise NotCompactError("normal fan does not cover the target direction")
     vertex, coeffs = hit

@@ -17,17 +17,19 @@ from momentcert.certificate import (
     hf_lower_bound_tr,
     verify,
 )
-from momentcert.corpus import pentagon_certificate
+from momentcert.corpus import load_corpus_polytope, pentagon_certificate
 from momentcert.documents import certificate_from_doc, certificate_to_doc
 from momentcert.errors import (
     BoundNotIntegralError,
     MarkedPointMismatchError,
     ModelMismatchError,
+    NotCompactError,
+    NotDelzantError,
     NotMonotoneError,
     ReducedPolytopeMismatchError,
     UnsupportedClaimError,
 )
-from momentcert.polytope import polytope
+from momentcert.polytope import Polytope, polytope
 from momentcert.reduction import cp1, cube, o_minus_one, section, simplex, weighted_projective
 
 
@@ -344,6 +346,37 @@ def test_auto_certify_rejects_non_monotone():
     )
     with pytest.raises(NotMonotoneError):
         auto_certify_monotone(p_alpha)
+
+
+@pytest.mark.parametrize("name, enumerations, compactness", [
+    ("cp2_blowup1", 2, 1),  # non-zero normal sum: is_delzant, then one vertex cone scan
+    ("hexagon", 1, 1),  # zero normal sum: is_delzant only
+])
+def test_auto_certify_validates_once(monkeypatch, name, enumerations, compactness):
+    calls = {"vertices": 0, "is_compact": 0}
+    for method in calls:
+        original = getattr(Polytope, method)
+
+        def counted(self, _original=original, _method=method):
+            calls[_method] += 1
+            return _original(self)
+
+        monkeypatch.setattr(Polytope, method, counted)
+    auto_certify_monotone(load_corpus_polytope(name))
+    assert calls["vertices"] <= enumerations
+    assert calls["is_compact"] == compactness
+
+
+@pytest.mark.parametrize("p, error", [
+    (o_minus_one(), NotCompactError),
+    (o_minus_one(1, 2, 3), NotCompactError),  # also not monotone: compactness is checked first
+    (weighted_projective((1, 1, 2)), NotDelzantError),
+    (polytope(2, [((1, 0), 1), ((0, 1), 1), ((-1, -2), 2)]), NotDelzantError),  # also not monotone
+    (cube(2, 2).translate((1, 0)), NotMonotoneError),
+])
+def test_auto_certify_rejections_keep_their_order(p, error):
+    with pytest.raises(error):
+        auto_certify_monotone(p)
 
 
 # -- invariant read as a TR bound -----------------------------------------------------

@@ -135,6 +135,25 @@ def test_probe_command(corpus_dir, capsys):
     assert "displaceable" in capsys.readouterr().out
 
 
+def test_probe_reads_a_negative_point_in_either_form(corpus_dir, capsys):
+    outputs = []
+    for point_args in (["--point", "-1/2,0"], ["--point=-1/2,0"]):
+        assert main(["probe", str(corpus_dir / "simplex2.json"), *point_args, "--bound", "1"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "displaceable" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+def test_certify_rejects_runaway_nesting(tmp_path, capsys):
+    # written out by hand: json.dumps itself cannot nest 600 levels
+    leaf = json.dumps({"base": "cp1", "instance": load_doc("segment")})
+    tree = '{"product": [' * 600 + leaf + "]}" * 600
+    path = tmp_path / "deep.json"
+    path.write_text(f'{{"claim": {{"kind": "TT"}}, "tree": {tree}}}')
+    assert main(["certify", str(path)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_render_is_byte_stable(corpus_dir, tmp_path, capsys):
     a = tmp_path / "a.svg"
     b = tmp_path / "b.svg"

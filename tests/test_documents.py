@@ -2,8 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from momentcert.certificate import verify
 from momentcert.corpus import data_names, load_doc
 from momentcert.documents import (
+    MAX_DEPTH,
     certificate_from_doc,
     certificate_to_doc,
     load_json,
@@ -16,7 +18,7 @@ from momentcert.documents import (
 )
 from momentcert.errors import DocumentError
 from momentcert.polytope import polytope
-from momentcert.reduction import section
+from momentcert.reduction import cp1, section
 
 
 def test_rational_parsing():
@@ -90,6 +92,26 @@ def test_load_json_reports_position(tmp_path):
     with pytest.raises(DocumentError) as err:
         load_json(bad)
     assert "3" in str(err.value)  # line number of the defect
+
+
+def nested_products(levels: int) -> dict:
+    node = {"base": "cp1", "instance": polytope_to_doc(cp1())}
+    for _ in range(levels):
+        node = {"product": [node]}
+    return {"claim": {"kind": "TT"}, "tree": node}
+
+
+def test_certificate_depth_is_bounded():
+    assert verify(certificate_from_doc(nested_products(MAX_DEPTH))).bound == 2
+    with pytest.raises(DocumentError, match="nested deeper"):
+        certificate_from_doc(nested_products(MAX_DEPTH + 1))
+
+
+def test_load_json_rejects_runaway_nesting(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(DocumentError, match="nested too deeply"):
+        load_json(path)
 
 
 def test_marked_points_parse():

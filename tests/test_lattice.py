@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentcert.errors import ZeroVectorError
 from momentcert.lattice import (
@@ -12,6 +15,7 @@ from momentcert.lattice import (
     is_primitive,
     is_surjective_onto_lattice,
     mat_mul,
+    rank_exact,
     smith_normal_form,
     solve_exact,
     transpose,
@@ -121,3 +125,198 @@ def test_solve_exact_unique_and_underdetermined():
 def test_transpose_roundtrip():
     m = ((1, 2, 3), (4, 5, 6))
     assert transpose(transpose(m)) == m
+
+
+# -- the fraction-free kernel against Fraction Gauss-Jordan oracles ------------
+#
+# The three oracles are the Fraction eliminations rank_exact, det_exact and
+# solve_exact were written as before the fraction-free kernel replaced them.
+# The reduced row echelon form is unique, so the kernel must return the same
+# values, down to the kernel basis and the None of an inconsistent system.
+
+
+def rank_oracle(mat) -> int:
+    rows = [[Fraction(x) for x in row] for row in mat]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def det_oracle(mat) -> Fraction:
+    n = len(mat)
+    rows = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for i in range(col + 1, n):
+            if rows[i][col] != 0:
+                f = rows[i][col] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return det
+
+
+def solve_oracle(rows, rhs):
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs, strict=True)]
+    pivot_cols: list[int] = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][col]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivot_cols.append(col)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][n] != 0:
+            return None
+    particular = [Fraction(0)] * n
+    for i, col in enumerate(pivot_cols):
+        particular[col] = aug[i][n]
+    free_cols = [c for c in range(n) if c not in pivot_cols]
+    kernel = []
+    for free in free_cols:
+        vec = [Fraction(0)] * n
+        vec[free] = Fraction(1)
+        for i, col in enumerate(pivot_cols):
+            vec[col] = -aug[i][free]
+        kernel.append(tuple(vec))
+    return tuple(particular), tuple(kernel)
+
+
+def assert_same(got, want):
+    """Equal values of equal types, all the way down."""
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+    else:
+        assert got == want
+
+
+def assert_kernel_matches(mat, rhs):
+    assert_same(rank_exact(mat), rank_oracle(mat))
+    if all(len(row) == len(mat) for row in mat):
+        assert_same(det_exact(mat), det_oracle(mat))
+    assert_same(solve_exact(mat, rhs), solve_oracle(mat, rhs))
+
+
+def random_entry(rng: random.Random):
+    if rng.random() < 0.5:
+        return rng.randint(-6, 6)
+    return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+
+
+def low_rank(rng: random.Random, m: int, n: int, k: int):
+    """An m x n integer matrix of rank at most k, as a product m x k by k x n."""
+    left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+    right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+    return tuple(
+        tuple(sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n))
+        for i in range(m)
+    )
+
+
+entries = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=8),
+)
+
+
+@st.composite
+def systems(draw):
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(1, 5)) if m else 0
+    mat = tuple(tuple(draw(entries) for _ in range(n)) for _ in range(m))
+    rhs = tuple(draw(entries) for _ in range(m))
+    return mat, rhs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(systems())
+def test_kernel_matches_fraction_oracles(system):
+    assert_kernel_matches(*system)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(systems(), st.data())
+def test_kernel_matches_on_rank_deficient_systems(system, data):
+    # duplicate a combination of rows so the rank drops; the rhs picks
+    # consistent or inconsistent at random
+    mat, rhs = system
+    if not mat:
+        return
+    a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+    i, j = data.draw(st.integers(0, len(mat) - 1)), data.draw(st.integers(0, len(mat) - 1))
+    row = tuple(a * x + b * y for x, y in zip(mat[i], mat[j]))
+    shift = data.draw(st.sampled_from([0, 0, 1, Fraction(1, 3)]))
+    assert_kernel_matches(mat + (row,), rhs + (a * rhs[i] + b * rhs[j] + shift,))
+
+
+def test_kernel_matches_fraction_oracles_on_seeded_cases():
+    rng = random.Random(20111)
+    for _ in range(4000):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        if m == 0:
+            n = 0
+        kind = rng.randrange(4)
+        if kind == 0:
+            mat = tuple(tuple(random_entry(rng) for _ in range(n)) for _ in range(m))
+        else:
+            mat = low_rank(rng, m, n, rng.randint(0, min(m, n)))
+        if kind == 1:
+            rhs = (0,) * m
+        elif kind == 2 and n:
+            # in the column span, so the system is consistent
+            x = [random_entry(rng) for _ in range(n)]
+            rhs = tuple(sum(a * b for a, b in zip(row, x)) for row in mat)
+        else:
+            rhs = tuple(random_entry(rng) for _ in range(m))
+        assert_kernel_matches(mat, rhs)
+
+
+def test_kernel_edge_cases():
+    assert_kernel_matches((), ())
+    assert_kernel_matches(((0, 0), (0, 0)), (0, 0))
+    assert_kernel_matches(((0, 0), (0, 0)), (0, 1))
+    assert_kernel_matches(((0, 2), (0, 4)), (1, 2))
+    assert_kernel_matches(((1, 2, 3), (2, 4, 7)), (Fraction(1, 2), 1))
+    assert_kernel_matches(((Fraction(1, 2),), (Fraction(-1, 3),)), (1, Fraction(-2, 3)))
+    # anything Fraction accepts still goes in, as before the kernel
+    assert_kernel_matches(((1, "1/2"), (0.25, 3)), ("3/4", -1))
+    assert det_exact(()) == 1 and type(det_exact(())) is Fraction
+    with pytest.raises(ValueError):
+        det_exact(((1, 2),))
+    with pytest.raises(ValueError):
+        solve_exact(((1, 2),), (1, 2))
