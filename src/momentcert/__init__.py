@@ -11,14 +11,13 @@ from .certificate import (
     hf_lower_bound_tr,
     verify,
 )
-from .floer import BoundaryOp, CFVector, boundary_op, hf, hf_even, rank_gf2
+from .floer import BoundaryOp, boundary_op, hf, hf_even, rank_gf2
 from .polytope import (
     Facet,
     Polytope,
     Vertex,
     equidistant_point,
     match_dilate_translate,
-    polytope,
     product,
     prune_redundant,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "AffineReduction",
     "BaseFact",
     "BoundaryOp",
-    "CFVector",
     "Certificate",
     "Facet",
     "Polytope",
@@ -65,7 +63,6 @@ __all__ = [
     "match_dilate_translate",
     "monotone_weights",
     "o_minus_one",
-    "polytope",
     "probe_reach",
     "probe_scan",
     "product",

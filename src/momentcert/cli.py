@@ -26,9 +26,9 @@ from .documents import (
     save_json,
 )
 from .errors import DocumentError, MomentcertError, VerificationError
-from .floer import DIMENSION_LIMIT, boundary_op, hf, rank_gf2
+from .floer import DIMENSION_LIMIT, hf
 from .polytope import equidistant_point, product
-from .probes import probe_scan
+from .probes import probe_reach, probe_scan
 from .reduction import reduce_polytope
 from .render import render_svg
 
@@ -80,12 +80,12 @@ def _cmd_info(args) -> int:
 def _cmd_hf(args) -> int:
     p = load_polytope(args.file)
     value = hf(p, limit=args.limit)
+    # rank + nullity is the size of the space and nullity - rank the invariant
     if p.is_even():
-        rank, nullity = rank_gf2(boundary_op(p), limit=args.limit)
-        print(f"hf = {value}  (nullity {nullity}, rank {rank})")
+        size, diff, label = 1 << p.dim, value, ""
     else:
-        rank, nullity = rank_gf2(boundary_op(product(p, p)), limit=args.limit)
-        print(f"hf = {value}  (squared polytope: nullity {nullity}, rank {rank})")
+        size, diff, label = 1 << 2 * p.dim, value * value, "squared polytope: "
+    print(f"hf = {value}  ({label}nullity {(size + diff) // 2}, rank {(size - diff) // 2})")
     if args.tr_bound:
         bound, caveat = hf_lower_bound_tr(p)
         print(f"torus/real-locus intersection bound: {bound}")
@@ -183,8 +183,6 @@ def _cmd_probe(args) -> int:
             f"no probe with direction bound {args.bound} displaces {_fmt_point(point)}"
         )
     else:
-        from .probes import probe_reach
-
         reach = probe_reach(p, probe)
         t = p.support(probe.facet, point)
         print(f"displaceable: facet {probe.facet}, direction {probe.direction}, "

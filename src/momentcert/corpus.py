@@ -13,7 +13,15 @@ from fractions import Fraction
 from importlib import resources
 
 from . import certificate as cert_mod
-from .certificate import BaseFact, Certificate, Product, Reduction, auto_certify_monotone, verify
+from .certificate import (
+    BaseFact,
+    Certificate,
+    Product,
+    Reduction,
+    auto_certify_monotone,
+    hf_lower_bound_tr,
+    verify,
+)
 from .documents import (
     certificate_from_doc,
     load_json,
@@ -22,9 +30,9 @@ from .documents import (
 )
 from .errors import ReducedPolytopeMismatchError
 from .floer import boundary_op, hf, hf_even, rank_gf2
-from .polytope import Polytope, product
+from .polytope import Polytope, polytope, product
 from .probes import probe_scan
-from .reduction import cp1, monotone_weights, o_minus_one, section
+from .reduction import cp1, monotone_weights, o_minus_one, reduce_polytope, section
 
 
 @dataclass(frozen=True)
@@ -121,8 +129,6 @@ PROBE_NONE_CASES = (
 def blowup2_certificate(alpha: Fraction, lam: Fraction) -> Certificate:
     """The two-point blow-up family: O(-1) x sphere x sphere, sized by
     (alpha, lam), reduced along x3 = x2 and x4 = x1 + x2."""
-    from .polytope import polytope
-
     target = polytope(
         2,
         [
@@ -150,8 +156,6 @@ def blowup2_certificate(alpha: Fraction, lam: Fraction) -> Certificate:
 def pentagon_certificate(lam: Fraction) -> Certificate:
     """The non-Fano pentagon family: CP(1,1,2) x sphere x O(-1), sized by
     lam, reduced along x3 = x2, x4 = -x1 - 2 x2, x5 = -x2."""
-    from .polytope import polytope
-
     target = load_corpus_polytope("nonfano_pentagon")
     wp = polytope(2, [((1, 0), 1), ((0, 1), 1 + lam), ((-1, -2), 1 + 2 * lam)])
     root = Reduction(
@@ -184,8 +188,6 @@ def run() -> list[Row]:
         amb = load_corpus_polytope(amb_name)
         sec = load_corpus_section(sec_name)
         target = load_corpus_polytope(target_name).canonical_form()
-        from .reduction import reduce_polytope
-
         got = reduce_polytope(amb, sec)
         rows.append(
             Row(f"{amb_name} -> {target_name}", "reduce", "target", "target" if got == target else "different")
@@ -249,8 +251,6 @@ def run() -> list[Row]:
     s2c = load_corpus_polytope("simplex2").canonical_form()
     found = probe_scan(s2c, (Fraction(-1, 2), Fraction(0)), 1)
     rows.append(Row("simplex2 (-1/2,0)", "probe<= 1", "probe", "none" if found is None else "probe"))
-
-    from .certificate import hf_lower_bound_tr
 
     for name, expected in (("hexagon", 4), ("simplex2", 2), ("segment", 2)):
         bound, _ = hf_lower_bound_tr(load_corpus_polytope(name))

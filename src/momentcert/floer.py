@@ -44,30 +44,6 @@ def _xor_translate(bits: int, shift: int, n: int) -> int:
 
 
 @dataclass(frozen=True)
-class CFVector:
-    """A GF(2) combination of sign vectors, packed into one integer."""
-
-    dim: int
-    bits: int
-
-    def __post_init__(self):
-        if not 0 <= self.bits < (1 << (1 << self.dim)):
-            raise ValueError("coefficient mask out of range")
-
-    @classmethod
-    def basis(cls, dim: int, index: int) -> CFVector:
-        return cls(dim, 1 << index)
-
-    def __xor__(self, other: CFVector) -> CFVector:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return CFVector(self.dim, self.bits ^ other.bits)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(s for s in range(1 << self.dim) if (self.bits >> s) & 1)
-
-
-@dataclass(frozen=True)
 class BoundaryOp:
     """Sum of XOR translations, one per facet normal reduced mod 2."""
 
@@ -81,19 +57,6 @@ class BoundaryOp:
         for t in self.translations:
             g ^= 1 << t
         return g
-
-    def apply(self, vec: CFVector) -> CFVector:
-        if vec.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        out = 0
-        g = self.generator
-        shift = 0
-        while g:
-            if g & 1:
-                out ^= _xor_translate(vec.bits, shift, self.dim)
-            g >>= 1
-            shift += 1
-        return CFVector(self.dim, out)
 
     def compose(self, other: BoundaryOp) -> BoundaryOp:
         if self.dim != other.dim:

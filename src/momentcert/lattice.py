@@ -47,10 +47,6 @@ def neg(v):
     return tuple(-x for x in v)
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
@@ -188,7 +184,7 @@ def is_surjective_onto_lattice(mat) -> bool:
     return len(factors) == ncols and all(f == 1 for f in factors)
 
 
-def _integer_rows(mat) -> tuple[list[list[int]], int]:
+def integer_rows(mat) -> tuple[list[list[int]], int]:
     """Each row times the lcm of its denominators, and the product of those lcms.
 
     ints and Fractions are read through numerator and denominator, so no
@@ -253,7 +249,7 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
 
 def rank_exact(mat) -> int:
     """Rank over the rationals."""
-    rows, _ = _integer_rows(mat)
+    rows, _ = integer_rows(mat)
     return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
@@ -262,7 +258,7 @@ def det_exact(mat) -> Fraction:
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("determinant of a non-square matrix")
-    rows, scale = _integer_rows(mat)
+    rows, scale = integer_rows(mat)
     pivots, d, swaps = _eliminate(rows, n)
     if len(pivots) < n:
         return Fraction(0)
@@ -277,7 +273,7 @@ def solve_exact(rows, rhs):
     rational vectors spanning the solution space of the homogeneous system.
     """
     n = len(rows[0]) if rows else 0
-    aug, _ = _integer_rows([(*row, b) for row, b in zip(rows, rhs, strict=True)])
+    aug, _ = integer_rows([(*row, b) for row, b in zip(rows, rhs, strict=True)])
     pivots, d, _ = _eliminate(aug, n)
     if any(row[n] for row in aug[len(pivots):]):
         return None

@@ -121,7 +121,8 @@ class Polytope:
             )
             if sol is None or len(sol[1]) != 1:
                 continue
-            ray = _to_int_vector(sol[1][0])
+            (kernel,), _ = lattice.integer_rows(sol[1])
+            ray = lattice.primitive_part(kernel)
             for w in (ray, lattice.neg(ray)):
                 if all(lattice.dot(nu, w) >= 0 for nu in normals):
                     return False
@@ -154,8 +155,12 @@ class Polytope:
         )
 
     def canonical_form(self) -> Polytope:
-        """Facets sorted by (normal, offset); the package's polytope identity."""
-        return Polytope(self.dim, tuple(sorted(self.facets)))
+        """Facets sorted by (normal, offset); the package's polytope identity.
+
+        A polytope already in that order is returned itself, not validated again.
+        """
+        facets = tuple(sorted(self.facets))
+        return self if facets == self.facets else Polytope(self.dim, facets)
 
     def translate(self, x0) -> Polytope:
         """The polytope shifted by x0 (offsets pick up -<x0, normal>)."""
@@ -263,18 +268,12 @@ def match_dilate_translate(p: Polytope, model: Polytope):
 
 # -- exact feasibility (Fourier-Motzkin) -------------------------------------
 
-def _normalize_constraint(coeffs, const, strict):
-    """Scale to coprime integers; returns (int coeffs, int const, strict)."""
-    denom = 1
-    for x in (*coeffs, const):
-        denom = denom * Fraction(x).denominator // gcd(denom, Fraction(x).denominator)
-    ic = tuple(int(Fraction(x) * denom) for x in coeffs)
-    ib = int(Fraction(const) * denom)
-    g = gcd(lattice.vec_gcd(ic), abs(ib))
+def _coprime(coeffs, const, strict):
+    """Divide an integer constraint by the gcd of all its entries, the constant included."""
+    g = gcd(lattice.vec_gcd(coeffs), const)
     if g > 1:
-        ic = tuple(x // g for x in ic)
-        ib = ib // g
-    return ic, ib, strict
+        return tuple(x // g for x in coeffs), const // g, strict
+    return coeffs, const, strict
 
 
 def _dominate(cons):
@@ -293,9 +292,14 @@ def feasible(constraints, nvars: int) -> bool:
     """Exact satisfiability of a system sum(c_i x_i) + b >= 0 (or > 0).
 
     constraints: iterable of (coeffs, const, strict).  Decided by
-    Fourier-Motzkin elimination over the rationals.
+    Fourier-Motzkin elimination on integer rows: each constraint is scaled
+    to integers once, and every combination of two is divided by its gcd.
     """
-    cons = _dominate([_normalize_constraint(c, b, s) for c, b, s in constraints])
+    constraints = list(constraints)
+    rows, _ = lattice.integer_rows([(*c, b) for c, b, _ in constraints])
+    cons = _dominate([
+        _coprime(tuple(row[:-1]), row[-1], s) for row, (_, _, s) in zip(rows, constraints)
+    ])
     for var in range(nvars - 1, -1, -1):
         pos = [c for c in cons if c[0][var] > 0]
         negs = [c for c in cons if c[0][var] < 0]
@@ -310,7 +314,7 @@ def feasible(constraints, nvars: int) -> bool:
                 fn = cp[var]
                 coeffs = tuple(fp * a + fn * b for a, b in zip(cp, cn))
                 const = fp * bp + fn * bn
-                new.append(_normalize_constraint(coeffs, const, sp or sn))
+                new.append(_coprime(coeffs, const, sp or sn))
         cons = _dominate(new)
     for _, b, strict in cons:
         if b < 0 or (strict and b == 0):
@@ -336,11 +340,3 @@ def _prune_facet_list(dim: int, facets) -> list[Facet]:
         if not feasible(cons, dim):
             work = others
     return work
-
-
-def _to_int_vector(v) -> IntVec:
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = tuple(int(x * denom) for x in v)
-    return lattice.primitive_part(ints)

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import momentcert.polytope as polytope_module
 from momentcert.certificate import (
     CLIFFORD_TORUS,
     CP1,
@@ -365,6 +366,21 @@ def test_auto_certify_validates_once(monkeypatch, name, enumerations, compactnes
     auto_certify_monotone(load_corpus_polytope(name))
     assert calls["vertices"] <= enumerations
     assert calls["is_compact"] == compactness
+
+
+def test_auto_certify_validates_a_translate_once(monkeypatch):
+    p = cube(2, 2).translate((3, 0))  # offsets <= 0, so validation runs feasible
+    calls = []
+    original = polytope_module.feasible
+
+    def counted(constraints, nvars):
+        calls.append(len(constraints))
+        return original(constraints, nvars)
+
+    monkeypatch.setattr(polytope_module, "feasible", counted)
+    with pytest.raises(NotMonotoneError):
+        auto_certify_monotone(p)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("p, error", [

@@ -3,8 +3,10 @@ import json
 import pytest
 
 from momentcert.cli import main
-from momentcert.corpus import load_doc
+from momentcert.corpus import load_corpus_polytope, load_doc
 from momentcert.documents import save_json
+from momentcert.floer import boundary_op, rank_gf2
+from momentcert.polytope import product
 
 
 @pytest.fixture()
@@ -31,8 +33,18 @@ def test_hf_command(corpus_dir, capsys):
     assert main(["hf", str(corpus_dir / "hexagon.json"), "--tr-bound"]) == 0
     out = capsys.readouterr().out
     assert "hf = 4" in out
+    assert "nullity 4, rank 0" in out
+    assert "squared" not in out
     assert "bound: 4" in out
     assert "caveat" in out
+
+
+@pytest.mark.parametrize("name", ["segment", "simplex2", "simplex3", "hexagon", "cp2_blowup1", "cube"])
+def test_hf_command_counts_match_the_operator(corpus_dir, capsys, name):
+    p = load_corpus_polytope(name)
+    rank, nullity = rank_gf2(boundary_op(p if p.is_even() else product(p, p)))
+    assert main(["hf", str(corpus_dir / f"{name}.json")]) == 0
+    assert f"nullity {nullity}, rank {rank})" in capsys.readouterr().out
 
 
 def test_product_command(corpus_dir, tmp_path, capsys):

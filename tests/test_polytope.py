@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction as F
+from math import gcd
+from types import ModuleType
 
 import pytest
 
+import momentcert.polytope as polytope_module
 from conftest import random_polytope
 from momentcert.errors import EmptyInteriorError, PolytopeError
 from momentcert.polytope import (
     Polytope,
     equidistant_point,
+    feasible,
     match_dilate_translate,
     polytope,
     product,
@@ -143,6 +147,130 @@ def test_compactness():
     assert not strip.is_compact()
 
 
+# -- feasibility ---------------------------------------------------------------
+
+def _fraction_normalize(coeffs, const, strict):
+    denom = 1
+    for x in (*coeffs, const):
+        denom = denom * F(x).denominator // gcd(denom, F(x).denominator)
+    ic = tuple(int(F(x) * denom) for x in coeffs)
+    ib = int(F(const) * denom)
+    g = gcd(*ic, ib)
+    if g > 1:
+        ic = tuple(x // g for x in ic)
+        ib = ib // g
+    return ic, ib, strict
+
+
+def _fraction_dominate(cons):
+    best = {}
+    for c, b, strict in cons:
+        cur = best.get(c)
+        if cur is None or (b, 0 if strict else 1) < (cur[1], 0 if cur[2] else 1):
+            best[c] = (c, b, strict)
+    return list(best.values())
+
+
+def fraction_fm_feasible(constraints, nvars):
+    """Oracle: Fourier-Motzkin that rebuilds every constraint from Fractions."""
+    cons = _fraction_dominate([_fraction_normalize(c, b, s) for c, b, s in constraints])
+    for var in range(nvars - 1, -1, -1):
+        pos = [c for c in cons if c[0][var] > 0]
+        negs = [c for c in cons if c[0][var] < 0]
+        zero = [c for c in cons if c[0][var] == 0]
+        if not pos or not negs:
+            cons = zero
+            continue
+        new = list(zero)
+        for cp, bp, sp in pos:
+            for cn, bn, sn in negs:
+                fp, fn = -cn[var], cp[var]
+                coeffs = tuple(fp * a + fn * b for a, b in zip(cp, cn))
+                new.append(_fraction_normalize(coeffs, fp * bp + fn * bn, sp or sn))
+        cons = _fraction_dominate(new)
+    return all(b > 0 or (b == 0 and not strict) for _, b, strict in cons)
+
+
+def lp_feasible(constraints, nvars):
+    """Oracle: sympy's exact simplex maximises a slack t <= 1 on the strict
+    rows; the system is feasible iff that maximum exists and is positive."""
+    from sympy import Rational, S, Symbol, symbols
+    from sympy.solvers.simplex import InfeasibleLPError, lpmax
+
+    xs = symbols(f"x0:{nvars}")
+    t = Symbol("t")
+    rows = [t <= 1]
+    for coeffs, const, strict in constraints:
+        expr = sum(Rational(F(c)) * x for c, x in zip(coeffs, xs)) + Rational(F(const))
+        row = expr >= t if strict else expr >= 0
+        if row is S.false:
+            return False
+        if row is not S.true:
+            rows.append(row)
+    try:
+        value, _ = lpmax(t, rows)
+    except InfeasibleLPError:
+        return False
+    return bool(value > 0)
+
+
+def _random_system(rng, nvars):
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        coeffs = tuple(rng.randint(-3, 3) for _ in range(nvars))
+        if rng.random() < 0.3:
+            coeffs = tuple(F(c, rng.randint(1, 3)) for c in coeffs)
+        rows.append((coeffs, F(rng.randint(-4, 4), rng.randint(1, 4)), rng.random() < 0.5))
+    return rows
+
+
+@pytest.mark.parametrize("constraints, nvars, expected", [
+    ([], 0, True),
+    ([], 3, True),
+    ([((), 0, False)], 0, True),
+    ([((), 0, True)], 0, False),
+    ([((), F(-1, 3), False)], 0, False),
+    ([((), F(1, 3), True)], 0, True),
+    ([((0, 0), 0, False)], 2, True),  # 0 >= 0
+    ([((0, 0), 0, True)], 2, False),  # 0 > 0
+    ([((1,), F(1, 2), False), ((-1,), F(-1, 2), False)], 1, True),  # x = -1/2
+    ([((1,), F(1, 2), True), ((-1,), F(-1, 2), False)], 1, False),
+    ([((2, 0), F(-1, 3), True), ((-5, 0), 1, True)], 2, True),  # 1/6 < x < 1/5
+    ([((2, 0), F(-1, 3), True), ((-3, 0), F(1, 2), False)], 2, False),  # 1/6 < x <= 1/6
+    ([((F(1, 2), 1), F(-1, 4), False), ((F(-1, 2), -1), F(1, 5), False)], 2, False),
+])
+def test_feasible_edge_cases(constraints, nvars, expected):
+    assert feasible(constraints, nvars) is expected
+    assert fraction_fm_feasible(constraints, nvars) is expected
+    assert lp_feasible(constraints, nvars) is expected
+
+
+def test_feasible_matches_fraction_fm_and_lpmax():
+    rng = random.Random(8086)
+    answers = []
+    for case in range(2000):
+        nvars = rng.randint(0, 4)
+        system = _random_system(rng, nvars)
+        got = feasible(system, nvars)
+        assert got is fraction_fm_feasible(system, nvars), system
+        if case % 80 == 0:  # lpmax takes about 45 ms a system
+            assert got is lp_feasible(system, nvars), system
+            answers.append(got)
+    assert True in answers and False in answers
+
+
+def test_prune_matches_fraction_fm(monkeypatch):
+    rng = random.Random(6502)
+    cases = []
+    for _ in range(30):
+        n = rng.choice((2, 3))
+        p = random_polytope(rng, n, rng.randint(n + 1, 8))
+        cases.append(p.translate(tuple(F(rng.randint(-2, 2), 2) for _ in range(n))))
+    pruned = [prune_redundant(p).facets for p in cases]
+    monkeypatch.setattr(polytope_module, "feasible", fraction_fm_feasible)
+    assert [prune_redundant(p).facets for p in cases] == pruned
+
+
 # -- pruning ------------------------------------------------------------------
 
 def test_prune_parallel_dominance():
@@ -207,6 +335,20 @@ def test_canonical_form_is_order_invariant():
     ]
     canon = {p.canonical_form() for p in variants}
     assert len(canon) == 1
+
+
+def test_canonical_form_of_a_canonical_polytope_is_itself():
+    q = polytope(2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)]).canonical_form()
+    assert q.canonical_form() is q
+    assert q.translate((3, 0)).canonical_form() is not q
+
+
+def test_package_attribute_is_the_polytope_module():
+    import momentcert
+    from momentcert import polytope as from_package
+
+    assert isinstance(polytope_module, ModuleType)
+    assert from_package is polytope_module is momentcert.polytope
 
 
 # -- equidistant point --------------------------------------------------------
