@@ -20,13 +20,14 @@ from .documents import (
     load_polytope,
     load_section,
     marked_points_from_doc,
+    parse_rational,
     polytope_from_doc,
     polytope_to_doc,
     rational_to_json,
     save_json,
 )
 from .errors import DocumentError, MomentcertError, VerificationError
-from .floer import DIMENSION_LIMIT, hf
+from .floer import hf
 from .polytope import equidistant_point, product
 from .probes import probe_reach, probe_scan
 from .reduction import reduce_polytope
@@ -79,7 +80,7 @@ def _cmd_info(args) -> int:
 
 def _cmd_hf(args) -> int:
     p = load_polytope(args.file)
-    value = hf(p, limit=args.limit)
+    value = hf(p)
     # rank + nullity is the size of the space and nullity - rank the invariant
     if p.is_even():
         size, diff, label = 1 << p.dim, value, ""
@@ -173,10 +174,7 @@ def _cmd_auto_certify(args) -> int:
 def _cmd_probe(args) -> int:
     doc = load_json(args.file)
     p = polytope_from_doc(doc, str(args.file)).canonical_form()
-    try:
-        point = tuple(Fraction(x) for x in args.point.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise DocumentError(f"bad point {args.point!r}; expected comma-separated rationals")
+    point = tuple(parse_rational(x, "--point") for x in args.point.split(","))
     probe = probe_scan(p, point, args.bound)
     if probe is None:
         print(
@@ -258,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--tr-bound", action="store_true",
                    help="also print the torus/real-locus bound with its caveat")
-    p.add_argument("--limit", type=int, default=DIMENSION_LIMIT,
-                   help="largest admissible operator dimension")
     p.set_defaults(func=_cmd_hf)
 
     p = sub.add_parser("product", help="cartesian product of two polytopes")

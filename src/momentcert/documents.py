@@ -28,6 +28,9 @@ def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction would expand an exponent such as "1e3000000" digit by digit
+        if "e" in value.lower():
+            raise DocumentError(f"{where}: bad rational {value!r} (exponents are not accepted)")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -247,6 +250,9 @@ def _decode(text: str, where: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{where}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError:
+        # json.loads raises a plain ValueError for integers past int's digit limit
+        raise DocumentError(f"{where}: an integer literal has too many digits") from None
     except RecursionError:
         raise DocumentError(f"{where}: JSON nested too deeply") from None
 

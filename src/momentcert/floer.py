@@ -13,34 +13,12 @@ bit-packed in one big integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 
 from .errors import DimensionLimitError, NonSquareInvariantError, OddPolytopeError
 from .polytope import Polytope, product
 
 DIMENSION_LIMIT = 13
-
-
-@lru_cache(maxsize=None)
-def _half_mask(n: int, j: int) -> int:
-    """Bits s in [0, 2^n) whose j-th index bit is 0."""
-    step = 1 << j
-    unit = (1 << step) - 1
-    mask = 0
-    for r in range(1 << (n - 1 - j)):
-        mask |= unit << (r * (step << 1))
-    return mask
-
-
-def _xor_translate(bits: int, shift: int, n: int) -> int:
-    """Permute the packed coefficients by s -> s XOR shift."""
-    for j in range(n):
-        if (shift >> j) & 1:
-            m = _half_mask(n, j)
-            step = 1 << j
-            bits = ((bits & m) << step) | ((bits >> step) & m)
-    return bits
 
 
 @dataclass(frozen=True)
@@ -83,22 +61,25 @@ def boundary_op(p: Polytope) -> BoundaryOp:
     return BoundaryOp(p.dim, tuple(sorted(masks)))
 
 
-def rank_gf2(op: BoundaryOp, *, limit: int = DIMENSION_LIMIT) -> tuple[int, int]:
+def rank_gf2(op: BoundaryOp) -> tuple[int, int]:
     """(rank, nullity) of the operator, by bit-packed Gaussian elimination.
 
-    Rows are generated on the fly as XOR translates of the generator row;
-    elimination always picks the lowest set bit as pivot, so the result is
-    deterministic.
+    Row e is the generator row XOR-translated by e: bit b ^ e is set for
+    every set bit b of the generator.  Elimination always picks the lowest
+    set bit as pivot, so the result is deterministic.
     """
-    if op.dim > limit:
-        raise DimensionLimitError(f"dimension {op.dim} exceeds the limit {limit}")
+    if op.dim > DIMENSION_LIMIT:
+        raise DimensionLimitError(f"dimension {op.dim} exceeds the limit {DIMENSION_LIMIT}")
     size = 1 << op.dim
     g = op.generator
     if g == 0:
         return 0, size
+    support = [b for b in range(size) if g >> b & 1]
     pivots: dict[int, int] = {}
     for e in range(size):
-        row = _xor_translate(g, e, op.dim)
+        row = 0
+        for b in support:
+            row |= 1 << (b ^ e)
         while row:
             p = (row & -row).bit_length() - 1
             if p in pivots:
@@ -112,21 +93,21 @@ def rank_gf2(op: BoundaryOp, *, limit: int = DIMENSION_LIMIT) -> tuple[int, int]
     return rank, size - rank
 
 
-def hf_even(p: Polytope, *, limit: int = DIMENSION_LIMIT) -> int:
+def hf_even(p: Polytope) -> int:
     """nullity - rank of the sign-flip operator; defined for even facet counts."""
     if not p.is_even():
         raise OddPolytopeError(f"polytope has {p.d} facets; an even count is required")
-    rank, nullity = rank_gf2(boundary_op(p), limit=limit)
+    rank, nullity = rank_gf2(boundary_op(p))
     return nullity - rank
 
 
-def hf(p: Polytope, *, limit: int = DIMENSION_LIMIT) -> int:
+def hf(p: Polytope) -> int:
     """The invariant for arbitrary facet parity, via the square of P x P.
 
     P x P always has an even facet count and its even invariant is a perfect
     square; a non-square value would expose a soundness bug, hence the error.
     """
-    squared = hf_even(product(p, p), limit=limit)
+    squared = hf_even(product(p, p))
     if squared < 0:
         raise NonSquareInvariantError(f"negative doubled invariant {squared}")
     root = isqrt(squared)

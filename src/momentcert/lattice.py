@@ -51,10 +51,6 @@ def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def scale(v, s):
-    return tuple(s * x for x in v)
-
-
 def identity(n: int) -> IntMat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 

@@ -4,9 +4,10 @@ import pytest
 
 from momentcert.cli import main
 from momentcert.corpus import load_corpus_polytope, load_doc
-from momentcert.documents import save_json
+from momentcert.documents import polytope_to_doc, save_json
 from momentcert.floer import boundary_op, rank_gf2
 from momentcert.polytope import product
+from momentcert.reduction import simplex
 
 
 @pytest.fixture()
@@ -45,6 +46,51 @@ def test_hf_command_counts_match_the_operator(corpus_dir, capsys, name):
     rank, nullity = rank_gf2(boundary_op(p if p.is_even() else product(p, p)))
     assert main(["hf", str(corpus_dir / f"{name}.json")]) == 0
     assert f"nullity {nullity}, rank {rank})" in capsys.readouterr().out
+
+
+def test_hf_command_over_the_dimension_limit(tmp_path, capsys):
+    # hf works on P x P, so simplex(7) needs a 14-dimensional operator
+    path = tmp_path / "simplex7.json"
+    save_json(path, polytope_to_doc(simplex(7), name="simplex7"))
+    assert main(["hf", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: DimensionLimitError" in err
+    assert "Traceback" not in err
+
+
+def test_hf_command_has_no_limit_option(corpus_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hf", str(corpus_dir / "simplex2.json"), "--limit", "20"])
+    assert exc.value.code == 2
+    assert "--limit" in capsys.readouterr().err
+
+
+def _assert_malformed(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_info_rejects_an_integer_past_the_digit_limit(tmp_path, capsys):
+    doc = load_doc("simplex2")
+    path = tmp_path / "huge.json"
+    save_json(path, doc)
+    text = path.read_text().replace('"offset": 1', '"offset": ' + "7" * 5000, 1)
+    path.write_text(text)
+    _assert_malformed(["info", str(path)], capsys)
+
+
+def test_info_rejects_an_exponent_offset(tmp_path, capsys):
+    doc = load_doc("simplex2")
+    doc["facets"][0]["offset"] = "1e3000000"
+    path = tmp_path / "exponent.json"
+    save_json(path, doc)
+    _assert_malformed(["info", str(path)], capsys)
+
+
+def test_probe_rejects_an_exponent_point(corpus_dir, capsys):
+    _assert_malformed(["probe", str(corpus_dir / "simplex2.json"), "--point", "1e3000000,0"], capsys)
 
 
 def test_product_command(corpus_dir, tmp_path, capsys):

@@ -31,6 +31,10 @@ def test_rational_parsing():
         parse_rational("5/0", "x")
     with pytest.raises(DocumentError):
         parse_rational(True, "x")
+    assert parse_rational("1.25", "x") == F(5, 4)
+    for text in ("1e3", "2.5E-1", "1e3000000"):
+        with pytest.raises(DocumentError, match="exponent"):
+            parse_rational(text, "x")
 
 
 def test_rational_serialization():

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_polytope
 from momentcert.errors import DimensionLimitError, OddPolytopeError
-from momentcert.floer import BoundaryOp, boundary_op, hf, hf_even, rank_gf2
+from momentcert.floer import DIMENSION_LIMIT, BoundaryOp, boundary_op, hf, hf_even, rank_gf2
 from momentcert.polytope import polytope, product
 from momentcert.reduction import cp1, cube, simplex
 
@@ -82,9 +82,9 @@ def test_zero_operator_rank():
 
 
 def test_dimension_limit():
-    op = BoundaryOp(3, (1,))
+    # raised before elimination starts: none of the 2^dim rows is built
     with pytest.raises(DimensionLimitError):
-        rank_gf2(op, limit=2)
+        rank_gf2(BoundaryOp(DIMENSION_LIMIT + 1, (1,)))
 
 
 def test_rank_matches_dense_oracle():
