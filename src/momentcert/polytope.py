@@ -164,10 +164,18 @@ class Polytope:
 
     def translate(self, x0) -> Polytope:
         """The polytope shifted by x0 (offsets pick up -<x0, normal>)."""
-        return Polytope(
-            self.dim,
+        # Not validated again: a translate keeps every property __post_init__
+        # checks.  The normals are the same primitive vectors of length dim,
+        # facets with the same normal move by the same offset and stay
+        # distinct, the facet count is unchanged, and the interior moves by x0.
+        moved = object.__new__(Polytope)
+        object.__setattr__(moved, "dim", self.dim)
+        object.__setattr__(
+            moved,
+            "facets",
             tuple(Facet(f.normal, f.offset - lattice.dot(x0, f.normal)) for f in self.facets),
         )
+        return moved
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_polytope
 from momentcert.errors import DimensionLimitError, OddPolytopeError
@@ -34,6 +36,45 @@ def dense_rank(op: BoundaryOp) -> tuple[int, int]:
                 matrix[r] = [a ^ b for a, b in zip(matrix[r], matrix[rank])]
         rank += 1
     return rank, size - rank
+
+
+def full_rank_gf2(op: BoundaryOp) -> tuple[int, int]:
+    """Reference elimination over all 2^n rows of the full space, with no
+    square law and no coset split: each row is the generator XOR-translated
+    by its index, packed in one integer."""
+    size = 1 << op.dim
+    g = op.generator
+    if g == 0:
+        return 0, size
+    support = [b for b in range(size) if g >> b & 1]
+    pivots: dict[int, int] = {}
+    for e in range(size):
+        row = 0
+        for b in support:
+            row |= 1 << (b ^ e)
+        while row:
+            p = (row & -row).bit_length() - 1
+            if p in pivots:
+                row ^= pivots[p]
+            else:
+                pivots[p] = row
+                break
+        if len(pivots) == size:
+            break
+    rank = len(pivots)
+    return rank, size - rank
+
+
+def assert_matches_oracles(op: BoundaryOp) -> tuple[int, int]:
+    got = rank_gf2(op)
+    assert got == full_rank_gf2(op), op
+    if op.dim <= 6:
+        assert got == dense_rank(op), op
+    return got
+
+
+def support_size(op: BoundaryOp) -> int:
+    return bin(op.generator).count("1")
 
 
 # -- construction --------------------------------------------------------------
@@ -81,6 +122,16 @@ def test_zero_operator_rank():
     assert rank_gf2(op) == (0, 8)
 
 
+def test_boundary_op_rejects_translations_out_of_range():
+    with pytest.raises(ValueError):
+        BoundaryOp(2, (5,))
+    with pytest.raises(ValueError):
+        BoundaryOp(2, (-1,))
+    with pytest.raises(ValueError):
+        BoundaryOp(-1, ())
+    assert BoundaryOp(2, (0, 3)).translations == (0, 3)
+
+
 def test_dimension_limit():
     # raised before elimination starts: none of the 2^dim rows is built
     with pytest.raises(DimensionLimitError):
@@ -96,7 +147,72 @@ def test_rank_matches_dense_oracle():
         assert rank_gf2(op) == dense_rank(op)
 
 
+def test_rank_on_a_coset_of_a_proper_subgroup():
+    # the support lies in t0 + H with dim H < n, so the rank is one copy of
+    # the rank on H per coset
+    rng = random.Random(4242)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        basis = [rng.randrange(1 << n) for _ in range(rng.randrange(n))]
+        t0 = rng.randrange(1 << n)
+        translations = []
+        for _ in range(rng.randint(1, 8)):
+            t = t0
+            for b in basis:
+                if rng.random() < 0.5:
+                    t ^= b
+            translations.append(t)
+        assert_matches_oracles(BoundaryOp(n, tuple(sorted(translations))))
+
+
+def test_even_support_below_half_rank():
+    # sums of products of factors (1 + x^a) square to zero and often have
+    # rank below half the dimension, where stopping at half must not fire
+    rng = random.Random(8128)
+    below_half = 0
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        translations = []
+        for _ in range(rng.randint(1, 2)):
+            factors = [rng.randrange(1, 1 << n) for _ in range(rng.randint(2, 3))]
+            subset_sums = [0]
+            for a in factors:
+                subset_sums += [t ^ a for t in subset_sums]
+            translations += subset_sums
+        op = BoundaryOp(n, tuple(sorted(translations)))
+        assert support_size(op) % 2 == 0
+        rank, _ = assert_matches_oracles(op)
+        if 0 < rank < 1 << (n - 1):
+            below_half += 1
+    assert below_half >= 30
+
+
+def test_odd_support_is_a_unit():
+    rng = random.Random(9973)
+    odd = 0
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        op = BoundaryOp(n, tuple(sorted(rng.randrange(1 << n) for _ in range(rng.randint(1, 9)))))
+        if support_size(op) % 2:
+            assert assert_matches_oracles(op) == (1 << n, 0)
+            odd += 1
+    assert odd >= 20
+
+
 # -- the square law -------------------------------------------------------------
+
+@st.composite
+def operators(draw):
+    n = draw(st.integers(0, 8))
+    translations = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    return BoundaryOp(n, tuple(sorted(translations)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(operators())
+def test_generator_squares_to_its_support_size_mod_2(op):
+    assert op.compose(op).generator == support_size(op) % 2
+
 
 def test_square_law_on_random_polytopes():
     rng = random.Random(2718)

@@ -440,3 +440,18 @@ def test_translate_offsets():
     p = simplex(2).translate((F(1), F(2)))
     assert p.offsets == (0, -1, 4)
     assert p.translate((F(-1), F(-2))) == simplex(2)
+
+
+def test_translate_is_not_validated_again(monkeypatch):
+    calls = []
+
+    def counting_feasible(constraints, nvars):
+        calls.append(nvars)
+        return feasible(constraints, nvars)
+
+    monkeypatch.setattr(polytope_module, "feasible", counting_feasible)
+    moved = cube(2, 2).translate((3, 0))
+    assert calls == []
+    # the unvalidated translate passes validation when built afresh
+    assert Polytope(moved.dim, moved.facets) == moved
+    assert len(calls) == 1
