@@ -28,7 +28,7 @@ from .documents import (
 )
 from .errors import DocumentError, MomentcertError, VerificationError
 from .floer import hf
-from .polytope import equidistant_point, product
+from .polytope import _delzant_at, equidistant_point, product
 from .probes import probe_reach, probe_scan
 from .reduction import reduce_polytope
 from .render import render_svg
@@ -60,13 +60,13 @@ def _cmd_info(args) -> int:
     print(f"dimension: {p.dim}")
     print(f"facets: {p.d}")
     _print_polytope(p)
+    verts = p.vertices()
     print(f"compact: {p.is_compact()}")
-    print(f"delzant: {p.is_delzant()}")
+    print(f"delzant: {_delzant_at(p, verts)}")
     print(f"even: {p.is_even()}")
     print(f"symmetric: {p.is_symmetric()}")
     lam = p.is_monotone()
     print(f"monotone: {_fmt(lam) if lam is not None else 'no'}")
-    verts = p.vertices()
     print(f"vertices: {len(verts)}")
     for v in verts:
         print(f"  {_fmt_point(v.point)} on facets {sorted(v.active)}")

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from . import lattice
@@ -41,10 +41,7 @@ class Polytope:
             if f in seen:
                 raise PolytopeError(f"duplicate facet {f}")
             seen.add(f)
-        if len(self.facets) < self.dim:
-            raise PolytopeError(
-                f"{len(self.facets)} facets cannot cut out a {self.dim}-dimensional polytope"
-            )
+        _check_facet_count(self.dim, self.facets)
         if not _interior_nonempty(self.dim, self.facets):
             raise EmptyInteriorError("facet system has empty interior")
 
@@ -97,13 +94,7 @@ class Polytope:
 
     def is_delzant(self) -> bool:
         """Every vertex lies on exactly dim facets whose normals form a Z-basis."""
-        for v in self.vertices():
-            if len(v.active) != self.dim:
-                return False
-            mat = tuple(self.facets[i].normal for i in sorted(v.active))
-            if abs(lattice.det_exact(mat)) != 1:
-                return False
-        return True
+        return _delzant_at(self, self.vertices())
 
     def is_compact(self) -> bool:
         """Exact boundedness test via extreme rays of the recession cone."""
@@ -133,23 +124,34 @@ class Polytope:
     def vertices(self) -> tuple[Vertex, ...]:
         """All 0-dimensional faces, sorted by coordinates.
 
-        Enumerates dim-subsets of facets with invertible normal matrix and
-        keeps the feasible intersection points.  The active set records every
-        facet through the point, so degenerate vertices are visible.
+        Enumerates dim-subsets of facets with invertible normal matrix, one
+        solve_exact per subset, and keeps the feasible intersection points.
+        The facet rows are scaled to integers once, so a new point x = P / D,
+        with D the lcm of its denominators, is tested by the sign of the
+        integer N_i . P + A_i D for each scaled facet row (N_i, A_i); no
+        Fraction is built per facet.  The active set records every facet
+        through the point, so degenerate vertices are visible.
         """
         n = self.dim
+        rows, _ = lattice.integer_rows([(*f.normal, f.offset) for f in self.facets])
         found: dict[RatVec, frozenset[int]] = {}
         for subset in combinations(range(self.d), n):
-            rows = [self.facets[i].normal for i in subset]
-            rhs = [-self.facets[i].offset for i in subset]
-            sol = lattice.solve_exact(rows, rhs)
-            if sol is None or sol[1]:
+            sol = lattice.solve_exact([rows[i][:n] for i in subset], [-rows[i][n] for i in subset])
+            if sol is None or sol[1] or sol[0] in found:
                 continue
             point = sol[0]
-            values = self.support_values(point)
-            if any(v < 0 for v in values):
-                continue
-            found.setdefault(point, frozenset(i for i, v in enumerate(values) if v == 0))
+            den = lcm(*(x.denominator for x in point))
+            num = [x.numerator * (den // x.denominator) for x in point]
+            active = []
+            for i, row in enumerate(rows):
+                # zip stops at len(num) = n, before the offset column row[n]
+                value = sum(a * b for a, b in zip(row, num)) + row[n] * den
+                if value < 0:
+                    break
+                if value == 0:
+                    active.append(i)
+            else:
+                found[point] = frozenset(active)
         return tuple(
             Vertex(point=p, active=found[p]) for p in sorted(found.keys())
         )
@@ -157,10 +159,12 @@ class Polytope:
     def canonical_form(self) -> Polytope:
         """Facets sorted by (normal, offset); the package's polytope identity.
 
-        A polytope already in that order is returned itself, not validated again.
+        Not validated again: a permutation of the facets keeps every property
+        __post_init__ checks, and a polytope already in that order is
+        returned itself.
         """
         facets = tuple(sorted(self.facets))
-        return self if facets == self.facets else Polytope(self.dim, facets)
+        return self if facets == self.facets else _unvalidated(self.dim, facets)
 
     def translate(self, x0) -> Polytope:
         """The polytope shifted by x0 (offsets pick up -<x0, normal>)."""
@@ -168,20 +172,54 @@ class Polytope:
         # checks.  The normals are the same primitive vectors of length dim,
         # facets with the same normal move by the same offset and stay
         # distinct, the facet count is unchanged, and the interior moves by x0.
-        moved = object.__new__(Polytope)
-        object.__setattr__(moved, "dim", self.dim)
-        object.__setattr__(
-            moved,
-            "facets",
+        return _unvalidated(
+            self.dim,
             tuple(Facet(f.normal, f.offset - lattice.dot(x0, f.normal)) for f in self.facets),
         )
-        return moved
 
 
 @dataclass(frozen=True)
 class Vertex:
     point: RatVec
     active: frozenset[int]
+
+
+def _unvalidated(dim: int, facets: tuple[Facet, ...]) -> Polytope:
+    """A Polytope built without __post_init__, for facets the caller has
+    derived from validated ones in a way that keeps every checked property."""
+    p = object.__new__(Polytope)
+    object.__setattr__(p, "dim", dim)
+    object.__setattr__(p, "facets", facets)
+    return p
+
+
+def _check_facet_count(dim: int, facets) -> None:
+    if len(facets) < dim:
+        raise PolytopeError(f"{len(facets)} facets cannot cut out a {dim}-dimensional polytope")
+
+
+def _pruned_polytope(dim: int, kept) -> Polytope:
+    """The polytope of the facets _prune_facet_list kept, in their sorted order.
+
+    Only the facet count is checked, since pruning may leave fewer than dim.
+    The rest holds already: the kept facets are distinct, their normals were
+    checked primitive of length dim, and the interior of the full list was
+    proven non-empty, which dropping facets keeps.
+    """
+    _check_facet_count(dim, kept)
+    return _unvalidated(dim, tuple(kept))
+
+
+def _delzant_at(p: Polytope, vertices) -> bool:
+    """Whether each of p's vertices lies on exactly dim facets whose normals
+    form a Z-basis; vertices must be p.vertices()."""
+    for v in vertices:
+        if len(v.active) != p.dim:
+            return False
+        mat = tuple(p.facets[i].normal for i in sorted(v.active))
+        if abs(lattice.det_exact(mat)) != 1:
+            return False
+    return True
 
 
 def polytope(dim: int, facets) -> Polytope:
@@ -212,8 +250,7 @@ def prune_redundant(p: Polytope) -> Polytope:
     others go; exact duplicates collapse to a single copy.  The result is
     canonically sorted.
     """
-    kept = _prune_facet_list(p.dim, p.facets)
-    return Polytope(p.dim, tuple(sorted(kept)))
+    return _pruned_polytope(p.dim, _prune_facet_list(p.dim, p.facets, interior_known=True))
 
 
 def equidistant_point(p: Polytope):
@@ -336,9 +373,14 @@ def _interior_nonempty(dim: int, facets) -> bool:
     return feasible([(f.normal, f.offset, True) for f in facets], dim)
 
 
-def _prune_facet_list(dim: int, facets) -> list[Facet]:
+def _prune_facet_list(dim: int, facets, interior_known: bool = False) -> list[Facet]:
+    """The irredundant facets, sorted, with exact duplicates collapsed.
+
+    The interior is checked first unless interior_known says the caller has
+    proven it non-empty, as validation has for a Polytope's own facets.
+    """
     work = sorted(set(facets))
-    if not _interior_nonempty(dim, work):
+    if not interior_known and not _interior_nonempty(dim, work):
         raise EmptyInteriorError("cannot prune a system with empty interior")
     for f in list(work):
         others = [g for g in work if g != f]

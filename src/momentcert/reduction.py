@@ -20,7 +20,7 @@ from .errors import (
     SliceOutsidePolytopeError,
 )
 from .lattice import IntMat, IntVec, RatVec
-from .polytope import Facet, Polytope, _prune_facet_list, polytope
+from .polytope import Facet, Polytope, _prune_facet_list, _pruned_polytope, polytope
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def reduce_with_sources(
         facet = Facet(image, clearance)
         sources[facet] = sources.get(facet, ()) + (nu,)
     kept = _prune_facet_list(sec.reduced_dim, sources.keys())
-    return Polytope(sec.reduced_dim, tuple(sorted(kept))), sources
+    return _pruned_polytope(sec.reduced_dim, kept), sources
 
 
 # -- standard models ----------------------------------------------------------

@@ -369,7 +369,7 @@ def test_auto_certify_validates_once(monkeypatch, name, enumerations, compactnes
 
 
 def test_auto_certify_validates_a_translate_once(monkeypatch):
-    p = cube(2, 2).translate((3, 0))  # offsets <= 0, so validation runs feasible
+    moved = cube(2, 2).translate((3, 0))  # offsets <= 0, so validation runs feasible
     calls = []
     original = polytope_module.feasible
 
@@ -378,6 +378,8 @@ def test_auto_certify_validates_a_translate_once(monkeypatch):
         return original(constraints, nvars)
 
     monkeypatch.setattr(polytope_module, "feasible", counted)
+    # the one validation is building p; auto_certify_monotone adds none
+    p = Polytope(moved.dim, moved.facets)
     with pytest.raises(NotMonotoneError):
         auto_certify_monotone(p)
     assert len(calls) == 1

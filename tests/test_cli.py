@@ -6,7 +6,7 @@ from momentcert.cli import main
 from momentcert.corpus import load_corpus_polytope, load_doc
 from momentcert.documents import polytope_to_doc, save_json
 from momentcert.floer import boundary_op, rank_gf2
-from momentcert.polytope import product
+from momentcert.polytope import Polytope, product
 from momentcert.reduction import simplex
 
 
@@ -24,6 +24,21 @@ def test_info(corpus_dir, capsys):
     assert "symmetric: True" in out
     assert "monotone: 1" in out
     assert "equidistant point: (0, 0)" in out
+
+
+def test_info_enumerates_vertices_once(corpus_dir, capsys, monkeypatch):
+    calls = []
+    original = Polytope.vertices
+
+    def counted(self):
+        calls.append(self.d)
+        return original(self)
+
+    monkeypatch.setattr(Polytope, "vertices", counted)
+    assert main(["info", str(corpus_dir / "hexagon.json")]) == 0
+    out = capsys.readouterr().out
+    assert "delzant: True" in out and "vertices: 6" in out
+    assert calls == [6]
 
 
 def test_hf_command(corpus_dir, capsys):

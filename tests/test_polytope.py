@@ -1,15 +1,20 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 from math import gcd
 from types import ModuleType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import momentcert.polytope as polytope_module
 from conftest import random_polytope
+from momentcert import lattice
 from momentcert.errors import EmptyInteriorError, PolytopeError
 from momentcert.polytope import (
     Polytope,
+    Vertex,
     equidistant_point,
     feasible,
     match_dilate_translate,
@@ -120,6 +125,85 @@ def test_delzant_vertices_have_dim_active_facets():
         assert p.is_delzant()
         for v in p.vertices():
             assert len(v.active) == p.dim
+
+
+def fraction_vertices(p):
+    """Oracle: every facet evaluated in Fraction arithmetic at each solution."""
+    found = {}
+    for subset in combinations(range(p.d), p.dim):
+        rows = [p.facets[i].normal for i in subset]
+        rhs = [-p.facets[i].offset for i in subset]
+        sol = lattice.solve_exact(rows, rhs)
+        if sol is None or sol[1]:
+            continue
+        point = sol[0]
+        values = p.support_values(point)
+        if any(v < 0 for v in values):
+            continue
+        found.setdefault(point, frozenset(i for i, v in enumerate(values) if v == 0))
+    return tuple(Vertex(point=q, active=found[q]) for q in sorted(found))
+
+
+def _vertex_test_polytope(rng, n):
+    """A translated random polytope: offset 1 on small normals makes
+    degenerate vertices likely, few facets or one-sided normals make it
+    unbounded, and the translation makes offsets Fractions and non-positive."""
+    span = rng.choice((1, 2, 3))
+    d = rng.randint(n, n + 5)
+    facets, seen = [], set()
+    while len(facets) < d:
+        vec = tuple(rng.randint(-span, span) for _ in range(n))
+        if not any(vec):
+            continue
+        normal = lattice.primitive_part(vec)
+        offset = 1 if rng.random() < 0.5 else F(rng.randint(1, 6), rng.randint(1, 3))
+        if (normal, offset) not in seen:
+            seen.add((normal, offset))
+            facets.append((normal, offset))
+    shift = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+    return polytope(n, facets).translate(shift)
+
+
+def test_vertices_match_fraction_evaluation_on_random_polytopes():
+    rng = random.Random(1987)
+    seen = {"unbounded": 0, "degenerate": 0, "fraction offset": 0, "offset <= 0": 0}
+    for _ in range(300):
+        p = _vertex_test_polytope(rng, rng.randint(1, 4))
+        verts = p.vertices()
+        assert verts == fraction_vertices(p), p.facets
+        seen["unbounded"] += not p.is_compact()
+        seen["degenerate"] += sum(len(v.active) > p.dim for v in verts)
+        seen["fraction offset"] += any(a.denominator != 1 for a in p.offsets)
+        seen["offset <= 0"] += any(a <= 0 for a in p.offsets)
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+@st.composite
+def vertex_test_polytopes(draw):
+    n = draw(st.integers(1, 4))
+    normals = st.tuples(*[st.integers(-2, 2)] * n).filter(any).map(lattice.primitive_part)
+    offsets = st.one_of(st.just(F(1)), st.fractions(F(1, 3), 6, max_denominator=3))
+    facets = draw(st.lists(st.tuples(normals, offsets), min_size=n, max_size=n + 5, unique=True))
+    shift = draw(st.tuples(*[st.fractions(-4, 4, max_denominator=3)] * n))
+    return polytope(n, facets).translate(shift)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vertex_test_polytopes())
+def test_vertices_property_matches_fraction_evaluation(p):
+    assert p.vertices() == fraction_vertices(p)
+
+
+def test_vertices_build_no_fraction_per_facet(monkeypatch):
+    p = product(hexagon(), simplex(2)).translate((F(1, 3), 0, F(-1, 2), 0))
+    expected = fraction_vertices(p)
+
+    def refuse(*args):
+        raise AssertionError("vertices() evaluated a facet through support")
+
+    monkeypatch.setattr(Polytope, "support", refuse)
+    monkeypatch.setattr(Polytope, "support_values", refuse)
+    assert p.vertices() == expected
 
 
 # -- predicates ---------------------------------------------------------------
@@ -316,6 +400,31 @@ def test_prune_idempotent_and_preserves_vertices_on_random_instances():
         assert {v.point for v in pruned.vertices()} == {v.point for v in p.vertices()}
 
 
+def _count_feasible(monkeypatch):
+    calls = []
+
+    def counting_feasible(constraints, nvars):
+        calls.append(nvars)
+        return feasible(constraints, nvars)
+
+    monkeypatch.setattr(polytope_module, "feasible", counting_feasible)
+    return calls
+
+
+def test_prune_does_not_validate_its_result(monkeypatch):
+    p = cube(2, 2).translate((3, 0))
+    calls = _count_feasible(monkeypatch)
+    pruned = prune_redundant(p)
+    assert len(calls) == 4  # one redundancy test per facet
+    assert pruned == Polytope(p.dim, p.canonical_form().facets)
+
+
+def test_prune_below_dim_facets_keeps_its_error():
+    p = polytope(2, [((1, 0), 0), ((1, 0), 1)])  # x >= 0 and x >= -1
+    with pytest.raises(PolytopeError, match=r"^1 facets cannot cut out a 2-dimensional polytope$"):
+        prune_redundant(p)
+
+
 def test_prune_empty_interior_error():
     from momentcert.polytope import Facet, _prune_facet_list
 
@@ -341,6 +450,15 @@ def test_canonical_form_of_a_canonical_polytope_is_itself():
     q = polytope(2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)]).canonical_form()
     assert q.canonical_form() is q
     assert q.translate((3, 0)).canonical_form() is not q
+
+
+def test_canonical_form_is_not_validated_again(monkeypatch):
+    p = polytope(2, [((0, 1), -1), ((1, 0), 5), ((-1, -1), 9)])
+    calls = _count_feasible(monkeypatch)
+    canon = p.canonical_form()
+    assert calls == []
+    assert canon.facets == tuple(sorted(p.facets))
+    assert Polytope(canon.dim, canon.facets) == canon
 
 
 def test_package_attribute_is_the_polytope_module():
@@ -443,13 +561,7 @@ def test_translate_offsets():
 
 
 def test_translate_is_not_validated_again(monkeypatch):
-    calls = []
-
-    def counting_feasible(constraints, nvars):
-        calls.append(nvars)
-        return feasible(constraints, nvars)
-
-    monkeypatch.setattr(polytope_module, "feasible", counting_feasible)
+    calls = _count_feasible(monkeypatch)
     moved = cube(2, 2).translate((3, 0))
     assert calls == []
     # the unvalidated translate passes validation when built afresh
