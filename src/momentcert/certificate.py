@@ -28,7 +28,9 @@ from .errors import (
 )
 from .floer import hf
 from .lattice import IntMat, RatVec
-from .polytope import Facet, Polytope, equidistant_point, match_dilate_translate, product
+from .polytope import (
+    Facet, Polytope, _unvalidated, equidistant_point, match_dilate_translate, product
+)
 from .reduction import (
     AffineReduction,
     monotone_weights,
@@ -141,7 +143,10 @@ def _model_and_bound(fact: BaseFact) -> tuple[Polytope, int]:
             raise UnsupportedClaimError("no real-locus fact for weighted projective models")
         if fact.weights is None or len(fact.weights) != n + 1:
             raise ModelMismatchError(f"weighted model needs {n + 1} weights")
-        return weighted_projective(fact.weights), 2**n
+        try:
+            return weighted_projective(fact.weights), 2**n
+        except ValueError as exc:
+            raise ModelMismatchError(f"weighted model weights {fact.weights}: {exc}") from None
     if fact.kind == CP1:
         if n != 1:
             raise ModelMismatchError("the sphere model is 1-dimensional")
@@ -160,8 +165,9 @@ def _apply_basis_change(p: Polytope, change: IntMat) -> Polytope:
         raise ModelMismatchError("basis change must be a square matrix of the right size")
     if abs(lattice.det_exact(change)) != 1:
         raise ModelMismatchError("basis change must be unimodular")
+    # not validated again: a unimodular change keeps every checked property
     facets = tuple(Facet(lattice.mat_vec(change, f.normal), f.offset) for f in p.facets)
-    return Polytope(p.dim, facets)
+    return _unvalidated(p.dim, facets)
 
 
 def _verify_leaf(fact: BaseFact) -> VerifiedClaim:

@@ -175,6 +175,8 @@ def _cmd_probe(args) -> int:
     doc = load_json(args.file)
     p = polytope_from_doc(doc, str(args.file)).canonical_form()
     point = tuple(parse_rational(x, "--point") for x in args.point.split(","))
+    if len(point) != p.dim:
+        raise DocumentError(f"--point: expected {p.dim} coordinates, got {len(point)}")
     probe = probe_scan(p, point, args.bound)
     if probe is None:
         print(

@@ -70,7 +70,7 @@ def polytope_from_doc(doc, where: str = "polytope") -> Polytope:
     if "dim" not in doc or "facets" not in doc:
         raise DocumentError(f"{where}: needs 'dim' and 'facets'")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise DocumentError(f"{where}.dim: expected a nonnegative integer")
     facets = doc["facets"]
     if not isinstance(facets, list):
@@ -88,26 +88,28 @@ def polytope_from_doc(doc, where: str = "polytope") -> Polytope:
 
 
 def marked_points_from_doc(doc, where: str = "polytope"):
+    """The document's marked points; doc must have passed polytope_from_doc."""
     points = doc.get("marked_points", [])
     if not isinstance(points, list):
         raise DocumentError(f"{where}.marked_points: expected a list")
-    return tuple(
-        _rational_list(pt, f"{where}.marked_points[{i}]") for i, pt in enumerate(points)
-    )
+    out = []
+    for i, pt in enumerate(points):
+        pw = f"{where}.marked_points[{i}]"
+        point = _rational_list(pt, pw)
+        if len(point) != doc["dim"]:
+            raise DocumentError(f"{pw}: expected {doc['dim']} coordinates, got {len(point)}")
+        out.append(point)
+    return tuple(out)
 
 
-def polytope_to_doc(p: Polytope, name: str = "", citation: str = "", marked_points=()) -> dict:
+def polytope_to_doc(p: Polytope, name: str = "") -> dict:
     doc = {}
     if name:
         doc["name"] = name
-    if citation:
-        doc["citation"] = citation
     doc["dim"] = p.dim
     doc["facets"] = [
         {"normal": list(f.normal), "offset": rational_to_json(f.offset)} for f in p.facets
     ]
-    if marked_points:
-        doc["marked_points"] = [[rational_to_json(x) for x in pt] for pt in marked_points]
     return doc
 
 

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from . import lattice
@@ -112,8 +112,8 @@ class Polytope:
             )
             if sol is None or len(sol[1]) != 1:
                 continue
-            (kernel,), _ = lattice.integer_rows(sol[1])
-            ray = lattice.primitive_part(kernel)
+            # the sign test below does not depend on the ray's scale
+            (ray,), _ = lattice.integer_rows(sol[1])
             for w in (ray, lattice.neg(ray)):
                 if all(lattice.dot(nu, w) >= 0 for nu in normals):
                     return False
@@ -140,8 +140,7 @@ class Polytope:
             if sol is None or sol[1] or sol[0] in found:
                 continue
             point = sol[0]
-            den = lcm(*(x.denominator for x in point))
-            num = [x.numerator * (den // x.denominator) for x in point]
+            (num,), den = lattice.integer_rows([point])
             active = []
             for i, row in enumerate(rows):
                 # zip stops at len(num) = n, before the offset column row[n]
@@ -198,18 +197,6 @@ def _check_facet_count(dim: int, facets) -> None:
         raise PolytopeError(f"{len(facets)} facets cannot cut out a {dim}-dimensional polytope")
 
 
-def _pruned_polytope(dim: int, kept) -> Polytope:
-    """The polytope of the facets _prune_facet_list kept, in their sorted order.
-
-    Only the facet count is checked, since pruning may leave fewer than dim.
-    The rest holds already: the kept facets are distinct, their normals were
-    checked primitive of length dim, and the interior of the full list was
-    proven non-empty, which dropping facets keeps.
-    """
-    _check_facet_count(dim, kept)
-    return _unvalidated(dim, tuple(kept))
-
-
 def _delzant_at(p: Polytope, vertices) -> bool:
     """Whether each of p's vertices lies on exactly dim facets whose normals
     form a Z-basis; vertices must be p.vertices()."""
@@ -240,7 +227,8 @@ def product(p1: Polytope, p2: Polytope) -> Polytope:
     facets = tuple(Facet(f.normal + z2, f.offset) for f in p1.facets) + tuple(
         Facet(z1 + f.normal, f.offset) for f in p2.facets
     )
-    return Polytope(p1.dim + p2.dim, facets)
+    # not validated again: padded normals stay primitive, interiors multiply
+    return _unvalidated(p1.dim + p2.dim, facets)
 
 
 def prune_redundant(p: Polytope) -> Polytope:
@@ -248,9 +236,12 @@ def prune_redundant(p: Polytope) -> Polytope:
 
     Among parallel facets the smaller offset is the binding one, so the
     others go; exact duplicates collapse to a single copy.  The result is
-    canonically sorted.
+    canonically sorted.  Only its facet count is checked: dropping facets
+    keeps the rest valid but may leave fewer than dim.
     """
-    return _pruned_polytope(p.dim, _prune_facet_list(p.dim, p.facets, interior_known=True))
+    kept = _prune_facet_list(p.dim, p.facets)
+    _check_facet_count(p.dim, kept)
+    return _unvalidated(p.dim, tuple(kept))
 
 
 def equidistant_point(p: Polytope):
@@ -373,15 +364,12 @@ def _interior_nonempty(dim: int, facets) -> bool:
     return feasible([(f.normal, f.offset, True) for f in facets], dim)
 
 
-def _prune_facet_list(dim: int, facets, interior_known: bool = False) -> list[Facet]:
+def _prune_facet_list(dim: int, facets) -> list[Facet]:
     """The irredundant facets, sorted, with exact duplicates collapsed.
 
-    The interior is checked first unless interior_known says the caller has
-    proven it non-empty, as validation has for a Polytope's own facets.
+    The facets' interior must be non-empty; that is not checked here.
     """
     work = sorted(set(facets))
-    if not interior_known and not _interior_nonempty(dim, work):
-        raise EmptyInteriorError("cannot prune a system with empty interior")
     for f in list(work):
         others = [g for g in work if g != f]
         # f is redundant iff the others cannot be satisfied strictly below f

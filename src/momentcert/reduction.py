@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from . import lattice
 from .errors import (
+    EmptyInteriorError,
     NonPrimitiveImageError,
     NotCompactError,
     NotDelzantError,
@@ -20,7 +21,7 @@ from .errors import (
     SliceOutsidePolytopeError,
 )
 from .lattice import IntMat, IntVec, RatVec
-from .polytope import Facet, Polytope, _prune_facet_list, _pruned_polytope, polytope
+from .polytope import Facet, Polytope, _interior_nonempty, _unvalidated, polytope, prune_redundant
 
 
 @dataclass(frozen=True)
@@ -144,17 +145,17 @@ def reduce_with_sources(
             raise NonPrimitiveImageError(f"facet {nu} maps to non-primitive {image}")
         facet = Facet(image, clearance)
         sources[facet] = sources.get(facet, ()) + (nu,)
-    kept = _prune_facet_list(sec.reduced_dim, sources.keys())
-    return _pruned_polytope(sec.reduced_dim, kept), sources
+    # the images are distinct and primitive; pruning needs a non-empty interior
+    if not _interior_nonempty(sec.reduced_dim, sources):
+        raise EmptyInteriorError("cannot prune a system with empty interior")
+    return prune_redundant(_unvalidated(sec.reduced_dim, tuple(sources))), sources
 
 
 # -- standard models ----------------------------------------------------------
 
 def simplex(n: int, offset=1) -> Polytope:
     """x_j + offset >= 0 for each j, and -(sum x_j) + offset >= 0."""
-    facets = [(tuple(int(i == j) for i in range(n)), offset) for j in range(n)]
-    facets.append(((-1,) * n, offset))
-    return polytope(n, facets)
+    return weighted_projective((1,) * (n + 1), offset)
 
 
 def weighted_projective(weights, offset=1) -> Polytope:

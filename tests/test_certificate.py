@@ -120,6 +120,32 @@ def test_basis_change_must_be_unimodular():
         )
 
 
+def test_basis_change_is_not_validated_again(monkeypatch):
+    from momentcert.certificate import _apply_basis_change
+
+    # offsets <= 0, so validating the result would run feasible
+    sheared = polytope(2, [((1, 0), 1), ((1, 1), 1), ((-2, -1), 1)]).translate((2, 0))
+    calls, constructed = [], []
+    original = polytope_module.feasible
+    monkeypatch.setattr(
+        polytope_module, "feasible", lambda cons, nvars: calls.append(nvars) or original(cons, nvars)
+    )
+    monkeypatch.setattr(Polytope, "__post_init__", lambda self: constructed.append(self))
+    changed = _apply_basis_change(sheared, ((1, -1), (0, 1)))
+    assert calls == [] and constructed == []
+    monkeypatch.undo()
+    assert changed.normals == simplex(2).normals
+    # the unvalidated result passes validation when built afresh
+    assert Polytope(changed.dim, changed.facets) == changed
+
+
+@pytest.mark.parametrize("weights", [(2, 1, 1), (1, 0, 1)])
+def test_weighted_leaf_with_bad_weights_is_a_model_mismatch(weights):
+    leaf = BaseFact(WEIGHTED_PROJECTIVE, TT, simplex(2), weights=weights)
+    with pytest.raises(ModelMismatchError, match=r"^weighted model weights "):
+        verify(Certificate(leaf, TT))
+
+
 # -- inner nodes ------------------------------------------------------------------
 
 def test_product_multiplies_bounds_and_concatenates_points():

@@ -108,6 +108,36 @@ def test_probe_rejects_an_exponent_point(corpus_dir, capsys):
     _assert_malformed(["probe", str(corpus_dir / "simplex2.json"), "--point", "1e3000000,0"], capsys)
 
 
+def _weighted_leaf_doc(weights):
+    instance = polytope_to_doc(simplex(2))
+    tree = {"base": "weighted_projective", "instance": instance, "weights": weights}
+    return {"claim": {"kind": "TT"}, "tree": tree}
+
+
+@pytest.mark.parametrize("command, doc, extra, code, message", [
+    ("info", {"dim": True, "facets": [{"normal": [1], "offset": 1}, {"normal": [-1], "offset": 1}]},
+     [], 2, "error: polytope.json.dim: expected a nonnegative integer"),
+    ("probe", load_doc("hexagon"), ["--point", "1/2"], 2, "error: --point: expected 2 coordinates, got 1"),
+    ("render", {**load_doc("hexagon"), "marked_points": [[0, 0], [0, 0, 1]]}, [], 2,
+     "error: polytope.json.marked_points[1]: expected 2 coordinates, got 3"),
+    ("certify", _weighted_leaf_doc([2, 1, 1]), [], 1, "result: FAILED (ModelMismatchError)"),
+    ("certify", _weighted_leaf_doc([1, 0, 1]), [], 1, "result: FAILED (ModelMismatchError)"),
+], ids=["boolean-dim", "probe-point-length", "marked-point-length", "weights-lead", "weights-zero"])
+def test_hostile_input_exits_cleanly(tmp_path, capsys, command, doc, extra, code, message):
+    path = tmp_path / "polytope.json"
+    save_json(path, doc)
+    argv = [command, str(path), *extra]
+    if command == "render":
+        argv += ["-o", str(tmp_path / "out.svg")]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    assert text.count("error:") + text.count("result: FAILED") == 1
+    assert message.replace("polytope.json", str(path)) in text
+    assert "Traceback" not in text
+    assert not (tmp_path / "out.svg").exists()
+
+
 def test_product_command(corpus_dir, tmp_path, capsys):
     out_file = tmp_path / "square.json"
     assert main([

@@ -22,7 +22,15 @@ from momentcert.polytope import (
     product,
     prune_redundant,
 )
-from momentcert.reduction import cp1, cube, o_minus_one, simplex, weighted_projective
+from momentcert.reduction import (
+    cp1,
+    cube,
+    o_minus_one,
+    reduce_polytope,
+    section,
+    simplex,
+    weighted_projective,
+)
 
 
 def hexagon():
@@ -426,11 +434,21 @@ def test_prune_below_dim_facets_keeps_its_error():
 
 
 def test_prune_empty_interior_error():
-    from momentcert.polytope import Facet, _prune_facet_list
+    # the slice y -> (y, y + 5) misses the square: y in [-1, 1] and y + 5 <= 1
+    with pytest.raises(EmptyInteriorError, match="^cannot prune a system with empty interior$"):
+        reduce_polytope(cube(2), section([(1,), (1,)], (0, 5)))
 
-    raw = [Facet((1,), F(-1)), Facet((-1,), F(0))]
-    with pytest.raises(EmptyInteriorError):
-        _prune_facet_list(1, raw)
+
+def test_product_is_not_validated_again(monkeypatch):
+    left, right = cube(2, 2).translate((3, 0)), o_minus_one()
+    calls = _count_feasible(monkeypatch)
+    constructed = []
+    monkeypatch.setattr(Polytope, "__post_init__", lambda self: constructed.append(self))
+    prod = product(left, right)
+    assert calls == [] and constructed == []
+    monkeypatch.undo()
+    # the unvalidated product passes validation when built afresh
+    assert Polytope(prod.dim, prod.facets) == prod
 
 
 # -- canonical form -----------------------------------------------------------
