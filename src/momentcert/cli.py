@@ -7,6 +7,7 @@ input.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -252,20 +253,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="dimension, flags, vertices and center of a polytope")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_info)
 
     p = sub.add_parser("hf", help="the GF(2) rank invariant of a polytope")
     p.add_argument("file")
     p.add_argument("--tr-bound", action="store_true",
                    help="also print the torus/real-locus bound with its caveat")
-    p.set_defaults(func=_cmd_hf)
 
     p = sub.add_parser("product", help="cartesian product of two polytopes")
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("-o", "--output")
     p.add_argument("--name", default="")
-    p.set_defaults(func=_cmd_product)
 
     p = sub.add_parser("reduce", help="reduce a polytope along an affine section")
     p.add_argument("ambient")
@@ -273,33 +271,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="section file or inline JSON {\"A\": ..., \"x0\": ...}")
     p.add_argument("-o", "--output")
     p.add_argument("--name", default="")
-    p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("certify", help="verify a certificate file")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("auto-certify", help="certify the center of a monotone polytope")
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_auto_certify)
 
     p = sub.add_parser("probe", help="scan for a displacing probe through a point")
     p.add_argument("file")
     p.add_argument("--point", required=True, help="comma-separated rationals, e.g. 3/2,0")
     p.add_argument("--bound", type=int, default=3, help="max-norm bound on directions")
-    p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("render", help="deterministic SVG of a 2D polytope")
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("corpus", help="bundled worked examples")
     p.add_argument("action", choices=("run", "list", "export"))
     p.add_argument("-o", "--output")
     p.add_argument("--color", action="store_true")
-    p.set_defaults(func=_cmd_corpus)
 
     return parser
 
@@ -318,11 +310,22 @@ def _attach_point(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main call and reused by later ones.
+
+    Not built at import: importing cli should cost no parser.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_point(sys.argv[1:] if argv is None else list(argv)))
+    args = _parser().parse_args(_attach_point(sys.argv[1:] if argv is None else list(argv)))
+    # looked up per call, not bound into the cached parser, so that a
+    # _cmd_* function replaced after the first call still takes effect
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from itertools import product as iter_product
 from math import gcd
 from typing import NamedTuple
 
@@ -97,63 +98,43 @@ class Polytope:
         return _delzant_at(self, self.vertices())
 
     def is_compact(self) -> bool:
-        """Exact boundedness test via extreme rays of the recession cone."""
-        n = self.dim
-        if n == 0:
-            return True
-        normals = self.normals
-        if lattice.rank_exact(normals) < n:
-            return False  # recession cone contains a line
-        for subset in combinations(range(self.d), n - 1):
-            rows = [normals[i] for i in subset]
-            sol = lattice.solve_exact(rows, [0] * len(rows)) if rows else (
-                (Fraction(0),) * n,
-                tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)),
-            )
-            if sol is None or len(sol[1]) != 1:
-                continue
-            # the sign test below does not depend on the ray's scale
-            (ray,), _ = lattice.integer_rows(sol[1])
-            for w in (ray, lattice.neg(ray)):
-                if all(lattice.dot(nu, w) >= 0 for nu in normals):
-                    return False
-        return True
+        """Exact boundedness test via extreme rays of the recession cone.
+
+        A product is compact exactly when each factor is, so the test runs
+        on each coordinate block (see _blocks) and is true when every block
+        is compact.  A coordinate no normal touches is a block with no
+        facets, which is not compact; dimension 0 has no blocks and is.
+        """
+        return all(_compact_scan(block) for _, _, block in _blocks(self))
 
     # -- geometry -----------------------------------------------------------
 
     def vertices(self) -> tuple[Vertex, ...]:
         """All 0-dimensional faces, sorted by coordinates.
 
-        Enumerates dim-subsets of facets with invertible normal matrix, one
-        solve_exact per subset, and keeps the feasible intersection points.
-        The facet rows are scaled to integers once, so a new point x = P / D,
-        with D the lcm of its denominators, is tested by the sign of the
-        integer N_i . P + A_i D for each scaled facet row (N_i, A_i); no
-        Fraction is built per facet.  The active set records every facet
-        through the point, so degenerate vertices are visible.
+        The vertices of a product are the products of its factors'
+        vertices, so the facet system is split into coordinate blocks (see
+        _blocks), each block is enumerated on its own by _vertex_scan, and
+        the result is the cartesian product of the blocks' vertices: each
+        point scattered back into its coordinates, each active set the
+        union of the blocks' active facets.  A block with no facets has no
+        vertices; dimension 0 has the single vertex ().  Active sets record
+        every facet through the point, so degenerate vertices are visible.
         """
-        n = self.dim
-        rows, _ = lattice.integer_rows([(*f.normal, f.offset) for f in self.facets])
-        found: dict[RatVec, frozenset[int]] = {}
-        for subset in combinations(range(self.d), n):
-            sol = lattice.solve_exact([rows[i][:n] for i in subset], [-rows[i][n] for i in subset])
-            if sol is None or sol[1] or sol[0] in found:
-                continue
-            point = sol[0]
-            (num,), den = lattice.integer_rows([point])
-            active = []
-            for i, row in enumerate(rows):
-                # zip stops at len(num) = n, before the offset column row[n]
-                value = sum(a * b for a, b in zip(row, num)) + row[n] * den
-                if value < 0:
-                    break
-                if value == 0:
-                    active.append(i)
-            else:
-                found[point] = frozenset(active)
-        return tuple(
-            Vertex(point=p, active=found[p]) for p in sorted(found.keys())
-        )
+        point = [Fraction(0)] * self.dim
+        found = []
+        blocks = [
+            (coords, facets, _vertex_scan(block)) for coords, facets, block in _blocks(self)
+        ]
+        for choice in iter_product(*(scan.items() for _, _, scan in blocks)):
+            active = set()
+            for (coords, facets, _), (q, on) in zip(blocks, choice):
+                for c, x in zip(coords, q):
+                    point[c] = x
+                active.update(facets[i] for i in on)
+            found.append(Vertex(point=tuple(point), active=frozenset(active)))
+        found.sort(key=lambda v: v.point)
+        return tuple(found)
 
     def canonical_form(self) -> Polytope:
         """Facets sorted by (normal, offset); the package's polytope identity.
@@ -190,6 +171,100 @@ def _unvalidated(dim: int, facets: tuple[Facet, ...]) -> Polytope:
     object.__setattr__(p, "dim", dim)
     object.__setattr__(p, "facets", facets)
     return p
+
+
+def _blocks(p: Polytope) -> list[tuple[tuple[int, ...], tuple[int, ...], Polytope]]:
+    """p split into coordinate blocks: (coordinates, facet indices, subsystem).
+
+    Two coordinates share a block when some facet normal is non-zero on
+    both, so p is the product of its blocks' subsystems up to a permutation
+    of coordinates and facets.  Each subsystem holds the block's facets in
+    p's order, with normals restricted to the block's coordinates (still
+    primitive: the entries dropped are zero).  Blocks are ordered by their
+    first coordinate.
+    """
+    parent = list(range(p.dim))
+
+    def root(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    supports = [[c for c, x in enumerate(f.normal) if x] for f in p.facets]
+    for support in supports:
+        for c in support[1:]:
+            parent[root(c)] = root(support[0])
+    coords: dict[int, list[int]] = {}
+    for c in range(p.dim):
+        coords.setdefault(root(c), []).append(c)
+    members: dict[int, list[int]] = {r: [] for r in coords}
+    for i, support in enumerate(supports):
+        members[root(support[0])].append(i)
+    blocks = []
+    for r, cs in coords.items():
+        facets = tuple(
+            Facet(tuple(p.facets[i].normal[c] for c in cs), p.facets[i].offset) for i in members[r]
+        )
+        blocks.append((tuple(cs), tuple(members[r]), _unvalidated(len(cs), facets)))
+    return blocks
+
+
+def _vertex_scan(p: Polytope) -> dict[RatVec, frozenset[int]]:
+    """The vertices of p as {point: active facet indices}, by a scan of all
+    dim-subsets of facets.
+
+    One solve_exact per subset; a subset with an invertible normal matrix
+    gives a candidate point.  The facet rows are scaled to integers once,
+    so a new point x = P / D, with D the lcm of its denominators, is tested
+    by the sign of the integer N_i . P + A_i D for each scaled facet row
+    (N_i, A_i); no Fraction is built per facet.
+    """
+    n = p.dim
+    rows, _ = lattice.integer_rows([(*f.normal, f.offset) for f in p.facets])
+    found: dict[RatVec, frozenset[int]] = {}
+    for subset in combinations(range(p.d), n):
+        sol = lattice.solve_exact([rows[i][:n] for i in subset], [-rows[i][n] for i in subset])
+        if sol is None or sol[1] or sol[0] in found:
+            continue
+        point = sol[0]
+        (num,), den = lattice.integer_rows([point])
+        active = []
+        for i, row in enumerate(rows):
+            # zip stops at len(num) = n, before the offset column row[n]
+            value = sum(a * b for a, b in zip(row, num)) + row[n] * den
+            if value < 0:
+                break
+            if value == 0:
+                active.append(i)
+        else:
+            found[point] = frozenset(active)
+    return found
+
+
+def _compact_scan(p: Polytope) -> bool:
+    """Whether p is bounded: its normals have full rank and no extreme ray
+    candidate (the kernel line of some (dim-1)-subset of normals) pairs
+    non-negatively with every normal in either direction."""
+    n = p.dim
+    if n == 0:
+        return True
+    normals = p.normals
+    if lattice.rank_exact(normals) < n:
+        return False  # recession cone contains a line
+    for subset in combinations(range(p.d), n - 1):
+        rows = [normals[i] for i in subset]
+        sol = lattice.solve_exact(rows, [0] * len(rows)) if rows else (
+            (Fraction(0),) * n,
+            tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)),
+        )
+        if sol is None or len(sol[1]) != 1:
+            continue
+        # the sign test below does not depend on the ray's scale
+        (ray,), _ = lattice.integer_rows(sol[1])
+        for w in (ray, lattice.neg(ray)):
+            if all(lattice.dot(nu, w) >= 0 for nu in normals):
+                return False
+    return True
 
 
 def _check_facet_count(dim: int, facets) -> None:

@@ -83,24 +83,31 @@ def probe_scan(p: Polytope, u, direction_bound: int):
     direction_bound in lexicographic order, returning the first displacing
     probe, or None.  Probes that never exit the polytope are skipped: they
     carry no displacement conclusion.
+
+    The support values of u are evaluated once, as integers S_i over a
+    common denominator D.  For facet f and direction w, with c_i the integer
+    pairing <nu_i, w> and t0 = s_f(u) = S_f / D, the base u - t0 w has
+    support values B_i / D with B_i = S_i - S_f c_i.  The base lies in the
+    facet's relative interior when B_i > 0 for every i != f.  The probe
+    exits where the first facet with c_i < 0 vanishes, at reach
+    min B_i / (-c_i D), and u lies strictly before the midpoint when
+    2 t0 < reach, that is S_i + S_f c_i > 0 for each c_i < 0.  Together
+    the two tests say S_i > S_f |c_i| for every i != f.
     """
     u = tuple(Fraction(x) for x in u)
-    if not p.interior_contains(u):
+    values = p.support_values(u)
+    if not all(v > 0 for v in values):
         raise ProbeError(f"scan point {u} is not interior")
-    for f in range(p.d):
-        nu = p.facets[f].normal
-        t0 = p.support(f, u)
+    (scaled,), _ = lattice.integer_rows([values])
+    normals = p.normals
+    for f, nu in enumerate(normals):
+        s_f = scaled[f]
         for w in iter_product(range(-direction_bound, direction_bound + 1), repeat=p.dim):
             if lattice.dot(nu, w) != 1:
                 continue
-            base = tuple(x - t0 * c for x, c in zip(u, w))
-            probe = Probe(f, w, base)
-            try:
-                reach = probe_reach(p, probe)
-            except NotOnFacetError:
-                continue
-            except UnboundedProbeError:
-                continue
-            if 0 < t0 < reach / 2:
-                return probe
+            pairings = [lattice.dot(m, w) for m in normals]
+            if min(pairings) >= 0:
+                continue  # the probe never exits the polytope
+            if all(i == f or s > s_f * abs(c) for i, (s, c) in enumerate(zip(scaled, pairings))):
+                return Probe(f, w, tuple(x - values[f] * c for x, c in zip(u, w)))
     return None

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from momentcert import cli
 from momentcert.cli import main
 from momentcert.corpus import load_corpus_polytope, load_doc
 from momentcert.documents import polytope_to_doc, save_json
@@ -39,6 +40,33 @@ def test_info_enumerates_vertices_once(corpus_dir, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "delzant: True" in out and "vertices: 6" in out
     assert calls == [6]
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert main(["corpus", "list"]) == 0
+        assert main(["corpus", "list"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert capsys.readouterr().out.count("hexagon") >= 2
+
+
+def test_main_calls_a_command_replaced_after_the_parser_was_built(capsys, monkeypatch):
+    assert main(["corpus", "list"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_corpus", lambda args: seen.append(args.action) or 0)
+    assert main(["corpus", "list"]) == 0
+    assert seen == ["list"]
 
 
 def test_hf_command(corpus_dir, capsys):

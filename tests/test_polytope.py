@@ -187,11 +187,12 @@ def test_vertices_match_fraction_evaluation_on_random_polytopes():
 
 
 @st.composite
-def vertex_test_polytopes(draw):
-    n = draw(st.integers(1, 4))
+def vertex_test_polytopes(draw, max_facets=9):
+    n = draw(st.integers(1, min(4, max_facets)))
     normals = st.tuples(*[st.integers(-2, 2)] * n).filter(any).map(lattice.primitive_part)
     offsets = st.one_of(st.just(F(1)), st.fractions(F(1, 3), 6, max_denominator=3))
-    facets = draw(st.lists(st.tuples(normals, offsets), min_size=n, max_size=n + 5, unique=True))
+    facets = draw(st.lists(st.tuples(normals, offsets), min_size=n,
+                           max_size=min(n + 5, max_facets), unique=True))
     shift = draw(st.tuples(*[st.fractions(-4, 4, max_denominator=3)] * n))
     return polytope(n, facets).translate(shift)
 
@@ -212,6 +213,122 @@ def test_vertices_build_no_fraction_per_facet(monkeypatch):
     monkeypatch.setattr(Polytope, "support", refuse)
     monkeypatch.setattr(Polytope, "support_values", refuse)
     assert p.vertices() == expected
+
+
+# -- coordinate blocks ----------------------------------------------------------
+
+def flat_vertices(p):
+    """Oracle: the unsplit scan over every dim-subset of p's facets."""
+    found = polytope_module._vertex_scan(p)
+    return tuple(Vertex(point=q, active=found[q]) for q in sorted(found))
+
+
+def flat_is_compact(p):
+    """Oracle: the unsplit scan over every (dim-1)-subset of p's normals."""
+    return polytope_module._compact_scan(p)
+
+
+def shuffled_product(factors, order, perm):
+    """The product of factors with its facets taken in `order` and coordinate
+    c moved to perm[c]; both permutations keep the system valid."""
+    prod = factors[0]
+    for q in factors[1:]:
+        prod = product(prod, q)
+    facets = []
+    for i in order:
+        nu, a = prod.facets[i]
+        moved = [0] * prod.dim
+        for c, x in enumerate(nu):
+            moved[perm[c]] = x
+        facets.append(polytope_module.Facet(tuple(moved), a))
+    return polytope_module._unvalidated(prod.dim, tuple(facets))
+
+
+def _random_shuffled_product(rng):
+    """1-3 factors from _vertex_test_polytope, at most 12 facets in all."""
+    factors, budget = [], 12
+    for _ in range(rng.randint(1, 3)):
+        if budget < 2:
+            break
+        q = _vertex_test_polytope(rng, rng.randint(1, min(3, budget // 2)))
+        if q.d <= budget:
+            factors.append(q)
+            budget -= q.d
+    factors = factors or [_vertex_test_polytope(rng, 1)]
+    dim, d = sum(q.dim for q in factors), sum(q.d for q in factors)
+    return shuffled_product(factors, rng.sample(range(d), d), rng.sample(range(dim), dim))
+
+
+def test_split_matches_flat_scans_on_shuffled_products():
+    rng = random.Random(2011)
+    seen = {"unbounded": 0, "degenerate": 0, "indecomposable": 0, "several blocks": 0}
+    for _ in range(300):
+        p = _random_shuffled_product(rng)
+        verts = p.vertices()
+        assert verts == flat_vertices(p), p.facets
+        assert p.is_compact() == flat_is_compact(p), p.facets
+        seen["unbounded"] += not p.is_compact()
+        seen["degenerate"] += any(len(v.active) > p.dim for v in verts)
+        blocks = len(polytope_module._blocks(p))
+        seen["indecomposable"] += blocks == 1
+        seen["several blocks"] += blocks > 1
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+@st.composite
+def shuffled_products(draw):
+    """1-3 factors of at most 4 coordinates each, at most 12 facets in all."""
+    factors, budget = [], 12
+    for _ in range(draw(st.integers(1, 3))):
+        if budget < 1:
+            break
+        factors.append(draw(vertex_test_polytopes(budget)))
+        budget -= factors[-1].d
+    dim, d = sum(q.dim for q in factors), sum(q.d for q in factors)
+    return shuffled_product(factors, draw(st.permutations(range(d))),
+                            draw(st.permutations(range(dim))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_products())
+def test_split_property_matches_flat_scans(p):
+    assert p.vertices() == flat_vertices(p)
+    assert p.is_compact() == flat_is_compact(p)
+
+
+@pytest.mark.parametrize("p, n_vertices, compact", [
+    (Polytope(0, ()), 1, True),
+    (polytope(2, [((1, 0), 1), ((-1, 0), 1)]), 0, False),  # a strip
+    (product(polytope(2, [((1, 0), 1), ((-1, 0), 1)]), hexagon()), 0, False),
+    (product(o_minus_one(), cube(1)), 4, False),
+], ids=["point", "strip", "strip x hexagon", "o_minus_one x segment"])
+def test_split_edge_cases(p, n_vertices, compact):
+    assert p.vertices() == flat_vertices(p)
+    assert len(p.vertices()) == n_vertices
+    assert p.is_compact() == flat_is_compact(p) == compact
+
+
+def test_split_solves_each_factor_on_its_own(monkeypatch):
+    prod = product(hexagon(), hexagon())
+    p = shuffled_product([prod], random.Random(3).sample(range(12), 12), range(4))
+    calls = []
+    original = lattice.solve_exact
+
+    def counted(rows, rhs):
+        calls.append(len(rows))
+        return original(rows, rhs)
+
+    monkeypatch.setattr(lattice, "solve_exact", counted)
+    counts = {}
+    for name, scan in [("vertices", p.vertices), ("is_compact", p.is_compact),
+                       ("flat vertices", lambda: flat_vertices(p)),
+                       ("flat is_compact", lambda: flat_is_compact(p))]:
+        calls.clear()
+        scan()
+        counts[name] = len(calls)
+    # C(6, 2) and C(6, 1) per hexagon, against C(12, 4) and C(12, 3)
+    assert counts == {"vertices": 30, "is_compact": 12,
+                      "flat vertices": 495, "flat is_compact": 220}
 
 
 # -- predicates ---------------------------------------------------------------

@@ -1,6 +1,12 @@
+import random
 from fractions import Fraction as F
+from itertools import product as iter_product
 
 import pytest
+
+from conftest import random_polytope
+from momentcert import lattice
+from momentcert.corpus import PROBE_NONE_CASES, load_corpus_polytope
 
 from momentcert.errors import (
     NotOnFacetError,
@@ -8,7 +14,7 @@ from momentcert.errors import (
     ProbeError,
     UnboundedProbeError,
 )
-from momentcert.polytope import polytope
+from momentcert.polytope import polytope, product
 from momentcert.probes import Probe, is_displaceable_by_probe, probe_reach, probe_scan
 from momentcert.reduction import cube, o_minus_one, simplex
 
@@ -94,3 +100,56 @@ def test_scan_deterministic():
     assert probe_scan(simplex(2), (F(-1, 2), F(0)), 2) == probe_scan(
         simplex(2), (F(-1, 2), F(0)), 2
     )
+
+
+def scan_oracle(p, u, direction_bound):
+    """Reference scan: one probe_reach, with its own support values, per
+    candidate direction."""
+    u = tuple(F(x) for x in u)
+    if not p.interior_contains(u):
+        raise ProbeError(f"scan point {u} is not interior")
+    for f in range(p.d):
+        nu = p.facets[f].normal
+        t0 = p.support(f, u)
+        for w in iter_product(range(-direction_bound, direction_bound + 1), repeat=p.dim):
+            if lattice.dot(nu, w) != 1:
+                continue
+            probe = Probe(f, w, tuple(x - t0 * c for x, c in zip(u, w)))
+            try:
+                reach = probe_reach(p, probe)
+            except (NotOnFacetError, UnboundedProbeError):
+                continue
+            if 0 < t0 < reach / 2:
+                return probe
+    return None
+
+
+@pytest.mark.parametrize("name, point, bound", PROBE_NONE_CASES + (
+    ("simplex2", (F(-1, 2), F(0)), 1),
+    ("simplex2", (F(-1, 2), F(0)), 3),
+    ("nonfano_pentagon", (F(-3, 4), F(0)), 2),
+))
+def test_scan_matches_oracle_on_corpus_cases(name, point, bound):
+    p = load_corpus_polytope(name).canonical_form()
+    assert probe_scan(p, point, bound) == scan_oracle(p, point, bound)
+
+
+def test_scan_matches_oracle_on_random_interior_points():
+    rng = random.Random(1105)
+    seen = {"probe": 0, "none": 0, "unbounded polytope": 0}
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        p = random_polytope(rng, n, rng.randint(n, n + 3))
+        if rng.random() < 0.3:
+            p = product(p, rng.choice((cube(1), o_minus_one(), simplex(1))))
+        if p.dim > 3:
+            continue
+        u = tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(p.dim))
+        if not p.interior_contains(u):
+            u = (F(0),) * p.dim  # offsets are positive, so the origin is interior
+        bound = rng.randint(1, 3)
+        found = probe_scan(p, u, bound)
+        assert found == scan_oracle(p, u, bound), (p.facets, u, bound)
+        seen["probe" if found else "none"] += 1
+        seen["unbounded polytope"] += not p.is_compact()
+    assert all(count >= 10 for count in seen.values()), seen
