@@ -17,7 +17,6 @@ from .polytope import (
     Polytope,
     Vertex,
     equidistant_point,
-    match_dilate_translate,
     product,
     prune_redundant,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "hf_even",
     "hf_lower_bound_tr",
     "is_displaceable_by_probe",
-    "match_dilate_translate",
     "monotone_weights",
     "o_minus_one",
     "probe_reach",

@@ -14,6 +14,7 @@ the subtorus does not act freely and the reduction step proves nothing.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -27,10 +28,8 @@ from .errors import (
     UnsupportedClaimError,
 )
 from .floer import hf
-from .lattice import IntMat, RatVec
-from .polytope import (
-    Facet, Polytope, _unvalidated, equidistant_point, match_dilate_translate, product
-)
+from .lattice import IntMat, IntVec, RatVec
+from .polytope import Polytope, equidistant_point, product
 from .reduction import (
     AffineReduction,
     monotone_weights,
@@ -160,28 +159,36 @@ def _model_and_bound(fact: BaseFact) -> tuple[Polytope, int]:
     raise UnsupportedClaimError(f"unknown base fact kind {fact.kind!r}")
 
 
-def _apply_basis_change(p: Polytope, change: IntMat) -> Polytope:
+def _apply_basis_change(p: Polytope, change: IntMat) -> tuple[IntVec, ...]:
+    """p's normals mapped through change, a unimodular dim x dim matrix."""
     if len(change) != p.dim or any(len(r) != p.dim for r in change):
         raise ModelMismatchError("basis change must be a square matrix of the right size")
     if abs(lattice.det_exact(change)) != 1:
         raise ModelMismatchError("basis change must be unimodular")
-    # not validated again: a unimodular change keeps every checked property
-    facets = tuple(Facet(lattice.mat_vec(change, f.normal), f.offset) for f in p.facets)
-    return _unvalidated(p.dim, facets)
+    return tuple(lattice.mat_vec(change, nu) for nu in p.normals)
 
 
 def _verify_leaf(fact: BaseFact) -> VerifiedClaim:
+    """Accept an instance t * model + x0 by its normals and its equidistant point.
+
+    Every model has distinct normals and all offsets 1, so an instance is a
+    dilated translate of it exactly when the normals agree as multisets and
+    some x has every facet value equal to t > 0; then x0 = x and the
+    dilation is t, and equidistant_point finds that (x, t) when it is
+    unique.  A unimodular basis change C maps each normal nu to C nu and
+    each point x to C^(-T) x, which keeps every pairing, so the solution,
+    its uniqueness and t are the same before and after the change.
+    """
     if fact.claim not in (TT, TR):
         raise UnsupportedClaimError(f"unknown claim kind {fact.claim!r}")
     model, bound = _model_and_bound(fact)
-    shape = fact.instance
+    normals = fact.instance.normals
     if fact.basis_change is not None:
-        shape = _apply_basis_change(shape, fact.basis_change)
+        normals = _apply_basis_change(fact.instance, fact.basis_change)
     center = equidistant_point(fact.instance)
     if center is None:
         raise MarkedPointMismatchError("base fact instance has no equidistant center")
-    fit = match_dilate_translate(shape, model)
-    if fit is None:
+    if Counter(normals) != Counter(model.normals):
         raise ModelMismatchError(
             f"instance is not a dilated translate of the {fact.kind} model"
         )
@@ -224,12 +231,7 @@ def _verify_reduction(node: Reduction) -> VerifiedClaim:
         )
     if not reduced.interior_contains(preimage):
         raise MarkedPointMismatchError("reduced marked point fell out of the interior")
-    if node.target is not None and node.target.canonical_form() != reduced:
-        raise ReducedPolytopeMismatchError(
-            f"computed reduction differs from the declared target:\n"
-            f"  computed: {_describe(reduced)}\n"
-            f"  declared: {_describe(node.target.canonical_form())}"
-        )
+    _check_target(node.target, reduced, "computed reduction")
     drop = node.section.ambient_dim - node.section.reduced_dim
     denom = 2**drop
     if child.bound % denom != 0:
@@ -283,12 +285,7 @@ def verify(cert: Certificate) -> VerifiedClaim:
             f"declared marked point {cert.marked_point} differs from computed "
             f"{claim.marked_point}"
         )
-    if cert.target is not None and cert.target.canonical_form() != claim.polytope:
-        raise ReducedPolytopeMismatchError(
-            f"final polytope differs from the declared target:\n"
-            f"  computed: {_describe(claim.polytope)}\n"
-            f"  declared: {_describe(cert.target.canonical_form())}"
-        )
+    _check_target(cert.target, claim.polytope, "final polytope")
     return claim
 
 
@@ -337,6 +334,16 @@ def _merge(groups) -> tuple[str, ...]:
             if item not in out:
                 out.append(item)
     return tuple(out)
+
+
+def _check_target(target: Polytope | None, computed: Polytope, what: str) -> None:
+    """Raise when a declared target is given and differs from computed."""
+    if target is not None and target.canonical_form() != computed:
+        raise ReducedPolytopeMismatchError(
+            f"{what} differs from the declared target:\n"
+            f"  computed: {_describe(computed)}\n"
+            f"  declared: {_describe(target.canonical_form())}"
+        )
 
 
 def _describe(p: Polytope) -> str:

@@ -178,6 +178,8 @@ def _cmd_probe(args) -> int:
     point = tuple(parse_rational(x, "--point") for x in args.point.split(","))
     if len(point) != p.dim:
         raise DocumentError(f"--point: expected {p.dim} coordinates, got {len(point)}")
+    if args.bound < 0:
+        raise DocumentError("--bound: expected a non-negative integer")
     probe = probe_scan(p, point, args.bound)
     if probe is None:
         print(

@@ -59,18 +59,6 @@ class BoundaryOp:
             g ^= 1 << t
         return g
 
-    def compose(self, other: BoundaryOp) -> BoundaryOp:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        pairs = sorted(s ^ t for s in self.translations for t in other.translations)
-        return BoundaryOp(self.dim, tuple(pairs))
-
-    def is_zero(self) -> bool:
-        return self.generator == 0
-
-    def is_identity(self) -> bool:
-        return self.generator == 1
-
 
 def boundary_op(p: Polytope) -> BoundaryOp:
     """The sign-flip operator of a polytope: one translation per facet."""

@@ -31,14 +31,6 @@ def is_primitive(v) -> bool:
     return vec_gcd(v) == 1
 
 
-def primitive_part(v) -> IntVec:
-    """Divide an integer vector by the gcd of its entries."""
-    g = vec_gcd(v)
-    if g == 0:
-        raise ZeroVectorError("cannot normalize the zero vector")
-    return tuple(x // g for x in v)
-
-
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v, strict=True))
 

@@ -339,44 +339,6 @@ def equidistant_point(p: Polytope):
     return point, t
 
 
-def match_dilate_translate(p: Polytope, model: Polytope):
-    """Find t > 0 and x0 with p = t * model + x0 as facet systems.
-
-    Normals must agree as multisets; each matched pair forces the linear
-    relation offset = t * model_offset - <x0, normal>.  Returns (t, x0) when
-    those relations have a unique solution with t > 0, else None.
-    """
-    if p.dim != model.dim:
-        return None
-    groups: dict[IntVec, list[Fraction]] = {}
-    for f in p.facets:
-        groups.setdefault(f.normal, []).append(f.offset)
-    model_groups: dict[IntVec, list[Fraction]] = {}
-    for f in model.facets:
-        model_groups.setdefault(f.normal, []).append(f.offset)
-    if set(groups) != set(model_groups):
-        return None
-    rows = []
-    rhs = []
-    for nu, offs in sorted(groups.items()):
-        m_offs = model_groups[nu]
-        if len(offs) != len(m_offs):
-            return None
-        # dilations with t > 0 preserve the order of parallel offsets
-        for a, am in zip(sorted(offs), sorted(m_offs)):
-            rows.append((am,) + lattice.neg(nu))
-            rhs.append(a)
-    if not rows:
-        return None
-    sol = lattice.solve_exact(rows, rhs)
-    if sol is None or sol[1]:
-        return None
-    t, x0 = sol[0][0], sol[0][1:]
-    if t <= 0:
-        return None
-    return t, x0
-
-
 # -- exact feasibility (Fourier-Motzkin) -------------------------------------
 
 def _coprime(coeffs, const, strict):

@@ -79,7 +79,11 @@ class AffineReduction:
     def subtorus_generators(self) -> tuple[IntVec, ...]:
         """Integral basis of the kernel of A^T: the Lie algebra directions of
         the quotiented subtorus.  Smith form makes the basis saturated, so it
-        generates the kernel lattice, not just a finite-index sublattice."""
+        generates the kernel lattice, not just a finite-index sublattice.
+        A section onto a point (reduced dimension 0) quotients the whole
+        torus, so the basis is the standard one."""
+        if self.reduced_dim == 0:
+            return lattice.identity(self.ambient_dim)
         transposed = lattice.transpose(self.matrix)
         _, _, v = lattice.smith_normal_form(transposed)
         cols = lattice.transpose(v)

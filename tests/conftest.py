@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from momentcert.lattice import primitive_part
+from momentcert.lattice import vec_gcd
 from momentcert.polytope import Polytope, polytope
 
 OFFSET_CHOICES = [Fraction(k, 2) for k in range(1, 7)]
@@ -27,10 +27,22 @@ def random_polytope(rng: random.Random, n: int, d: int, even: bool | None = None
         vec = tuple(rng.randint(-3, 3) for _ in range(n))
         if all(x == 0 for x in vec):
             continue
-        normal = primitive_part(vec)
+        g = vec_gcd(vec)
+        normal = tuple(x // g for x in vec)
         offset = rng.choice(OFFSET_CHOICES)
         if (normal, offset) in seen:
             continue
         seen.add((normal, offset))
         facets.append((normal, offset))
     return polytope(n, facets)
+
+
+def xor_square(g: int) -> int:
+    """g * g in the GF(2) group algebra of (Z/2)^n, g bit-packed as in
+    BoundaryOp.generator: the XOR convolution of g with itself."""
+    support = [b for b in range(g.bit_length()) if g >> b & 1]
+    square = 0
+    for s in support:
+        for t in support:
+            square ^= 1 << (s ^ t)
+    return square

@@ -1,9 +1,16 @@
+import random
+from collections import Counter
 from fractions import Fraction as F
+from itertools import product as iter_product
 
 import pytest
 
 import momentcert.polytope as polytope_module
+from conftest import random_polytope
+from momentcert import lattice
 from momentcert.certificate import (
+    BASE_KINDS,
+    CITATIONS,
     CLIFFORD_TORUS,
     CP1,
     O_MINUS_ONE,
@@ -14,6 +21,10 @@ from momentcert.certificate import (
     Certificate,
     Product,
     Reduction,
+    VerifiedClaim,
+    _apply_basis_change,
+    _model_and_bound,
+    _verify_leaf,
     auto_certify_monotone,
     hf_lower_bound_tr,
     verify,
@@ -24,13 +35,14 @@ from momentcert.errors import (
     BoundNotIntegralError,
     MarkedPointMismatchError,
     ModelMismatchError,
+    MomentcertError,
     NotCompactError,
     NotDelzantError,
     NotMonotoneError,
     ReducedPolytopeMismatchError,
     UnsupportedClaimError,
 )
-from momentcert.polytope import Polytope, polytope
+from momentcert.polytope import Polytope, equidistant_point, polytope
 from momentcert.reduction import cp1, cube, o_minus_one, section, simplex, weighted_projective
 
 
@@ -121,9 +133,8 @@ def test_basis_change_must_be_unimodular():
 
 
 def test_basis_change_is_not_validated_again(monkeypatch):
-    from momentcert.certificate import _apply_basis_change
-
-    # offsets <= 0, so validating the result would run feasible
+    # the change maps normals only: it builds no Polytope and runs no feasible,
+    # though offsets <= 0 would make validating a changed polytope run it
     sheared = polytope(2, [((1, 0), 1), ((1, 1), 1), ((-2, -1), 1)]).translate((2, 0))
     calls, constructed = [], []
     original = polytope_module.feasible
@@ -131,12 +142,9 @@ def test_basis_change_is_not_validated_again(monkeypatch):
         polytope_module, "feasible", lambda cons, nvars: calls.append(nvars) or original(cons, nvars)
     )
     monkeypatch.setattr(Polytope, "__post_init__", lambda self: constructed.append(self))
-    changed = _apply_basis_change(sheared, ((1, -1), (0, 1)))
+    normals = _apply_basis_change(sheared, ((1, -1), (0, 1)))
     assert calls == [] and constructed == []
-    monkeypatch.undo()
-    assert changed.normals == simplex(2).normals
-    # the unvalidated result passes validation when built afresh
-    assert Polytope(changed.dim, changed.facets) == changed
+    assert type(normals) is tuple and normals == simplex(2).normals
 
 
 @pytest.mark.parametrize("weights", [(2, 1, 1), (1, 0, 1)])
@@ -144,6 +152,172 @@ def test_weighted_leaf_with_bad_weights_is_a_model_mismatch(weights):
     leaf = BaseFact(WEIGHTED_PROJECTIVE, TT, simplex(2), weights=weights)
     with pytest.raises(ModelMismatchError, match=r"^weighted model weights "):
         verify(Certificate(leaf, TT))
+
+
+# -- the leaf rule against the dilation solver it replaced -------------------------
+
+def _old_match_dilate_translate(dim, facets, model):
+    """The solver the leaf rule used to run: t > 0 and x0 with facets equal to
+    t * model + x0 as facet systems, or None."""
+    if dim != model.dim:
+        return None
+    groups, model_groups = {}, {}
+    for nu, a in facets:
+        groups.setdefault(nu, []).append(a)
+    for nu, a in model.facets:
+        model_groups.setdefault(nu, []).append(a)
+    if set(groups) != set(model_groups):
+        return None
+    rows, rhs = [], []
+    for nu, offs in sorted(groups.items()):
+        m_offs = model_groups[nu]
+        if len(offs) != len(m_offs):
+            return None
+        for a, am in zip(sorted(offs), sorted(m_offs)):
+            rows.append((am,) + lattice.neg(nu))
+            rhs.append(a)
+    if not rows:
+        return None
+    sol = lattice.solve_exact(rows, rhs)
+    if sol is None or sol[1] or sol[0][0] <= 0:
+        return None
+    return sol[0][0], sol[0][1:]
+
+
+def _old_verify_leaf(fact):
+    """The leaf rule before it compared normals: claim, model, basis change,
+    center, then a solve for the dilation and translation."""
+    if fact.claim not in (TT, TR):
+        raise UnsupportedClaimError(f"unknown claim kind {fact.claim!r}")
+    model, bound = _model_and_bound(fact)
+    normals = fact.instance.normals
+    if fact.basis_change is not None:
+        normals = _apply_basis_change(fact.instance, fact.basis_change)
+    center = equidistant_point(fact.instance)
+    if center is None:
+        raise MarkedPointMismatchError("base fact instance has no equidistant center")
+    shape = tuple(zip(normals, fact.instance.offsets))
+    if _old_match_dilate_translate(fact.instance.dim, shape, model) is None:
+        raise ModelMismatchError(f"instance is not a dilated translate of the {fact.kind} model")
+    return VerifiedClaim(
+        polytope=fact.instance.canonical_form(),
+        marked_point=center[0],
+        kind=fact.claim,
+        bound=bound,
+        citations=(CITATIONS[(fact.kind, fact.claim)],),
+    )
+
+
+def _outcome(rule, fact):
+    try:
+        return rule(fact)
+    except MomentcertError as exc:
+        return type(exc), str(exc)
+
+
+def _random_unimodular(rng, n):
+    """A random unimodular n x n matrix and its inverse, from elementary steps."""
+    m, inv = lattice.identity(n), lattice.identity(n)
+    for _ in range(rng.randint(1, 4)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        step = [list(row) for row in lattice.identity(n)]
+        back = [list(row) for row in lattice.identity(n)]
+        if i == j:  # negate a row, its own inverse
+            step[i][i] = back[i][i] = -1
+        else:  # add c times row j to row i, undone by subtracting it
+            c = rng.choice((-2, -1, 1, 2))
+            step[i][j], back[i][j] = c, -c
+        m = lattice.mat_mul(step, m)
+        inv = lattice.mat_mul(inv, back)
+    return m, inv
+
+
+def _random_shape(rng):
+    """(shape, kind, weights): a model, a near-model or a random polytope,
+    with the base fact kind it is a dilated translate of, if any."""
+    pick = rng.randrange(6)
+    if pick == 0:
+        n = rng.randint(1, 4)
+        return simplex(n), rng.choice((CLIFFORD_TORUS, WEIGHTED_PROJECTIVE)), (1,) * (n + 1)
+    if pick == 1:
+        weights = (1,) + tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+        try:
+            return weighted_projective(weights), WEIGHTED_PROJECTIVE, weights
+        except MomentcertError:  # a non-primitive slanted normal
+            return simplex(len(weights) - 1), CLIFFORD_TORUS, None
+    if pick == 2:
+        return rng.choice(((cp1(), CP1), (o_minus_one(), O_MINUS_ONE))) + (None,)
+    if pick == 3:
+        return cube(rng.randint(1, 3)), CLIFFORD_TORUS, None
+    n = rng.randint(1, 3)
+    return random_polytope(rng, n, rng.randint(n, n + 3)), rng.choice(BASE_KINDS), None
+
+
+def _random_leaf(rng):
+    """A seeded base fact whose instance is a dilated translate of a random
+    shape, sometimes with one offset moved, in changed coordinates, or
+    declared with another kind, claim, weights or basis change."""
+    while True:
+        shape, kind, weights = _random_shape(rng)
+        n = shape.dim
+        t = F(rng.randint(1, 8), rng.randint(1, 3))
+        x0 = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+        offsets = [t * a - lattice.dot(x0, nu) for nu, a in shape.facets]
+        if rng.random() < 0.25:
+            offsets[rng.randrange(len(offsets))] += F(rng.randint(-3, 3), rng.randint(1, 2))
+        normals, change = shape.normals, None
+        if rng.random() < 0.35 and n > 0:
+            m, inv = _random_unimodular(rng, n)
+            normals = tuple(lattice.mat_vec(m, nu) for nu in normals)
+            change = rng.choice((inv, inv, inv, None, m, ((2,) + (0,) * (n - 1),) + inv[1:],
+                                 inv[1:]))
+        if rng.random() < 0.2:
+            kind = rng.choice(BASE_KINDS + ("sphere",))
+        if rng.random() < 0.15:
+            weights = rng.choice((None, (1,) * n, (2,) + (1,) * n, (1, 0) + (1,) * (n - 1)))
+        claim = rng.choice((TT, TT, TT, TR, TR, "TX"))
+        try:
+            instance = polytope(n, zip(normals, offsets))
+        except MomentcertError:  # a moved offset emptied the interior
+            continue
+        return BaseFact(kind, claim, instance, weights=weights, basis_change=change)
+
+
+def test_leaf_rule_matches_the_dilation_solver_on_seeded_leaves():
+    rng = random.Random(24601)
+    seen = Counter()
+    for _ in range(3200):
+        fact = _random_leaf(rng)
+        expected = _outcome(_old_verify_leaf, fact)
+        assert _outcome(_verify_leaf, fact) == expected, fact
+        seen["accepted" if isinstance(expected, VerifiedClaim) else expected[0].__name__] += 1
+        seen["basis change accepted"] += (
+            isinstance(expected, VerifiedClaim) and fact.basis_change is not None
+        )
+    assert seen["accepted"] >= 800 and seen["basis change accepted"] >= 100, seen
+    for error in (ModelMismatchError, MarkedPointMismatchError, UnsupportedClaimError):
+        assert seen[error.__name__] >= 200, seen
+
+
+def test_every_model_has_offset_one_and_distinct_normals():
+    # the leaf rule rests on this: a dilated translate of such a model is
+    # fixed by its normals and its equidistant point
+    accepted = Counter()
+    for kind, claim, n in iter_product(BASE_KINDS, (TT, TR), range(7)):
+        weight_choices = [None, (1,) * (n + 1)]
+        if n <= 3:
+            weight_choices += [(1,) + rest for rest in iter_product(range(1, 5), repeat=n)]
+        for weights in weight_choices:
+            fact = BaseFact(kind, claim, cube(n) if n else Polytope(0, ()), weights=weights)
+            try:
+                model, _ = _model_and_bound(fact)
+            except MomentcertError:
+                continue
+            accepted[kind] += 1
+            assert model.dim == n
+            assert set(model.offsets) == {1}
+            assert len(set(model.normals)) == model.d
+    assert set(accepted) == set(BASE_KINDS), accepted
 
 
 # -- inner nodes ------------------------------------------------------------------
@@ -249,7 +423,7 @@ def test_reduction_target_mismatch():
         ),
         TR,
     )
-    with pytest.raises(ReducedPolytopeMismatchError):
+    with pytest.raises(ReducedPolytopeMismatchError, match=r"^computed reduction differs "):
         verify(cert)
 
 
@@ -286,7 +460,7 @@ def test_declared_claim_checks():
     with pytest.raises(MarkedPointMismatchError):
         verify(bad_point)
     bad_target = Certificate(cert.root, TR, cert.marked_point, simplex(2))
-    with pytest.raises(ReducedPolytopeMismatchError):
+    with pytest.raises(ReducedPolytopeMismatchError, match=r"^final polytope differs "):
         verify(bad_target)
 
 

@@ -146,11 +146,14 @@ def _weighted_leaf_doc(weights):
     ("info", {"dim": True, "facets": [{"normal": [1], "offset": 1}, {"normal": [-1], "offset": 1}]},
      [], 2, "error: polytope.json.dim: expected a nonnegative integer"),
     ("probe", load_doc("hexagon"), ["--point", "1/2"], 2, "error: --point: expected 2 coordinates, got 1"),
+    ("probe", load_doc("hexagon"), ["--point", "0,0", "--bound", "-1"], 2,
+     "error: --bound: expected a non-negative integer"),
     ("render", {**load_doc("hexagon"), "marked_points": [[0, 0], [0, 0, 1]]}, [], 2,
      "error: polytope.json.marked_points[1]: expected 2 coordinates, got 3"),
     ("certify", _weighted_leaf_doc([2, 1, 1]), [], 1, "result: FAILED (ModelMismatchError)"),
     ("certify", _weighted_leaf_doc([1, 0, 1]), [], 1, "result: FAILED (ModelMismatchError)"),
-], ids=["boolean-dim", "probe-point-length", "marked-point-length", "weights-lead", "weights-zero"])
+], ids=["boolean-dim", "probe-point-length", "probe-negative-bound", "marked-point-length",
+        "weights-lead", "weights-zero"])
 def test_hostile_input_exits_cleanly(tmp_path, capsys, command, doc, extra, code, message):
     path = tmp_path / "polytope.json"
     save_json(path, doc)
@@ -206,6 +209,15 @@ def test_reduce_inline_slice(corpus_dir, capsys):
         '{"A": [[1, 0], [0, 1], [1, 1]], "x0": [0, 0, 0]}',
     ]) == 0
     assert "facets: 6" in capsys.readouterr().out
+
+
+def test_reduce_onto_a_point(corpus_dir, capsys):
+    # reduced dimension 0: the whole torus is quotiented, one generator per axis
+    assert main(["reduce", str(corpus_dir / "segment.json"), "--slice", '{"A": [[]]}']) == 0
+    captured = capsys.readouterr()
+    assert "quotient subtorus: (1,) at level 0" in captured.out
+    assert "dimension: 0, facets: 0" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_certify_success_and_failure(corpus_dir, tmp_path, capsys):

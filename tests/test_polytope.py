@@ -17,7 +17,6 @@ from momentcert.polytope import (
     Vertex,
     equidistant_point,
     feasible,
-    match_dilate_translate,
     polytope,
     product,
     prune_redundant,
@@ -163,7 +162,8 @@ def _vertex_test_polytope(rng, n):
         vec = tuple(rng.randint(-span, span) for _ in range(n))
         if not any(vec):
             continue
-        normal = lattice.primitive_part(vec)
+        g = lattice.vec_gcd(vec)
+        normal = tuple(x // g for x in vec)
         offset = 1 if rng.random() < 0.5 else F(rng.randint(1, 6), rng.randint(1, 3))
         if (normal, offset) not in seen:
             seen.add((normal, offset))
@@ -189,7 +189,8 @@ def test_vertices_match_fraction_evaluation_on_random_polytopes():
 @st.composite
 def vertex_test_polytopes(draw, max_facets=9):
     n = draw(st.integers(1, min(4, max_facets)))
-    normals = st.tuples(*[st.integers(-2, 2)] * n).filter(any).map(lattice.primitive_part)
+    normals = st.tuples(*[st.integers(-2, 2)] * n).filter(any).map(
+        lambda v: tuple(x // lattice.vec_gcd(v) for x in v))
     offsets = st.one_of(st.just(F(1)), st.fractions(F(1, 3), 6, max_denominator=3))
     facets = draw(st.lists(st.tuples(normals, offsets), min_size=n,
                            max_size=min(n + 5, max_facets), unique=True))
@@ -638,55 +639,6 @@ def test_equidistant_point_is_interior():
         hit = equidistant_point(p)
         if hit is not None:
             assert p.interior_contains(hit[0])
-
-
-# -- dilate / translate matching ----------------------------------------------
-
-def test_match_cp1_instance():
-    a = F(1, 4)
-    inst = cp1(1, 1 - 2 * a)
-    t, x0 = match_dilate_translate(inst, cp1())
-    assert t == 1 - a and x0 == (-a,)
-
-
-def test_match_self_is_identity():
-    p = simplex(3)
-    assert match_dilate_translate(p, p) == (1, (0, 0, 0))
-
-
-def test_match_o_minus_one_instance():
-    lam = F(3, 2)
-    inst = o_minus_one(3, 3 - lam, 3)
-    t, x0 = match_dilate_translate(inst, o_minus_one())
-    assert t == 3 - lam
-    assert x0 == (-lam, 0)
-    # the model center maps onto the instance's own center
-    center = equidistant_point(inst)
-    assert center is not None and center[0] == x0
-
-
-def test_match_fails_on_different_shape():
-    assert match_dilate_translate(simplex(2), cube(2)) is None
-    assert match_dilate_translate(weighted_projective((1, 1, 2)), simplex(2)) is None
-
-
-def test_match_recovers_random_dilations():
-    from momentcert.polytope import Facet, Polytope
-
-    rng = random.Random(13)
-    models = [simplex(1), simplex(2), simplex(3), cube(2), o_minus_one(), cp1()]
-    for _ in range(40):
-        model = rng.choice(models)
-        t = F(rng.randint(1, 9), rng.randint(1, 4))
-        x0 = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(model.dim))
-        inst = Polytope(
-            model.dim,
-            tuple(
-                Facet(f.normal, t * f.offset - sum(a * b for a, b in zip(x0, f.normal)))
-                for f in model.facets
-            ),
-        )
-        assert match_dilate_translate(inst, model) == (t, x0)
 
 
 def test_translate_offsets():

@@ -75,6 +75,10 @@ def test_subtorus_recovery():
     # the 2-torus behind the two-point blow-up reduction
     fooo = section([(1, 0), (0, 1), (0, 1), (1, 1)])
     assert fooo.subtorus_generators() == ((0, -1, 1, 0), (-1, -1, 0, 1))
+    # a section onto a point quotients the whole torus: the standard basis
+    point = section([(), (), ()], base=(F(1, 2), 0, -1))
+    assert point.subtorus_generators() == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert point.levels() == (F(1, 2), 0, -1)
     # generators always annihilate the section image and are primitive
     from momentcert.lattice import dot, is_primitive
 
@@ -83,6 +87,7 @@ def test_subtorus_recovery():
         fooo,
         section([(1, 0), (0, 1), (0, 1), (-1, -2), (0, -1)]),
         section([(1, 0), (0, 1), (-1, -1)], base=(F(1, 8), 0, 0)),
+        point,
     ):
         gens = sec.subtorus_generators()
         assert len(gens) == sec.ambient_dim - sec.reduced_dim
