@@ -24,7 +24,9 @@ from .errors import (
     MarkedPointMismatchError,
     ModelMismatchError,
     NotMonotoneError,
+    PolytopeError,
     ReducedPolytopeMismatchError,
+    SliceError,
     UnsupportedClaimError,
 )
 from .floer import hf
@@ -129,6 +131,8 @@ class VerifiedClaim:
 
 def _model_and_bound(fact: BaseFact) -> tuple[Polytope, int]:
     n = fact.instance.dim
+    if n == 0:
+        raise ModelMismatchError("every model has positive dimension; the instance has 0")
     if fact.kind == CLIFFORD_TORUS:
         if fact.claim == TT:
             return simplex(n), 2**n
@@ -144,7 +148,7 @@ def _model_and_bound(fact: BaseFact) -> tuple[Polytope, int]:
             raise ModelMismatchError(f"weighted model needs {n + 1} weights")
         try:
             return weighted_projective(fact.weights), 2**n
-        except ValueError as exc:
+        except (ValueError, PolytopeError) as exc:
             raise ModelMismatchError(f"weighted model weights {fact.weights}: {exc}") from None
     if fact.kind == CP1:
         if n != 1:
@@ -221,16 +225,27 @@ def _verify_product(node: Product) -> VerifiedClaim:
 
 
 def _verify_reduction(node: Reduction) -> VerifiedClaim:
+    """Reduce the child's claim along the section.
+
+    The reduced marked point needs no interior test.  Every verified claim
+    marks a strictly interior point: a leaf's equidistant value is t > 0, a
+    product concatenates interior points, and each reduced facet's value at
+    the preimage y equals its ambient facet's value at the child's marked
+    point A y + x0, which is positive by induction.
+    """
     child = _verify_node(node.child)
-    reduced, sources = reduce_with_sources(child.polytope, node.section)
+    try:
+        reduced, sources = reduce_with_sources(child.polytope, node.section)
+    except (SliceError, PolytopeError) as exc:
+        raise ReducedPolytopeMismatchError(
+            f"section does not reduce the child polytope: {type(exc).__name__}: {exc}"
+        ) from None
     _check_regular_level(reduced, sources)
     preimage = node.section.preimage(child.marked_point)
     if preimage is None:
         raise MarkedPointMismatchError(
             "slice does not pass through the marked fiber of the child claim"
         )
-    if not reduced.interior_contains(preimage):
-        raise MarkedPointMismatchError("reduced marked point fell out of the interior")
     _check_target(node.target, reduced, "computed reduction")
     drop = node.section.ambient_dim - node.section.reduced_dim
     denom = 2**drop
@@ -307,15 +322,15 @@ def auto_certify_monotone(p: Polytope) -> Certificate:
     ambient = weighted_projective(leaf_weights, lam)
     rows = tuple(nu for i, nu in enumerate(canon.normals) if i != k)
     sec = AffineReduction(rows, (Fraction(0),) * len(rows))
-    center = equidistant_point(canon)
-    if center is None:
-        raise NotMonotoneError("monotone polytope lost its center; normals are degenerate")
     root = Reduction(
         child=BaseFact(WEIGHTED_PROJECTIVE, TT, ambient, weights=leaf_weights),
         section=sec,
         target=canon,
     )
-    return Certificate(root, TT, marked_point=center[0], target=canon)
+    # every facet of canon has value lam at the origin, and canon is compact,
+    # so the origin is its unique equidistant point
+    origin = (Fraction(0),) * canon.dim
+    return Certificate(root, TT, marked_point=origin, target=canon)
 
 
 def hf_lower_bound_tr(p: Polytope) -> tuple[int, str]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .certificate import auto_certify_monotone, hf_lower_bound_tr, verify
+from .certificate import TR_CAVEAT, auto_certify_monotone, verify
 from .documents import (
     certificate_to_doc,
     load_certificate,
@@ -26,6 +26,7 @@ from .documents import (
     polytope_to_doc,
     rational_to_json,
     save_json,
+    save_text,
 )
 from .errors import DocumentError, MomentcertError, VerificationError
 from .floer import hf
@@ -89,9 +90,8 @@ def _cmd_hf(args) -> int:
         size, diff, label = 1 << 2 * p.dim, value * value, "squared polytope: "
     print(f"hf = {value}  ({label}nullity {(size + diff) // 2}, rank {(size - diff) // 2})")
     if args.tr_bound:
-        bound, caveat = hf_lower_bound_tr(p)
-        print(f"torus/real-locus intersection bound: {bound}")
-        print(f"caveat: {caveat}")
+        print(f"torus/real-locus intersection bound: {value}")
+        print(f"caveat: {TR_CAVEAT}")
     return 0
 
 
@@ -201,7 +201,7 @@ def _cmd_render(args) -> int:
     marked = marked_points_from_doc(doc, str(args.file))
     svg = render_svg(p, marked)
     out = args.output or (Path(args.file).stem + ".svg")
-    Path(out).write_text(svg, encoding="utf-8")
+    save_text(out, svg)
     print(f"wrote {out}")
     return 0
 
@@ -216,7 +216,10 @@ def _cmd_corpus(args) -> int:
             print("corpus export needs -o DIRECTORY", file=sys.stderr)
             return 2
         outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise DocumentError(f"{outdir}: {exc}") from exc
         for name in corpus_mod.data_names():
             doc = corpus_mod.load_doc(name.removesuffix(".json"))
             save_json(outdir / name, doc)

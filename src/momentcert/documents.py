@@ -259,8 +259,17 @@ def _decode(text: str, where: str):
         raise DocumentError(f"{where}: JSON nested too deeply") from None
 
 
+def save_text(path, text: str) -> None:
+    """Write text to path; an unwritable path fails like an unreadable one."""
+    path = Path(path)
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DocumentError(f"{path}: {exc}") from exc
+
+
 def save_json(path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    save_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def load_polytope(path) -> Polytope:

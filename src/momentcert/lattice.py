@@ -62,22 +62,17 @@ def mat_mul(a, b) -> tuple:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def smith_normal_form(mat) -> tuple[IntMat, IntMat, IntMat]:
-    """Return (U, D, V) with U*mat*V = D in Smith normal form.
+def smith_normal_form(mat) -> tuple[IntMat, IntMat]:
+    """Return (D, V) with U*mat*V = D in Smith normal form for some U.
 
     U and V are unimodular, D is diagonal with d_i >= 0 and d_i | d_{i+1}.
-    The pivot choice (smallest absolute value, then lowest position) makes
-    the output deterministic.
+    Only V is built; no caller reads U.  The pivot choice (smallest
+    absolute value, then lowest position) makes the output deterministic.
     """
     a = [list(row) for row in mat]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    u = [list(row) for row in identity(nrows)]
     v = [list(row) for row in identity(ncols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -85,20 +80,11 @@ def smith_normal_form(mat) -> tuple[IntMat, IntMat, IntMat]:
         for row in v:
             row[i], row[j] = row[j], row[i]
 
-    def addmul_row(dst, src, q):
-        # row dst -= q * row src
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
     def addmul_col(dst, src, q):
         for row in a:
             row[dst] -= q * row[src]
         for row in v:
             row[dst] -= q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     for k in range(min(nrows, ncols)):
         while True:
@@ -111,18 +97,19 @@ def smith_normal_form(mat) -> tuple[IntMat, IntMat, IntMat]:
             if piv is None:
                 break
             if piv[0] != k:
-                swap_rows(k, piv[0])
+                a[k], a[piv[0]] = a[piv[0]], a[k]
             if piv[1] != k:
                 swap_cols(k, piv[1])
             if a[k][k] < 0:
-                negate_row(k)
+                a[k] = [-x for x in a[k]]
             p = a[k][k]
             dirty = False
             for i in range(k + 1, nrows):
                 if a[i][k] != 0:
                     if a[i][k] % p != 0:
                         dirty = True
-                    addmul_row(i, k, a[i][k] // p)
+                    q = a[i][k] // p
+                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
             for j in range(k + 1, ncols):
                 if a[k][j] != 0:
                     if a[k][j] % p != 0:
@@ -136,7 +123,6 @@ def smith_normal_form(mat) -> tuple[IntMat, IntMat, IntMat]:
                 bad = next((j for j in range(k + 1, ncols) if a[i][j] % p != 0), None)
                 if bad is not None:
                     a[k] = [x + y for x, y in zip(a[k], a[i])]
-                    u[k] = [x + y for x, y in zip(u[k], u[i])]
                     clean = False
                     break
             if clean:
@@ -144,32 +130,7 @@ def smith_normal_form(mat) -> tuple[IntMat, IntMat, IntMat]:
         if k < min(nrows, ncols) and a[k][k] == 0:
             break
 
-    return (
-        tuple(tuple(row) for row in u),
-        tuple(tuple(row) for row in a),
-        tuple(tuple(row) for row in v),
-    )
-
-
-def invariant_factors(mat) -> tuple[int, ...]:
-    """The diagonal of the Smith normal form, including trailing zeros."""
-    _, d, _ = smith_normal_form(mat)
-    n = min(len(d), len(d[0]) if d else 0)
-    return tuple(d[i][i] for i in range(n))
-
-
-def is_surjective_onto_lattice(mat) -> bool:
-    """Whether v -> mat^T v maps Z^rows onto Z^cols.
-
-    Requires rows >= cols; equivalent to all Smith invariant factors of the
-    transpose being 1.
-    """
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    if nrows < ncols:
-        raise ValueError("matrix must have at least as many rows as columns")
-    factors = invariant_factors(transpose(mat))
-    return len(factors) == ncols and all(f == 1 for f in factors)
+    return tuple(tuple(row) for row in a), tuple(tuple(row) for row in v)
 
 
 def integer_rows(mat) -> tuple[list[list[int]], int]:

@@ -38,9 +38,13 @@ class AffineReduction:
             raise SliceError("ragged section matrix")
         if len(self.base) != rows:
             raise SliceError("base point length must match the ambient dimension")
-        if lattice.rank_exact(self.matrix) != cols:
+        # A^T maps Z^rows onto Z^cols iff its cols invariant factors are all 1;
+        # a zero factor, or fewer than cols of them, is a rank deficit
+        d, _ = lattice.smith_normal_form(lattice.transpose(self.matrix))
+        factors = [d[i][i] for i in range(min(rows, cols))]
+        if len(factors) < cols or 0 in factors:
             raise SliceError("section matrix must have independent columns")
-        if not lattice.is_surjective_onto_lattice(self.matrix):
+        if any(f != 1 for f in factors):
             raise SliceError(
                 "transpose of the section matrix must map onto the reduced lattice"
             )
@@ -85,7 +89,7 @@ class AffineReduction:
         if self.reduced_dim == 0:
             return lattice.identity(self.ambient_dim)
         transposed = lattice.transpose(self.matrix)
-        _, _, v = lattice.smith_normal_form(transposed)
+        _, v = lattice.smith_normal_form(transposed)
         cols = lattice.transpose(v)
         return tuple(cols[j] for j in range(self.reduced_dim, self.ambient_dim))
 

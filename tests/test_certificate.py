@@ -29,7 +29,14 @@ from momentcert.certificate import (
     hf_lower_bound_tr,
     verify,
 )
-from momentcert.corpus import load_corpus_polytope, pentagon_certificate
+from momentcert.corpus import (
+    CERTIFICATE_CASES,
+    MONOTONE_CASES,
+    blowup2_certificate,
+    load_corpus_certificate,
+    load_corpus_polytope,
+    pentagon_certificate,
+)
 from momentcert.documents import certificate_from_doc, certificate_to_doc
 from momentcert.errors import (
     BoundNotIntegralError,
@@ -40,9 +47,11 @@ from momentcert.errors import (
     NotDelzantError,
     NotMonotoneError,
     ReducedPolytopeMismatchError,
+    SliceError,
     UnsupportedClaimError,
+    VerificationError,
 )
-from momentcert.polytope import Polytope, equidistant_point, polytope
+from momentcert.polytope import Polytope, equidistant_point, polytope, product
 from momentcert.reduction import cp1, cube, o_minus_one, section, simplex, weighted_projective
 
 
@@ -147,7 +156,7 @@ def test_basis_change_is_not_validated_again(monkeypatch):
     assert type(normals) is tuple and normals == simplex(2).normals
 
 
-@pytest.mark.parametrize("weights", [(2, 1, 1), (1, 0, 1)])
+@pytest.mark.parametrize("weights", [(2, 1, 1), (1, 0, 1), (1, 2, 2)])
 def test_weighted_leaf_with_bad_weights_is_a_model_mismatch(weights):
     leaf = BaseFact(WEIGHTED_PROJECTIVE, TT, simplex(2), weights=weights)
     with pytest.raises(ModelMismatchError, match=r"^weighted model weights "):
@@ -540,6 +549,35 @@ def test_auto_certify_in_random_coordinates():
             assert claim.bound == 2**n
 
 
+def _monotone_corpus():
+    return [load_corpus_polytope(name) for name, _ in MONOTONE_CASES]
+
+
+def test_auto_certify_marks_the_origin():
+    # the origin has value lam on every facet of the canonical monotone form
+    polytopes = _monotone_corpus()
+    for a, b in (("hexagon", "segment"), ("cp2_blowup1", "simplex2"), ("square", "hexagon"),
+                 ("segment", "cp2_blowup1"), ("simplex2", "simplex2")):
+        polytopes.append(product(load_corpus_polytope(a), load_corpus_polytope(b)))
+    for p in polytopes:
+        canon = p.canonical_form()
+        cert = auto_certify_monotone(p)
+        assert cert.marked_point == (0,) * p.dim
+        assert cert.marked_point == equidistant_point(canon)[0]
+        assert verify(cert).marked_point == cert.marked_point
+
+
+def test_verified_marked_points_are_interior():
+    # verify no longer tests this for reductions: it holds by construction
+    certs = [load_corpus_certificate(name) for name, _ in CERTIFICATE_CASES]
+    certs += [auto_certify_monotone(p) for p in _monotone_corpus()]
+    certs += [blowup2_certificate(F(1, 4), F(k, 16)) for k in range(1, 6)]
+    certs += [pentagon_certificate(F(k, 8)) for k in range(9, 16)]
+    for cert in certs:
+        claim = verify(cert)
+        assert claim.polytope.interior_contains(claim.marked_point), cert.name
+
+
 def test_auto_certify_rejects_non_monotone():
     a = F(1, 4)
     p_alpha = polytope(
@@ -604,3 +642,98 @@ def test_hf_lower_bound_tr():
     assert bound == 4 and caveat
     assert hf_lower_bound_tr(simplex(2))[0] == 2
     assert hf_lower_bound_tr(cp1())[0] == 2
+
+
+# -- random reduction trees -------------------------------------------------------------
+
+def _random_fact(rng, claim):
+    """(leaf, marked point): a dilated translate t * model + x0 of a random
+    model, whose equidistant point is x0; now and then with weights that
+    build no model, or of dimension 0, which no model has."""
+    if rng.random() < 0.03:
+        return BaseFact(rng.choice(BASE_KINDS), claim, Polytope(0, ())), ()
+    pick = rng.randrange(5)
+    weights = None
+    if pick == 0:
+        kind, model = CLIFFORD_TORUS, simplex(rng.randint(1, 3))
+    elif pick == 1:
+        weights = (1,) + tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 2)))
+        kind = WEIGHTED_PROJECTIVE
+        try:
+            model = weighted_projective(weights)
+        except MomentcertError:  # a non-primitive slanted normal, e.g. (1, 2, 2)
+            model = simplex(len(weights) - 1)
+    elif pick == 2:
+        kind, model = O_MINUS_ONE, o_minus_one()
+    else:
+        kind, model = CP1, cp1()
+    t = F(rng.randint(1, 6), rng.randint(1, 2))
+    x0 = tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(model.dim))
+    instance = polytope(model.dim, [(nu, t * a - lattice.dot(nu, x0)) for nu, a in model.facets])
+    return BaseFact(kind, claim, instance, weights=weights), x0
+
+
+def _random_section(rng, ambient_dim, marked):
+    """A random valid section through marked, sometimes moved off it or of
+    the wrong ambient dimension."""
+    if rng.random() < 0.08:
+        ambient_dim += rng.choice((-1, 1))
+    k = rng.randint(1, ambient_dim - 1) if ambient_dim > 1 and rng.random() < 0.7 else 0
+    while True:
+        rows = [[rng.randint(-1, 1) for _ in range(k)] for _ in range(ambient_dim)]
+        try:
+            sec = section(rows)
+        except SliceError:
+            continue
+        break
+    if len(marked) != ambient_dim:
+        return sec
+    y = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(k)]
+    base = list(lattice.vsub(marked, sec.map_point(y)))
+    if ambient_dim and rng.random() < 0.35:
+        i = rng.randrange(ambient_dim)
+        base[i] += F(rng.randint(-12, 12), 2)
+    return section(rows, base)
+
+
+def _random_tree(rng, claim, depth=0):
+    """(node, marked point, dimension) of a random product or reduction tree."""
+    if depth == 2 or rng.random() < 0.3:
+        leaf, marked = _random_fact(rng, claim)
+        return leaf, marked, leaf.instance.dim
+    children = []
+    while (size := sum(c[2] for c in children)) < 2 or (rng.random() < 0.3 and size < 3):
+        children.append(_random_tree(rng, claim, depth + 1))
+    node = Product(tuple(c[0] for c in children))
+    marked = sum((c[1] for c in children), ())
+    if rng.random() < 0.2:
+        return node, marked, len(marked)
+    sec = _random_section(rng, len(marked), marked)
+    reduced = sec.preimage(marked) if sec.ambient_dim == len(marked) else None
+    if reduced is None:
+        reduced = (F(0),) * sec.reduced_dim
+    return Reduction(node, sec), reduced, sec.reduced_dim
+
+
+def test_random_reduction_trees_fail_only_with_verification_errors():
+    # any other MomentcertError escaping verify fails this test; the trees
+    # that verify mark a strictly interior point, which verify no longer tests
+    rng = random.Random(1729)
+    outcomes = Counter()
+    prefix = "section does not reduce the child polytope: "
+    for _ in range(2000):
+        claim = TR if rng.random() < 0.15 else TT
+        root, _, _ = _random_tree(rng, claim)
+        try:
+            got = verify(Certificate(root, claim))
+        except VerificationError as exc:
+            outcomes[type(exc).__name__] += 1
+            if str(exc).startswith(prefix):
+                outcomes[str(exc).removeprefix(prefix).split(":")[0]] += 1
+            continue
+        outcomes["accepted"] += 1
+        assert got.polytope.interior_contains(got.marked_point), root
+    assert outcomes["accepted"] >= 600, outcomes
+    for name in ("SliceError", "NonPrimitiveImageError", "SliceOutsidePolytopeError",
+                 "EmptyInteriorError", "ModelMismatchError", "MarkedPointMismatchError"):
+        assert outcomes[name] >= 10, outcomes

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from momentcert import cli
+from momentcert import cli, floer
+from momentcert.certificate import TR_CAVEAT
 from momentcert.cli import main
 from momentcert.corpus import load_corpus_polytope, load_doc
 from momentcert.documents import polytope_to_doc, save_json
@@ -83,6 +84,19 @@ def test_hf_command(corpus_dir, capsys):
     assert "caveat" in out
 
 
+def test_hf_tr_bound_eliminates_once(corpus_dir, capsys, monkeypatch):
+    calls = []
+    original = floer.rank_gf2
+    monkeypatch.setattr(floer, "rank_gf2", lambda op: calls.append(op.dim) or original(op))
+    assert main(["hf", str(corpus_dir / "simplex2.json"), "--tr-bound"]) == 0
+    assert calls == [4]
+    assert capsys.readouterr().out == (
+        "hf = 2  (squared polytope: nullity 10, rank 6)\n"
+        "torus/real-locus intersection bound: 2\n"
+        f"caveat: {TR_CAVEAT}\n"
+    )
+
+
 @pytest.mark.parametrize("name", ["segment", "simplex2", "simplex3", "hexagon", "cp2_blowup1", "cube"])
 def test_hf_command_counts_match_the_operator(corpus_dir, capsys, name):
     p = load_corpus_polytope(name)
@@ -142,29 +156,69 @@ def _weighted_leaf_doc(weights):
     return {"claim": {"kind": "TT"}, "tree": tree}
 
 
-@pytest.mark.parametrize("command, doc, extra, code, message", [
-    ("info", {"dim": True, "facets": [{"normal": [1], "offset": 1}, {"normal": [-1], "offset": 1}]},
-     [], 2, "error: polytope.json.dim: expected a nonnegative integer"),
-    ("probe", load_doc("hexagon"), ["--point", "1/2"], 2, "error: --point: expected 2 coordinates, got 1"),
-    ("probe", load_doc("hexagon"), ["--point", "0,0", "--bound", "-1"], 2,
+def _reduce_doc(rows, x0):
+    """simplex(2) as a Clifford leaf, reduced along the section (rows, x0)."""
+    leaf = {"base": "clifford_torus", "instance": polytope_to_doc(simplex(2))}
+    return {"claim": {"kind": "TT"}, "tree": {"reduce": {"A": rows, "x0": x0, "child": leaf}}}
+
+
+HEXAGON = load_doc("hexagon")
+REJECTED = ("result: FAILED (ReducedPolytopeMismatchError)\n"
+            "section does not reduce the child polytope: ")
+UNWRITABLE = "polytope.json/out"  # under a regular file, so not even root can create it
+
+
+# argv runs in a scratch directory holding the document as polytope.json
+@pytest.mark.parametrize("doc, argv, code, message", [
+    ({"dim": True, "facets": [{"normal": [1], "offset": 1}, {"normal": [-1], "offset": 1}]},
+     ["info", "polytope.json"], 2, "error: polytope.json.dim: expected a nonnegative integer"),
+    (HEXAGON, ["probe", "polytope.json", "--point", "1/2"], 2,
+     "error: --point: expected 2 coordinates, got 1"),
+    (HEXAGON, ["probe", "polytope.json", "--point", "0,0", "--bound", "-1"], 2,
      "error: --bound: expected a non-negative integer"),
-    ("render", {**load_doc("hexagon"), "marked_points": [[0, 0], [0, 0, 1]]}, [], 2,
+    ({**HEXAGON, "marked_points": [[0, 0], [0, 0, 1]]},
+     ["render", "polytope.json", "-o", "out.svg"], 2,
      "error: polytope.json.marked_points[1]: expected 2 coordinates, got 3"),
-    ("certify", _weighted_leaf_doc([2, 1, 1]), [], 1, "result: FAILED (ModelMismatchError)"),
-    ("certify", _weighted_leaf_doc([1, 0, 1]), [], 1, "result: FAILED (ModelMismatchError)"),
+    (_weighted_leaf_doc([2, 1, 1]), ["certify", "polytope.json"], 1,
+     "result: FAILED (ModelMismatchError)"),
+    (_weighted_leaf_doc([1, 0, 1]), ["certify", "polytope.json"], 1,
+     "result: FAILED (ModelMismatchError)"),
+    ({"claim": {"kind": "TT"},
+      "tree": {"base": "clifford_torus", "instance": {"dim": 0, "facets": []}}},
+     ["certify", "polytope.json"], 1, "result: FAILED (ModelMismatchError)"),
+    (_weighted_leaf_doc([1, 2, 2]), ["certify", "polytope.json"], 1,
+     "result: FAILED (ModelMismatchError)"),
+    (_reduce_doc([[1, 0], [0, 1], [1, 1]], [0, 0, 0]), ["certify", "polytope.json"], 1,
+     REJECTED + "SliceError: section lives in dimension 3, polytope in 2"),
+    (_reduce_doc([[2], [1]], [0, 0]), ["certify", "polytope.json"], 1,
+     REJECTED + "NonPrimitiveImageError: facet (-1, -1) maps to non-primitive (-3,)"),
+    (_reduce_doc([[1], [0]], [0, -1]), ["certify", "polytope.json"], 1,
+     REJECTED + "SliceOutsidePolytopeError: slice misses the interior"),
+    (_reduce_doc([[1], [0]], [0, 2]), ["certify", "polytope.json"], 1,
+     REJECTED + "EmptyInteriorError: cannot prune a system with empty interior"),
+    (HEXAGON, ["product", "polytope.json", "polytope.json", "-o", UNWRITABLE], 2,
+     f"error: {UNWRITABLE}: [Errno 20] Not a directory"),
+    (HEXAGON, ["reduce", "polytope.json", "--slice", '{"A": [[1, 0], [0, 1]]}', "-o", UNWRITABLE],
+     2, f"error: {UNWRITABLE}: [Errno 20] Not a directory"),
+    (HEXAGON, ["auto-certify", "polytope.json", "-o", UNWRITABLE], 2,
+     f"error: {UNWRITABLE}: [Errno 20] Not a directory"),
+    (HEXAGON, ["render", "polytope.json", "-o", UNWRITABLE], 2,
+     f"error: {UNWRITABLE}: [Errno 20] Not a directory"),
+    (HEXAGON, ["corpus", "export", "-o", UNWRITABLE], 2,
+     f"error: {UNWRITABLE}: [Errno 20] Not a directory"),
 ], ids=["boolean-dim", "probe-point-length", "probe-negative-bound", "marked-point-length",
-        "weights-lead", "weights-zero"])
-def test_hostile_input_exits_cleanly(tmp_path, capsys, command, doc, extra, code, message):
-    path = tmp_path / "polytope.json"
-    save_json(path, doc)
-    argv = [command, str(path), *extra]
-    if command == "render":
-        argv += ["-o", str(tmp_path / "out.svg")]
+        "weights-lead", "weights-zero", "leaf-dim-0", "weights-non-primitive",
+        "reduce-dim-mismatch", "reduce-non-primitive-image", "reduce-slice-outside",
+        "reduce-empty-interior", "product-unwritable", "reduce-unwritable",
+        "auto-certify-unwritable", "render-unwritable", "corpus-export-unwritable"])
+def test_hostile_input_exits_cleanly(tmp_path, monkeypatch, capsys, doc, argv, code, message):
+    monkeypatch.chdir(tmp_path)
+    save_json("polytope.json", doc)
     assert main(argv) == code
     captured = capsys.readouterr()
     text = captured.out + captured.err
     assert text.count("error:") + text.count("result: FAILED") == 1
-    assert message.replace("polytope.json", str(path)) in text
+    assert message in text
     assert "Traceback" not in text
     assert not (tmp_path / "out.svg").exists()
 

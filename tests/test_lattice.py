@@ -7,19 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentcert.errors import ZeroVectorError
+from momentcert.errors import SliceError, ZeroVectorError
 from momentcert.lattice import (
     det_exact,
     identity,
-    invariant_factors,
     is_primitive,
-    is_surjective_onto_lattice,
     mat_mul,
     rank_exact,
     smith_normal_form,
     solve_exact,
     transpose,
 )
+from momentcert.reduction import section
+
+INDEPENDENT = "section matrix must have independent columns"
+ONTO = "transpose of the section matrix must map onto the reduced lattice"
 
 
 def minors_gcd(mat, k):
@@ -33,12 +35,23 @@ def minors_gcd(mat, k):
     return g
 
 
+def diagonal(d):
+    return [d[i][i] for i in range(min(len(d), len(d[0])))]
+
+
 def assert_snf(mat):
-    u, d, v = smith_normal_form(mat)
-    assert mat_mul(mat_mul(u, mat), v) == d
-    assert abs(det_exact(u)) == 1
+    """D is a Smith form of mat with right transform V.
+
+    Without U, U*mat*V = D is checked on V alone: with r non-zero factors,
+    the columns of mat*V past r vanish and column j < r is d_j times a
+    column q_j.  The r x r minors of (q_0 .. q_{r-1}) having gcd 1 is what
+    lets those columns extend to a unimodular W, and U = W^(-1) then maps
+    q_j to the j-th unit vector, so U*mat*V = D.
+    """
+    d, v = smith_normal_form(mat)
+    assert len(d) == len(mat) and all(len(row) == len(mat[0]) for row in d)
     assert abs(det_exact(v)) == 1
-    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
+    diag = diagonal(d)
     for i, x in enumerate(diag):
         assert x >= 0
         if i + 1 < len(diag) and diag[i + 1] != 0:
@@ -46,6 +59,15 @@ def assert_snf(mat):
         for j in range(len(d[0])):
             if j != i:
                 assert d[i][j] == 0
+    r = sum(1 for x in diag if x)
+    cols = transpose(mat_mul(mat, v))
+    assert all(x == 0 for col in cols[r:] for x in col)
+    quotient = []
+    for col, x in zip(cols, diag[:r]):
+        assert all(y % x == 0 for y in col)
+        quotient.append(tuple(y // x for y in col))
+    if r:
+        assert minors_gcd(transpose(quotient), r) == 1
     return diag
 
 
@@ -66,8 +88,8 @@ def test_snf_rank_deficient():
 
 
 def test_snf_single_column():
-    assert invariant_factors(((2,), (4,), (6,))) == (2,)
-    assert invariant_factors(((3,), (5,))) == (1,)
+    assert assert_snf(((2,), (4,), (6,))) == [2]
+    assert assert_snf(((3,), (5,))) == [1]
 
 
 def test_snf_matches_minor_ladder_on_random_matrices():
@@ -103,15 +125,62 @@ def test_primitive_iff_snf_unit():
         if all(x == 0 for x in v):
             continue
         column = tuple((x,) for x in v)
-        assert is_primitive(v) == (invariant_factors(column) == (1,))
+        assert is_primitive(v) == (diagonal(smith_normal_form(column)[0]) == [1])
 
 
 def test_surjectivity_examples():
-    assert is_surjective_onto_lattice(((1, 0), (0, 1), (1, 1)))
-    assert not is_surjective_onto_lattice(((2, 0), (0, 1)))
-    assert is_surjective_onto_lattice(identity(4))
-    with pytest.raises(ValueError):
-        is_surjective_onto_lattice(((1, 2, 3),))
+    section(((1, 0), (0, 1), (1, 1)))
+    section(identity(4))
+    with pytest.raises(SliceError, match=f"^{ONTO}$"):
+        section(((2, 0), (0, 1)))
+    with pytest.raises(SliceError, match=f"^{INDEPENDENT}$"):
+        section(((1, 2, 3),))
+
+
+def section_oracle(mat):
+    """The parent's section check: rank first, then the gcd of the maximal
+    minors, which is 1 exactly when the transpose maps onto the lattice."""
+    cols = len(mat[0])
+    if rank_exact(mat) != cols:
+        return INDEPENDENT
+    if cols and minors_gcd(mat, cols) != 1:
+        return ONTO
+    return None
+
+
+def random_section_matrix(rng: random.Random):
+    rows, cols = rng.randint(1, 5), rng.randint(0, 5)
+    kind = rng.randrange(4)
+    if kind == 0 and cols:  # rank deficient
+        mat = low_rank(rng, rows, cols, rng.randint(0, min(rows, cols) - 1))
+    else:
+        mat = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+    if kind == 1 and cols:  # a zero column
+        j = rng.randrange(cols)
+        mat = [row[:j] + [0] + row[j + 1:] for row in map(list, mat)]
+    if kind == 2 and cols:  # a column scaled, so the transpose misses the lattice
+        j, c = rng.randrange(cols), rng.choice((2, 3, -2))
+        mat = [row[:j] + [c * row[j]] + row[j + 1:] for row in map(list, mat)]
+    return tuple(tuple(row) for row in mat)
+
+
+def test_section_check_matches_rank_and_minor_oracle():
+    rng = random.Random(3331)
+    seen = {INDEPENDENT: 0, ONTO: 0, None: 0}
+    wide = 0
+    for _ in range(3000):
+        mat = random_section_matrix(rng)
+        want = section_oracle(mat)
+        seen[want] += 1
+        wide += len(mat[0]) > len(mat)
+        if want is None:
+            sec = section(mat)
+            assert sec.matrix == mat
+        else:
+            with pytest.raises(SliceError) as info:
+                section(mat)
+            assert str(info.value) == want, mat
+    assert min(seen.values()) >= 300 and wide >= 300, (seen, wide)
 
 
 def test_solve_exact_unique_and_underdetermined():

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from momentcert.corpus import load_corpus_section
 from momentcert.errors import (
     NonPrimitiveImageError,
     NotCompactError,
@@ -96,6 +97,22 @@ def test_subtorus_recovery():
             assert level == dot(sec.base, k)
             for col in zip(*sec.matrix):
                 assert dot(k, col) == 0
+
+
+@pytest.mark.parametrize("name, generators", [
+    ("hexagon_section", ((-1, -1, 1),)),
+    ("cp2_section", ((1, 1, 1),)),
+    ("cp4_section", ((1, 1, 1, 1, 1),)),
+    ("cp2_blowup1_section", ((1, 1, 1),)),
+    ("cp2_blowup2_section", ((0, -1, 1, 0), (-1, -1, 0, 1))),
+    ("nonfano_pentagon_section", ((0, -1, 1, 0, 0), (1, 2, 0, 1, 0), (0, 1, 0, 0, 1))),
+    ("hirzebruch2_section", ((0, -1, 1),)),
+])
+def test_subtorus_generators_of_the_corpus_sections(name, generators):
+    # pinned: `reduce` prints these, so the Smith form's V must not drift
+    sec = load_corpus_section(name)
+    assert sec.subtorus_generators() == generators
+    assert sec.levels() == (0,) * len(generators)
 
 
 # -- standard models --------------------------------------------------------------
