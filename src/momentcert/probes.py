@@ -61,16 +61,13 @@ def probe_reach(p: Polytope, probe: Probe) -> Fraction:
 
 
 def is_displaceable_by_probe(p: Polytope, u, probe: Probe) -> bool:
-    """Whether u lies on the probe strictly before its midpoint (0 < t < reach/2)."""
+    """Whether u lies on the probe strictly before its midpoint (0 < t < reach/2).
+
+    probe_reach has checked <nu, direction> = 1, so the direction is non-zero.
+    """
     reach = probe_reach(p, probe)
     delta = tuple(Fraction(a) - b for a, b in zip(u, probe.base, strict=True))
-    t = None
-    for d, w in zip(delta, probe.direction):
-        if w != 0:
-            t = Fraction(d, w)
-            break
-    if t is None:
-        return all(x == 0 for x in delta)  # zero direction is impossible; u == base
+    t = next(Fraction(d, w) for d, w in zip(delta, probe.direction) if w != 0)
     if any(d != t * w for d, w in zip(delta, probe.direction)):
         return False
     return 0 < t < reach / 2

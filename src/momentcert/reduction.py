@@ -8,7 +8,7 @@ recoverable as the integral kernel of A^T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lattice
@@ -26,10 +26,15 @@ from .polytope import Facet, Polytope, _interior_nonempty, _unvalidated, polytop
 
 @dataclass(frozen=True)
 class AffineReduction:
-    """The section (matrix, base): reduced point y sits at matrix @ y + base."""
+    """The section (matrix, base): reduced point y sits at matrix @ y + base.
+
+    The one Smith form of A^T taken at construction both validates the
+    section and fixes the subtorus basis that subtorus_generators returns.
+    """
 
     matrix: IntMat
     base: RatVec
+    _generators: tuple[IntVec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = len(self.matrix)
@@ -40,7 +45,7 @@ class AffineReduction:
             raise SliceError("base point length must match the ambient dimension")
         # A^T maps Z^rows onto Z^cols iff its cols invariant factors are all 1;
         # a zero factor, or fewer than cols of them, is a rank deficit
-        d, _ = lattice.smith_normal_form(lattice.transpose(self.matrix))
+        d, v = lattice.smith_normal_form(lattice.transpose(self.matrix))
         factors = [d[i][i] for i in range(min(rows, cols))]
         if len(factors) < cols or 0 in factors:
             raise SliceError("section matrix must have independent columns")
@@ -48,6 +53,12 @@ class AffineReduction:
             raise SliceError(
                 "transpose of the section matrix must map onto the reduced lattice"
             )
+        # A^T V = U^-1 D vanishes on the columns of V past cols, and V is
+        # unimodular, so those columns are a saturated basis of the kernel.
+        # With cols == 0 the transpose is empty and V is not rows x rows:
+        # a section onto a point quotients the whole torus.
+        kernel = lattice.transpose(v)[cols:] if cols else lattice.identity(rows)
+        object.__setattr__(self, "_generators", kernel)
 
     @property
     def ambient_dim(self) -> int:
@@ -86,17 +97,12 @@ class AffineReduction:
         generates the kernel lattice, not just a finite-index sublattice.
         A section onto a point (reduced dimension 0) quotients the whole
         torus, so the basis is the standard one."""
-        if self.reduced_dim == 0:
-            return lattice.identity(self.ambient_dim)
-        transposed = lattice.transpose(self.matrix)
-        _, v = lattice.smith_normal_form(transposed)
-        cols = lattice.transpose(v)
-        return tuple(cols[j] for j in range(self.reduced_dim, self.ambient_dim))
+        return self._generators
 
     def levels(self) -> tuple[Fraction, ...]:
         """The value <x, k> shared by every slice point, per subtorus
         generator k; the reduction happens at these levels."""
-        return tuple(lattice.dot(self.base, k) for k in self.subtorus_generators())
+        return tuple(lattice.dot(self.base, k) for k in self._generators)
 
 
 def section(rows, base=None) -> AffineReduction:
@@ -210,7 +216,7 @@ class WeightVector:
     """Positive weights with sum(m_j nu_j) = 0 and m_pivot = 1."""
 
     weights: tuple[int, ...]
-    pivot: int | None
+    pivot: int
 
 
 def vertex_cone_coords(p: Polytope, target: IntVec):
@@ -219,8 +225,8 @@ def vertex_cone_coords(p: Polytope, target: IntVec):
     Coordinates are taken in the basis of the vertex's active normals and are
     automatically integral for a Delzant polytope.  Vertices are scanned in
     coordinate order and the first admissible one wins.  Returns
-    (vertex, coeffs) with coeffs aligned to the sorted active indices, or
-    None if no vertex cone contains the target.
+    (vertex, coeffs) with coeffs aligned to the sorted active indices; on a
+    compact polytope some vertex cone always contains the target.
     """
     if not p.is_compact():
         raise NotCompactError("vertex cones only cover the whole space for compact polytopes")
@@ -230,19 +236,18 @@ def vertex_cone_coords(p: Polytope, target: IntVec):
 
 
 def _vertex_cone_coords(p: Polytope, target: IntVec):
-    """vertex_cone_coords without its checks: p must be compact and Delzant."""
+    """vertex_cone_coords without its checks: p must be compact and Delzant.
+
+    At each vertex the n active normals form a Z-basis, so one solve gives
+    the unique coordinates of target, and they are integral.  A compact p
+    attains min <target, x> at some vertex, and by LP duality the
+    coordinates there are nonnegative, so the scan always returns.
+    """
     for vertex in p.vertices():
-        active = sorted(vertex.active)
-        rows = lattice.transpose([p.facets[i].normal for i in active])
-        sol = lattice.solve_exact(rows, target)
-        if sol is None or sol[1]:
-            continue
-        coeffs = sol[0]
-        if any(c.denominator != 1 for c in coeffs):
-            raise NotDelzantError(f"non-integral cone coordinates at vertex {vertex.point}")
+        normals = [p.facets[i].normal for i in sorted(vertex.active)]
+        coeffs, _ = lattice.solve_exact(lattice.transpose(normals), target)
         if all(c >= 0 for c in coeffs):
             return vertex, tuple(int(c) for c in coeffs)
-    return None
 
 
 def monotone_weights(p: Polytope) -> WeightVector:
@@ -252,6 +257,10 @@ def monotone_weights(p: Polytope) -> WeightVector:
     sum already vanishes the answer is all ones with the last facet as
     pivot; otherwise the deficit -sum(nu_j) is expressed in the first
     admissible vertex cone and the pivot is the last facet with weight 1.
+
+    The weights are 1 + c_j with sum c_j nu_j = -sum nu_j, so
+    sum m_j nu_j = 0 by construction.  At most n of the c_j are non-zero
+    and a compact p has more than n facets, so some weight is 1.
     """
     canon = p.canonical_form()
     if not canon.is_compact():
@@ -262,18 +271,9 @@ def monotone_weights(p: Polytope) -> WeightVector:
     total = tuple(sum(nu[i] for nu in canon.normals) for i in range(n))
     if all(x == 0 for x in total):
         return WeightVector((1,) * canon.d, canon.d - 1)
-    hit = _vertex_cone_coords(canon, lattice.neg(total))
-    if hit is None:
-        raise NotCompactError("normal fan does not cover the target direction")
-    vertex, coeffs = hit
+    vertex, coeffs = _vertex_cone_coords(canon, lattice.neg(total))
     weights = [1] * canon.d
     for idx, c in zip(sorted(vertex.active), coeffs):
         weights[idx] += c
     pivot = max(i for i, m in enumerate(weights) if m == 1)
-    result = WeightVector(tuple(weights), pivot)
-    balance = tuple(
-        sum(m * nu[i] for m, nu in zip(result.weights, canon.normals)) for i in range(n)
-    )
-    if any(x != 0 for x in balance):
-        raise NotDelzantError("internal error: weight identity failed")
-    return result
+    return WeightVector(tuple(weights), pivot)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from momentcert import cli, floer
+from momentcert import cli, corpus, floer, lattice
 from momentcert.certificate import TR_CAVEAT
 from momentcert.cli import main
 from momentcert.corpus import load_corpus_polytope, load_doc
@@ -255,6 +260,27 @@ def test_reduce_command_matches_corpus(corpus_dir, tmp_path, capsys):
     assert got["facets"] == expected["facets"]  # both are canonically sorted
 
 
+def test_reduce_takes_one_smith_form_per_section(corpus_dir, capsys, monkeypatch):
+    # the section's construction takes the Smith form, and the generators
+    # and levels printed after the reduction read it back
+    calls = []
+    original = lattice.smith_normal_form
+
+    def counted(mat):
+        calls.append(mat)
+        return original(mat)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", counted)
+    assert main([
+        "reduce",
+        str(corpus_dir / "nonfano_pentagon_ambient.json"),
+        "--slice",
+        str(corpus_dir / "nonfano_pentagon_section.json"),
+    ]) == 0
+    assert "quotient subtorus: (0, -1, 1, 0, 0) at level 0" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_reduce_inline_slice(corpus_dir, capsys):
     assert main([
         "reduce",
@@ -376,6 +402,31 @@ def test_corpus_run_all_green(capsys):
     out = capsys.readouterr().out
     assert "all" in out and "passed" in out
     assert "FAIL" not in out
+
+
+def test_corpus_run_reports_a_family_check_that_goes_the_wrong_way(capsys, monkeypatch):
+    # lam = 1/2 is outside the interval, so this row gets a mismatch where it
+    # expects a bound; the table must still be printed whole
+    monkeypatch.setattr(corpus, "BLOWUP2_OK", (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)))
+    assert main(["corpus", "run"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    table = lines[:lines.index("")]
+    assert len(table) == 48
+    failed = [line for line in table if line.endswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0].startswith("blowup2 lam=1/2 ") and "mismatch" in failed[0]
+    assert lines[-1] == "1 of 48 checks failed"
+
+
+def test_module_entry_point_lists_the_corpus():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "momentcert", "corpus", "list"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == list(corpus.data_names())
 
 
 def test_corpus_list(capsys):

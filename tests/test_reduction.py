@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from momentcert.corpus import load_corpus_section
+from momentcert import lattice
+from momentcert.corpus import load_corpus_polytope, load_corpus_section
 from momentcert.errors import (
     NonPrimitiveImageError,
     NotCompactError,
@@ -113,6 +115,22 @@ def test_subtorus_generators_of_the_corpus_sections(name, generators):
     sec = load_corpus_section(name)
     assert sec.subtorus_generators() == generators
     assert sec.levels() == (0,) * len(generators)
+
+
+def test_section_reads_its_generators_without_a_smith_form(monkeypatch):
+    calls = []
+    original = lattice.smith_normal_form
+
+    def counted(mat):
+        calls.append(mat)
+        return original(mat)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", counted)
+    sections = [load_corpus_section("nonfano_pentagon_section"), section([(), ()], base=(1, 2))]
+    assert len(calls) == 2  # one per construction
+    for sec in sections:
+        assert len(sec.subtorus_generators()) == len(sec.levels()) > 0
+    assert len(calls) == 2
 
 
 # -- standard models --------------------------------------------------------------
@@ -318,3 +336,96 @@ def test_vertex_cone_requires_compact_delzant():
         vertex_cone_coords(o_minus_one(), (1, 1))
     with pytest.raises(NotDelzantError):
         vertex_cone_coords(weighted_projective((1, 1, 2)), (1, 1))
+
+
+# -- weight lemma on seeded compact Delzant polytopes ---------------------------
+
+def _fraction_solve(columns, target):
+    """Coordinates of target in the basis `columns`, by Gauss-Jordan in
+    Fractions; the columns must be linearly independent and span."""
+    n = len(target)
+    aug = [[F(col[i]) for col in columns] + [F(target[i])] for i in range(n)]
+    for c in range(n):
+        r = next(r for r in range(c, n) if aug[r][c] != 0)
+        aug[c], aug[r] = aug[r], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                aug[r] = [x - aug[r][c] * y for x, y in zip(aug[r], aug[c])]
+    return [row[n] for row in aug]
+
+
+def _cone_oracle(p, vertices, target):
+    """The first of p's vertices, in p.vertices() order, whose normal cone
+    holds target."""
+    for vertex in vertices:
+        active = sorted(vertex.active)
+        coeffs = _fraction_solve([p.facets[i].normal for i in active], target)
+        if all(c >= 0 for c in coeffs):
+            return vertex, coeffs, active
+    raise AssertionError("no vertex cone holds the target")
+
+
+def _random_unimodular(rng, n):
+    """Random elementary row operations, a row shuffle and a sign: det = +-1."""
+    m = [list(row) for row in lattice.identity(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-1, 1))
+        m[i] = [a + q * b for a, b in zip(m[i], m[j])]
+    rng.shuffle(m)
+    m[0] = [-x for x in m[0]] if rng.random() < 0.5 else m[0]
+    return m
+
+
+def _random_compact_delzant(rng):
+    """A product of small compact Delzant factors in 1 to 4 coordinates,
+    dilated, with normals mapped by a random unimodular C and facets shuffled.
+    Half the inputs contain the one-point blow-up, whose normal sum is not 0."""
+    blowup = rng.random() < 0.5
+    dim = rng.randint(2 if blowup else 1, 4)
+    factors = [load_corpus_polytope("cp2_blowup1")] if blowup else []
+    while sum(f.dim for f in factors) < dim:
+        room = dim - sum(f.dim for f in factors)
+        choices = [cp1(), simplex(rng.randint(1, room)), cube(rng.randint(1, room))]
+        if room >= 2:
+            choices += [load_corpus_polytope("hexagon"), load_corpus_polytope("cp2_blowup1")]
+        factors.append(rng.choice(choices))
+    prod = factors[0]
+    for factor in factors[1:]:
+        prod = product(prod, factor)
+    c = _random_unimodular(rng, prod.dim)
+    scale = F(rng.randint(1, 5), rng.randint(1, 3))
+    facets = [(lattice.mat_vec(c, nu), scale * a) for nu, a in prod.facets]
+    rng.shuffle(facets)
+    return polytope(prod.dim, facets)
+
+
+def test_weight_lemma_on_seeded_compact_delzant_polytopes():
+    rng = random.Random(1112)
+    tilted = 0
+    for _ in range(300):
+        p = _random_compact_delzant(rng)
+        n = p.dim
+        deficit = tuple(-sum(nu[i] for nu in p.normals) for i in range(n))
+        vertices = p.vertices()
+        for target in (deficit, tuple(rng.randint(-2, 2) for _ in range(n))):
+            vertex, coeffs = vertex_cone_coords(p, target)
+            want, want_coeffs, active = _cone_oracle(p, vertices, target)
+            assert vertex == want
+            assert coeffs == tuple(want_coeffs)
+            assert all(isinstance(x, int) and x >= 0 for x in coeffs)
+            got = tuple(
+                sum(x * p.facets[i].normal[k] for x, i in zip(coeffs, active)) for k in range(n)
+            )
+            assert got == target
+
+        canon = p.canonical_form()
+        wv = monotone_weights(p)
+        assert len(wv.weights) == canon.d
+        assert all(m >= 1 for m in wv.weights)
+        balance = tuple(sum(m * nu[k] for m, nu in zip(wv.weights, canon.normals)) for k in range(n))
+        assert balance == (0,) * n
+        assert wv.pivot == max(i for i, m in enumerate(wv.weights) if m == 1)
+        tilted += any(x != 0 for x in deficit)
+    assert tilted >= 100
