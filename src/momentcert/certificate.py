@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedClaimError,
 )
 from .floer import hf
-from .lattice import IntMat, IntVec, RatVec
+from .lattice import RatVec
 from .polytope import Polytope, equidistant_point, product
 from .reduction import (
     AffineReduction,
@@ -95,7 +95,6 @@ class BaseFact:
     claim: str
     instance: Polytope
     weights: tuple[int, ...] | None = None
-    basis_change: IntMat | None = None
 
 
 @dataclass(frozen=True)
@@ -163,15 +162,6 @@ def _model_and_bound(fact: BaseFact) -> tuple[Polytope, int]:
     raise UnsupportedClaimError(f"unknown base fact kind {fact.kind!r}")
 
 
-def _apply_basis_change(p: Polytope, change: IntMat) -> tuple[IntVec, ...]:
-    """p's normals mapped through change, a unimodular dim x dim matrix."""
-    if len(change) != p.dim or any(len(r) != p.dim for r in change):
-        raise ModelMismatchError("basis change must be a square matrix of the right size")
-    if abs(lattice.det_exact(change)) != 1:
-        raise ModelMismatchError("basis change must be unimodular")
-    return tuple(lattice.mat_vec(change, nu) for nu in p.normals)
-
-
 def _verify_leaf(fact: BaseFact) -> VerifiedClaim:
     """Accept an instance t * model + x0 by its normals and its equidistant point.
 
@@ -179,20 +169,15 @@ def _verify_leaf(fact: BaseFact) -> VerifiedClaim:
     dilated translate of it exactly when the normals agree as multisets and
     some x has every facet value equal to t > 0; then x0 = x and the
     dilation is t, and equidistant_point finds that (x, t) when it is
-    unique.  A unimodular basis change C maps each normal nu to C nu and
-    each point x to C^(-T) x, which keeps every pairing, so the solution,
-    its uniqueness and t are the same before and after the change.
+    unique.
     """
     if fact.claim not in (TT, TR):
         raise UnsupportedClaimError(f"unknown claim kind {fact.claim!r}")
     model, bound = _model_and_bound(fact)
-    normals = fact.instance.normals
-    if fact.basis_change is not None:
-        normals = _apply_basis_change(fact.instance, fact.basis_change)
     center = equidistant_point(fact.instance)
     if center is None:
         raise MarkedPointMismatchError("base fact instance has no equidistant center")
-    if Counter(normals) != Counter(model.normals):
+    if Counter(fact.instance.normals) != Counter(model.normals):
         raise ModelMismatchError(
             f"instance is not a dilated translate of the {fact.kind} model"
         )

@@ -35,10 +35,6 @@ from .probes import probe_reach, probe_scan
 from .reduction import reduce_polytope
 from .render import render_svg
 
-GREEN = "\x1b[32m"
-RED = "\x1b[31m"
-RESET = "\x1b[0m"
-
 
 def _fmt(x: Fraction) -> str:
     return str(rational_to_json(x))
@@ -173,8 +169,8 @@ def _cmd_auto_certify(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    doc = load_json(args.file)
-    p = polytope_from_doc(doc, str(args.file)).canonical_form()
+    as_read = load_polytope(args.file)
+    p = as_read.canonical_form()
     point = tuple(parse_rational(x, "--point") for x in args.point.split(","))
     if len(point) != p.dim:
         raise DocumentError(f"--point: expected {p.dim} coordinates, got {len(point)}")
@@ -188,7 +184,9 @@ def _cmd_probe(args) -> int:
     else:
         reach = probe_reach(p, probe)
         t = p.support(probe.facet, point)
-        print(f"displaceable: facet {probe.facet}, direction {probe.direction}, "
+        # the scan runs in canonical order; the facet is named by its index in the file
+        facet = as_read.facets.index(p.facets[probe.facet])
+        print(f"displaceable: facet {facet}, direction {probe.direction}, "
               f"base {_fmt_point(probe.base)}")
         print(f"reach {_fmt(reach)}; point sits at parameter {_fmt(t)}, "
               f"inside the displaceable segment (0, {_fmt(reach / 2)})")
@@ -213,8 +211,7 @@ def _cmd_corpus(args) -> int:
         return 0
     if args.action == "export":
         if not args.output:
-            print("corpus export needs -o DIRECTORY", file=sys.stderr)
-            return 2
+            raise DocumentError("corpus export needs -o DIRECTORY")
         outdir = Path(args.output)
         try:
             outdir.mkdir(parents=True, exist_ok=True)
@@ -232,8 +229,6 @@ def _cmd_corpus(args) -> int:
     failures = 0
     for r in rows:
         status = "ok" if r.ok else "FAIL"
-        if args.color:
-            status = f"{GREEN}{status}{RESET}" if r.ok else f"{RED}{status}{RESET}"
         print(
             f"{r.case:<{case_w}}  {r.check:<{check_w}}  "
             f"{r.expected:<{exp_w}}  {r.computed:<{exp_w}}  {status}"
@@ -296,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="bundled worked examples")
     p.add_argument("action", choices=("run", "list", "export"))
     p.add_argument("-o", "--output")
-    p.add_argument("--color", action="store_true")
 
     return parser
 

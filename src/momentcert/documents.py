@@ -152,10 +152,12 @@ def _node_from_doc(doc, claim_kind: str, where: str, depth: int = 0):
         weights = None
         if "weights" in doc:
             weights = _int_list(doc["weights"], f"{where}.weights")
-        basis_change = None
         if "basis_change" in doc:
-            basis_change = _int_matrix(doc["basis_change"], f"{where}.basis_change")
-        return BaseFact(kind, claim_kind, instance, weights, basis_change)
+            raise DocumentError(
+                f"{where}.basis_change: not accepted; write the leaf in the model's "
+                "coordinates and reduce it along the square section A = C^(-T)"
+            )
+        return BaseFact(kind, claim_kind, instance, weights)
     if "product" in doc:
         children = doc["product"]
         if not isinstance(children, list) or not children:
@@ -203,8 +205,6 @@ def _node_to_doc(node) -> dict:
         doc = {"base": node.kind, "instance": polytope_to_doc(node.instance)}
         if node.weights is not None:
             doc["weights"] = list(node.weights)
-        if node.basis_change is not None:
-            doc["basis_change"] = [list(r) for r in node.basis_change]
         return doc
     if isinstance(node, Product):
         return {"product": [_node_to_doc(c) for c in node.children]}

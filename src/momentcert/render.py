@@ -35,9 +35,10 @@ def _angle_cmp(center):
             return -1
         if cross < 0:
             return 1
-        ra = ax * ax + ay * ay
-        rb = bx * bx + by * by
-        return -1 if ra < rb else (1 if ra > rb else 0)
+        # no radius tie-break: the ring is sorted only for a compact polygon,
+        # whose centroid is interior, and of two vertices on one ray from an
+        # interior point the nearer would be interior, not a vertex
+        return 0
 
     return cmp_to_key(cmp)
 

@@ -22,7 +22,6 @@ from momentcert.certificate import (
     Product,
     Reduction,
     VerifiedClaim,
-    _apply_basis_change,
     _model_and_bound,
     _verify_leaf,
     auto_certify_monotone,
@@ -119,41 +118,21 @@ def test_leaf_rejects_wrong_shape():
 
 
 def test_leaf_with_basis_change():
-    # the simplex sheared by [[1,1],[0,1]] on normals; undo it in the leaf
+    # the simplex sheared by [[1,1],[0,1]] on normals: a change of basis
+    # C = [[1,-1],[0,1]] maps it back to the model, and the certificate is
+    # the model leaf reduced along the square section A = C^(-T)
     sheared = polytope(2, [((1, 0), 1), ((1, 1), 1), ((-2, -1), 1)])
-    undo = ((1, -1), (0, 1))
     claim = verify(
-        Certificate(BaseFact(CLIFFORD_TORUS, TT, sheared, basis_change=undo), TT)
+        Certificate(
+            Reduction(BaseFact(CLIFFORD_TORUS, TT, simplex(2)), section([(1, 0), (1, 1)])),
+            TT,
+            target=sheared,
+        )
     )
     assert claim.bound == 4
     assert claim.marked_point == (0, 0)
     with pytest.raises(ModelMismatchError):
         verify(Certificate(BaseFact(CLIFFORD_TORUS, TT, sheared), TT))
-
-
-def test_basis_change_must_be_unimodular():
-    with pytest.raises(ModelMismatchError):
-        verify(
-            Certificate(
-                BaseFact(CLIFFORD_TORUS, TT, simplex(2), basis_change=((2, 0), (0, 1))),
-                TT,
-            )
-        )
-
-
-def test_basis_change_is_not_validated_again(monkeypatch):
-    # the change maps normals only: it builds no Polytope and runs no feasible,
-    # though offsets <= 0 would make validating a changed polytope run it
-    sheared = polytope(2, [((1, 0), 1), ((1, 1), 1), ((-2, -1), 1)]).translate((2, 0))
-    calls, constructed = [], []
-    original = polytope_module.feasible
-    monkeypatch.setattr(
-        polytope_module, "feasible", lambda cons, nvars: calls.append(nvars) or original(cons, nvars)
-    )
-    monkeypatch.setattr(Polytope, "__post_init__", lambda self: constructed.append(self))
-    normals = _apply_basis_change(sheared, ((1, -1), (0, 1)))
-    assert calls == [] and constructed == []
-    assert type(normals) is tuple and normals == simplex(2).normals
 
 
 @pytest.mark.parametrize("weights", [(2, 1, 1), (1, 0, 1), (1, 2, 2)])
@@ -193,15 +172,25 @@ def _old_match_dilate_translate(dim, facets, model):
     return sol[0][0], sol[0][1:]
 
 
-def _old_verify_leaf(fact):
+def _old_apply_basis_change(p, change):
+    """p's normals mapped through change, a unimodular dim x dim matrix: the
+    leaf's own change of coordinates, before a reduction took its place."""
+    if len(change) != p.dim or any(len(r) != p.dim for r in change):
+        raise ModelMismatchError("basis change must be a square matrix of the right size")
+    if abs(lattice.det_exact(change)) != 1:
+        raise ModelMismatchError("basis change must be unimodular")
+    return tuple(lattice.mat_vec(change, nu) for nu in p.normals)
+
+
+def _old_verify_leaf(fact, change=None):
     """The leaf rule before it compared normals: claim, model, basis change,
     center, then a solve for the dilation and translation."""
     if fact.claim not in (TT, TR):
         raise UnsupportedClaimError(f"unknown claim kind {fact.claim!r}")
     model, bound = _model_and_bound(fact)
     normals = fact.instance.normals
-    if fact.basis_change is not None:
-        normals = _apply_basis_change(fact.instance, fact.basis_change)
+    if change is not None:
+        normals = _old_apply_basis_change(fact.instance, change)
     center = equidistant_point(fact.instance)
     if center is None:
         raise MarkedPointMismatchError("base fact instance has no equidistant center")
@@ -217,9 +206,9 @@ def _old_verify_leaf(fact):
     )
 
 
-def _outcome(rule, fact):
+def _outcome(rule, *args):
     try:
-        return rule(fact)
+        return rule(*args)
     except MomentcertError as exc:
         return type(exc), str(exc)
 
@@ -263,9 +252,11 @@ def _random_shape(rng):
 
 
 def _random_leaf(rng):
-    """A seeded base fact whose instance is a dilated translate of a random
-    shape, sometimes with one offset moved, in changed coordinates, or
-    declared with another kind, claim, weights or basis change."""
+    """(fact, change, inverse): a seeded base fact whose instance is a dilated
+    translate of a random shape, sometimes with one offset moved, in changed
+    coordinates, or declared with another kind, claim or weights, and a basis
+    change C to apply to its normals (or None) with C^(-1) when C is square
+    and unimodular (else None)."""
     while True:
         shape, kind, weights = _random_shape(rng)
         n = shape.dim
@@ -274,12 +265,14 @@ def _random_leaf(rng):
         offsets = [t * a - lattice.dot(x0, nu) for nu, a in shape.facets]
         if rng.random() < 0.25:
             offsets[rng.randrange(len(offsets))] += F(rng.randint(-3, 3), rng.randint(1, 2))
-        normals, change = shape.normals, None
+        normals, change, inverse = shape.normals, None, None
         if rng.random() < 0.35 and n > 0:
             m, inv = _random_unimodular(rng, n)
             normals = tuple(lattice.mat_vec(m, nu) for nu in normals)
-            change = rng.choice((inv, inv, inv, None, m, ((2,) + (0,) * (n - 1),) + inv[1:],
-                                 inv[1:]))
+            change, inverse = rng.choice((
+                (inv, m), (inv, m), (inv, m), (None, None), (m, inv),
+                (((2,) + (0,) * (n - 1),) + inv[1:], None), (inv[1:], None),
+            ))
         if rng.random() < 0.2:
             kind = rng.choice(BASE_KINDS + ("sphere",))
         if rng.random() < 0.15:
@@ -289,19 +282,35 @@ def _random_leaf(rng):
             instance = polytope(n, zip(normals, offsets))
         except MomentcertError:  # a moved offset emptied the interior
             continue
-        return BaseFact(kind, claim, instance, weights=weights, basis_change=change)
+        return BaseFact(kind, claim, instance, weights=weights), change, inverse
+
+
+def _changed_leaf_as_reduction(fact, change, inverse):
+    """The leaf (P, C) written as the model-coordinate leaf P_C, with facets
+    (C nu, a), reduced along the square section A = C^(-T)."""
+    instance = polytope(fact.instance.dim, [
+        (lattice.mat_vec(change, nu), a) for nu, a in fact.instance.facets
+    ])
+    leaf = BaseFact(fact.kind, fact.claim, instance, weights=fact.weights)
+    return Certificate(Reduction(leaf, section(lattice.transpose(inverse))), fact.claim)
 
 
 def test_leaf_rule_matches_the_dilation_solver_on_seeded_leaves():
     rng = random.Random(24601)
     seen = Counter()
     for _ in range(3200):
-        fact = _random_leaf(rng)
-        expected = _outcome(_old_verify_leaf, fact)
-        assert _outcome(_verify_leaf, fact) == expected, fact
+        fact, change, inverse = _random_leaf(rng)
+        expected = _outcome(_old_verify_leaf, fact, change)
+        if change is None:
+            assert _outcome(_verify_leaf, fact) == expected, fact
+        elif inverse is not None:
+            cert = _changed_leaf_as_reduction(fact, change, inverse)
+            assert _outcome(verify, cert) == expected, (fact, change)
+        else:  # no square unimodular change, so no section A = C^(-T) to write
+            assert not isinstance(expected, VerifiedClaim), (fact, change)
         seen["accepted" if isinstance(expected, VerifiedClaim) else expected[0].__name__] += 1
         seen["basis change accepted"] += (
-            isinstance(expected, VerifiedClaim) and fact.basis_change is not None
+            isinstance(expected, VerifiedClaim) and change is not None
         )
     assert seen["accepted"] >= 800 and seen["basis change accepted"] >= 100, seen
     for error in (ModelMismatchError, MarkedPointMismatchError, UnsupportedClaimError):

@@ -11,10 +11,11 @@ from momentcert import cli, corpus, floer, lattice
 from momentcert.certificate import TR_CAVEAT
 from momentcert.cli import main
 from momentcert.corpus import load_corpus_polytope, load_doc
-from momentcert.documents import polytope_to_doc, save_json
+from momentcert.documents import polytope_from_doc, polytope_to_doc, save_json
 from momentcert.floer import boundary_op, rank_gf2
-from momentcert.polytope import Polytope, product
-from momentcert.reduction import simplex
+from momentcert.polytope import Polytope, polytope, product
+from momentcert.reduction import cube, simplex
+from momentcert.render import render_svg
 
 
 @pytest.fixture()
@@ -31,6 +32,19 @@ def test_info(corpus_dir, capsys):
     assert "symmetric: True" in out
     assert "monotone: 1" in out
     assert "equidistant point: (0, 0)" in out
+
+
+STRIP = {"dim": 2, "facets": [{"normal": [1, 0], "offset": 1}, {"normal": [-1, 0], "offset": 1}]}
+
+
+def test_info_on_a_strip_has_no_vertices_and_no_center(tmp_path, capsys):
+    path = tmp_path / "strip.json"
+    save_json(path, STRIP)
+    assert main(["info", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "compact: False" in out
+    assert "vertices: 0\n" in out
+    assert out.endswith("equidistant point: none\n")
 
 
 def test_info_enumerates_vertices_once(corpus_dir, capsys, monkeypatch):
@@ -161,10 +175,14 @@ def _weighted_leaf_doc(weights):
     return {"claim": {"kind": "TT"}, "tree": tree}
 
 
+def _clifford_leaf():
+    return {"base": "clifford_torus", "instance": polytope_to_doc(simplex(2))}
+
+
 def _reduce_doc(rows, x0):
     """simplex(2) as a Clifford leaf, reduced along the section (rows, x0)."""
-    leaf = {"base": "clifford_torus", "instance": polytope_to_doc(simplex(2))}
-    return {"claim": {"kind": "TT"}, "tree": {"reduce": {"A": rows, "x0": x0, "child": leaf}}}
+    tree = {"reduce": {"A": rows, "x0": x0, "child": _clifford_leaf()}}
+    return {"claim": {"kind": "TT"}, "tree": tree}
 
 
 HEXAGON = load_doc("hexagon")
@@ -211,11 +229,56 @@ UNWRITABLE = "polytope.json/out"  # under a regular file, so not even root can c
      f"error: {UNWRITABLE}: [Errno 20] Not a directory"),
     (HEXAGON, ["corpus", "export", "-o", UNWRITABLE], 2,
      f"error: {UNWRITABLE}: [Errno 20] Not a directory"),
+    (HEXAGON, ["corpus", "export"], 2, "error: corpus export needs -o DIRECTORY"),
+    (HEXAGON, ["info", "missing.json"], 2,
+     "error: missing.json: [Errno 2] No such file or directory"),
+    ([HEXAGON], ["info", "polytope.json"], 2, "error: polytope.json: expected an object"),
+    ({"dim": 2, "facets": {}}, ["info", "polytope.json"], 2,
+     "error: polytope.json.facets: expected a list"),
+    ({**HEXAGON, "marked_points": {}}, ["render", "polytope.json", "-o", "out.svg"], 2,
+     "error: polytope.json.marked_points: expected a list"),
+    ({"dim": 1, "facets": [{"normal": 1, "offset": 1}]}, ["info", "polytope.json"], 2,
+     "error: polytope.json.facets[0].normal: expected a list of integers"),
+    (HEXAGON, ["reduce", "polytope.json", "--slice", '{"A": [[1, 0], [0, 1]], "x0": 0}'], 2,
+     "error: inline section.x0: expected a list"),
+    (HEXAGON, ["reduce", "polytope.json", "--slice", '{"A": {}}'], 2,
+     "error: inline section.A: expected a matrix (list of rows)"),
+    ({"dim": 1, "facets": [{"normal": [1], "offset": None}, {"normal": [-1], "offset": 1}]},
+     ["info", "polytope.json"], 2,
+     'error: polytope.json.facets[0].offset: expected an integer or "p/q" string'),
+    ({"dim": 2, "facets": [{"normal": [1], "offset": 1}, {"normal": [-1, 0], "offset": 1}]},
+     ["info", "polytope.json"], 2,
+     "error: polytope.json: normal (1,) has wrong length for dimension 2"),
+    (HEXAGON, ["reduce", "polytope.json", "--slice", '{"x0": [0, 0]}'], 2,
+     "error: inline section: needs the matrix 'A' (and optional 'x0')"),
+    (HEXAGON, ["reduce", "polytope.json", "--slice", '{"A": [[1, 0], [1]]}'], 2,
+     "error: inline section: ragged section matrix"),
+    ({"claim": {"kind": "TT"}, "tree": {"reduce": {"A": [[1, 0], [0, 1]]}}},
+     ["certify", "polytope.json"], 2,
+     "error: polytope.json.tree.reduce: needs 'A', optional 'x0', and 'child'"),
+    ({"claim": {"kind": "TT"}, "tree": {"child": _clifford_leaf()}}, ["certify", "polytope.json"],
+     2, "error: polytope.json.tree: node must carry 'base', 'product' or 'reduce'"),
+    ({"claim": {"kind": "TT"}, "tree": {"base": "cp1"}}, ["certify", "polytope.json"], 2,
+     "error: polytope.json.tree: base fact needs an 'instance' polytope"),
+    ([], ["certify", "polytope.json"], 2, "error: polytope.json: expected an object"),
+    ({"claim": {"kind": "TT"}}, ["certify", "polytope.json"], 2,
+     "error: polytope.json: needs a 'tree'"),
+    ({"claim": {"kind": "TT"}, "tree": {**_clifford_leaf(), "basis_change": [[1, 0], [0, 1]]}},
+     ["certify", "polytope.json"], 2,
+     "error: polytope.json.tree.basis_change: not accepted; write the leaf in the model's "
+     "coordinates and reduce it along the square section A = C^(-T)"),
+    (polytope_to_doc(cube(3)), ["render", "polytope.json", "-o", "out.svg"], 1,
+     "error: MomentcertError: rendering is only available for 2-dimensional polytopes"),
 ], ids=["boolean-dim", "probe-point-length", "probe-negative-bound", "marked-point-length",
         "weights-lead", "weights-zero", "leaf-dim-0", "weights-non-primitive",
         "reduce-dim-mismatch", "reduce-non-primitive-image", "reduce-slice-outside",
         "reduce-empty-interior", "product-unwritable", "reduce-unwritable",
-        "auto-certify-unwritable", "render-unwritable", "corpus-export-unwritable"])
+        "auto-certify-unwritable", "render-unwritable", "corpus-export-unwritable",
+        "corpus-export-no-output", "missing-file", "top-level-list", "facets-type",
+        "marked-points-type", "normal-type", "x0-type", "matrix-type", "offset-null",
+        "normal-length", "section-no-matrix", "ragged-slice", "reduce-no-child",
+        "node-no-kind", "base-no-instance", "certificate-not-object", "certificate-no-tree",
+        "leaf-basis-change", "render-dimension-3"])
 def test_hostile_input_exits_cleanly(tmp_path, monkeypatch, capsys, doc, argv, code, message):
     monkeypatch.chdir(tmp_path)
     save_json("polytope.json", doc)
@@ -242,6 +305,18 @@ def test_product_command(corpus_dir, tmp_path, capsys):
     doc = json.loads(out_file.read_text())
     assert doc["dim"] == 2
     assert len(doc["facets"]) == 4
+
+
+def test_product_command_prints_without_output(corpus_dir, capsys):
+    segment = str(corpus_dir / "segment.json")
+    assert main(["product", segment, segment]) == 0
+    assert capsys.readouterr().out == (
+        "dimension: 2, facets: 4\n"
+        "  +1 x1 + 1 >= 0\n"
+        "  -1 x1 + 1 >= 0\n"
+        "  +1 x2 + 1 >= 0\n"
+        "  -1 x2 + 1 >= 0\n"
+    )
 
 
 def test_reduce_command_matches_corpus(corpus_dir, tmp_path, capsys):
@@ -358,6 +433,18 @@ def test_probe_command(corpus_dir, capsys):
     assert "displaceable" in capsys.readouterr().out
 
 
+def test_probe_names_the_facet_by_its_index_in_the_file(corpus_dir, capsys):
+    # the pentagon's file order is not canonical: the base (-1, 1/2) lies on
+    # file facet 0, +1 x1 + 1 >= 0, which is facet 4 in canonical order
+    path = str(corpus_dir / "nonfano_pentagon.json")
+    assert main(["probe", path, "--point=-3/4,0", "--bound", "2"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "displaceable: facet 0, direction (1, -2), base (-1, 1/2)\n"
+    )
+    assert main(["info", path]) == 0
+    assert "facets: 5\n  +1 x1 + 1 >= 0\n" in capsys.readouterr().out
+
+
 def test_probe_reads_a_negative_point_in_either_form(corpus_dir, capsys):
     outputs = []
     for point_args in (["--point", "-1/2,0"], ["--point=-1/2,0"]):
@@ -395,6 +482,27 @@ def test_render_unbounded(corpus_dir, tmp_path):
     out = tmp_path / "wedge.svg"
     assert main(["render", str(corpus_dir / "o_minus_one.json"), "-o", str(out)]) == 0
     assert out.read_text().startswith("<svg")
+
+
+def test_render_strip_draws_its_two_lines_only():
+    # no vertices and no center, so the box comes from the default anchors
+    svg = render_svg(polytope_from_doc(STRIP))
+    assert svg.count("<line ") == 2
+    assert "<polygon" not in svg and "<circle" not in svg
+
+
+def test_render_skips_a_facet_line_that_misses_the_box():
+    square = polytope(2, list(cube(2).facets) + [((1, 0), 100)])
+    svg = render_svg(square)
+    assert svg.count("<line ") == 4
+    assert svg.count("<polygon ") == 1 and svg.count("<circle ") == 4
+
+
+def test_corpus_run_has_no_color_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "run", "--color"])
+    assert exc.value.code == 2
+    assert "--color" in capsys.readouterr().err
 
 
 def test_corpus_run_all_green(capsys):
