@@ -8,7 +8,6 @@ from .certificate import (
     Reduction,
     VerifiedClaim,
     auto_certify_monotone,
-    hf_lower_bound_tr,
     verify,
 )
 from .floer import BoundaryOp, boundary_op, hf, hf_even, rank_gf2
@@ -31,7 +30,6 @@ from .reduction import (
     reduce_polytope,
     section,
     simplex,
-    vertex_cone_coords,
     weighted_projective,
 )
 
@@ -57,7 +55,6 @@ __all__ = [
     "equidistant_point",
     "hf",
     "hf_even",
-    "hf_lower_bound_tr",
     "is_displaceable_by_probe",
     "monotone_weights",
     "o_minus_one",
@@ -70,6 +67,5 @@ __all__ = [
     "section",
     "simplex",
     "verify",
-    "vertex_cone_coords",
     "weighted_projective",
 ]

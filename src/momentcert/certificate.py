@@ -29,7 +29,6 @@ from .errors import (
     SliceError,
     UnsupportedClaimError,
 )
-from .floer import hf
 from .lattice import RatVec
 from .polytope import Polytope, equidistant_point, product
 from .reduction import (
@@ -316,15 +315,6 @@ def auto_certify_monotone(p: Polytope) -> Certificate:
     # so the origin is its unique equidistant point
     origin = (Fraction(0),) * canon.dim
     return Certificate(root, TT, marked_point=origin, target=canon)
-
-
-def hf_lower_bound_tr(p: Polytope) -> tuple[int, str]:
-    """The invariant read as a torus/real-locus intersection bound.
-
-    Returns (bound, caveat): the caveat records the geometric hypothesis
-    under which the reading is justified.
-    """
-    return hf(p), TR_CAVEAT
 
 
 def _merge(groups) -> tuple[str, ...]:

@@ -19,7 +19,6 @@ from .certificate import (
     Product,
     Reduction,
     auto_certify_monotone,
-    hf_lower_bound_tr,
     verify,
 )
 from .documents import (
@@ -247,7 +246,7 @@ def run() -> list[Row]:
     rows.append(Row("simplex2 (-1/2,0)", "probe<= 1", "probe", "none" if found is None else "probe"))
 
     for name, expected in (("hexagon", 4), ("simplex2", 2), ("segment", 2)):
-        bound, _ = hf_lower_bound_tr(load_corpus_polytope(name))
+        bound = hf(load_corpus_polytope(name))
         rows.append(Row(name, "hf-tr-bound", str(expected), str(bound)))
 
     return rows

@@ -151,6 +151,8 @@ def _node_from_doc(doc, claim_kind: str, where: str, depth: int = 0):
         instance = polytope_from_doc(doc["instance"], f"{where}.instance")
         weights = None
         if "weights" in doc:
+            if kind != cert_mod.WEIGHTED_PROJECTIVE:
+                raise DocumentError(f"{where}.weights: only a weighted_projective leaf takes weights")
             weights = _int_list(doc["weights"], f"{where}.weights")
         if "basis_change" in doc:
             raise DocumentError(
@@ -209,17 +211,12 @@ def _node_to_doc(node) -> dict:
     if isinstance(node, Product):
         return {"product": [_node_to_doc(c) for c in node.children]}
     if isinstance(node, Reduction):
-        red = _node_to_doc_section(node)
+        red = section_to_doc(node.section)
+        red["child"] = _node_to_doc(node.child)
+        if node.target is not None:
+            red["target"] = polytope_to_doc(node.target)
         return {"reduce": red}
     raise DocumentError(f"cannot serialize node {type(node).__name__}")
-
-
-def _node_to_doc_section(node: Reduction) -> dict:
-    red = section_to_doc(node.section)
-    red["child"] = _node_to_doc(node.child)
-    if node.target is not None:
-        red["target"] = polytope_to_doc(node.target)
-    return red
 
 
 def certificate_to_doc(cert: Certificate) -> dict:

@@ -53,15 +53,6 @@ def transpose(m) -> tuple:
     return tuple(zip(*m))
 
 
-def mat_vec(m, v) -> tuple:
-    return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a, b) -> tuple:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
 def smith_normal_form(mat) -> tuple[IntMat, IntMat]:
     """Return (D, V) with U*mat*V = D in Smith normal form for some U.
 

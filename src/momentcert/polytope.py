@@ -68,9 +68,6 @@ class Polytope:
     def support_values(self, x) -> tuple[Fraction, ...]:
         return tuple(self.support(i, x) for i in range(self.d))
 
-    def contains(self, x) -> bool:
-        return all(v >= 0 for v in self.support_values(x))
-
     def interior_contains(self, x) -> bool:
         return all(v > 0 for v in self.support_values(x))
 

@@ -81,16 +81,6 @@ class AffineReduction:
             return None
         return sol[0]
 
-    def compose(self, inner: AffineReduction) -> AffineReduction:
-        """The section equal to applying inner first, then self."""
-        if inner.ambient_dim != self.reduced_dim:
-            raise SliceError("section dimensions do not chain")
-        mat = lattice.mat_mul(self.matrix, inner.matrix)
-        base = tuple(
-            a + b for a, b in zip(lattice.mat_vec(self.matrix, inner.base), self.base)
-        )
-        return AffineReduction(mat, base)
-
     def subtorus_generators(self) -> tuple[IntVec, ...]:
         """Integral basis of the kernel of A^T: the Lie algebra directions of
         the quotiented subtorus.  Smith form makes the basis saturated, so it
@@ -219,28 +209,16 @@ class WeightVector:
     pivot: int
 
 
-def vertex_cone_coords(p: Polytope, target: IntVec):
-    """A vertex whose normal cone contains target with nonnegative coordinates.
-
-    Coordinates are taken in the basis of the vertex's active normals and are
-    automatically integral for a Delzant polytope.  Vertices are scanned in
-    coordinate order and the first admissible one wins.  Returns
-    (vertex, coeffs) with coeffs aligned to the sorted active indices; on a
-    compact polytope some vertex cone always contains the target.
-    """
-    if not p.is_compact():
-        raise NotCompactError("vertex cones only cover the whole space for compact polytopes")
-    if not p.is_delzant():
-        raise NotDelzantError("vertex normals must form Z-bases")
-    return _vertex_cone_coords(p, target)
-
-
 def _vertex_cone_coords(p: Polytope, target: IntVec):
-    """vertex_cone_coords without its checks: p must be compact and Delzant.
+    """(vertex, coeffs): a vertex whose normal cone holds target, and the
+    nonnegative coordinates of target in its sorted active normals.
 
-    At each vertex the n active normals form a Z-basis, so one solve gives
-    the unique coordinates of target, and they are integral.  A compact p
-    attains min <target, x> at some vertex, and by LP duality the
+    p must be compact and Delzant.  Nothing here checks it, and on a
+    non-Delzant p int() would truncate a fractional coordinate silently.
+    Vertices are scanned in coordinate order and the first admissible one
+    wins.  At each vertex the n active normals form a Z-basis, so one solve
+    gives the unique coordinates of target, and they are integral.  A
+    compact p attains min <target, x> at some vertex, and by LP duality the
     coordinates there are nonnegative, so the scan always returns.
     """
     for vertex in p.vertices():

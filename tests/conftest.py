@@ -3,10 +3,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from momentcert.lattice import vec_gcd
+from momentcert.lattice import dot, transpose, vec_gcd
 from momentcert.polytope import Polytope, polytope
 
 OFFSET_CHOICES = [Fraction(k, 2) for k in range(1, 7)]
+
+
+def mat_vec(m, v) -> tuple:
+    return tuple(dot(row, v) for row in m)
+
+
+def mat_mul(a, b) -> tuple:
+    bt = transpose(b)
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def random_polytope(rng: random.Random, n: int, d: int, even: bool | None = None) -> Polytope:

@@ -6,7 +6,7 @@ from itertools import product as iter_product
 import pytest
 
 import momentcert.polytope as polytope_module
-from conftest import random_polytope
+from conftest import mat_mul, mat_vec, random_polytope
 from momentcert import lattice
 from momentcert.certificate import (
     BASE_KINDS,
@@ -25,7 +25,6 @@ from momentcert.certificate import (
     _model_and_bound,
     _verify_leaf,
     auto_certify_monotone,
-    hf_lower_bound_tr,
     verify,
 )
 from momentcert.corpus import (
@@ -179,7 +178,7 @@ def _old_apply_basis_change(p, change):
         raise ModelMismatchError("basis change must be a square matrix of the right size")
     if abs(lattice.det_exact(change)) != 1:
         raise ModelMismatchError("basis change must be unimodular")
-    return tuple(lattice.mat_vec(change, nu) for nu in p.normals)
+    return tuple(mat_vec(change, nu) for nu in p.normals)
 
 
 def _old_verify_leaf(fact, change=None):
@@ -225,8 +224,8 @@ def _random_unimodular(rng, n):
         else:  # add c times row j to row i, undone by subtracting it
             c = rng.choice((-2, -1, 1, 2))
             step[i][j], back[i][j] = c, -c
-        m = lattice.mat_mul(step, m)
-        inv = lattice.mat_mul(inv, back)
+        m = mat_mul(step, m)
+        inv = mat_mul(inv, back)
     return m, inv
 
 
@@ -268,7 +267,7 @@ def _random_leaf(rng):
         normals, change, inverse = shape.normals, None, None
         if rng.random() < 0.35 and n > 0:
             m, inv = _random_unimodular(rng, n)
-            normals = tuple(lattice.mat_vec(m, nu) for nu in normals)
+            normals = tuple(mat_vec(m, nu) for nu in normals)
             change, inverse = rng.choice((
                 (inv, m), (inv, m), (inv, m), (None, None), (m, inv),
                 (((2,) + (0,) * (n - 1),) + inv[1:], None), (inv[1:], None),
@@ -289,7 +288,7 @@ def _changed_leaf_as_reduction(fact, change, inverse):
     """The leaf (P, C) written as the model-coordinate leaf P_C, with facets
     (C nu, a), reduced along the square section A = C^(-T)."""
     instance = polytope(fact.instance.dim, [
-        (lattice.mat_vec(change, nu), a) for nu, a in fact.instance.facets
+        (mat_vec(change, nu), a) for nu, a in fact.instance.facets
     ])
     leaf = BaseFact(fact.kind, fact.claim, instance, weights=fact.weights)
     return Certificate(Reduction(leaf, section(lattice.transpose(inverse))), fact.claim)
@@ -535,7 +534,6 @@ def test_auto_certify_in_random_coordinates():
     # so automatic certification must still deliver 2^n
     import random
 
-    from momentcert.lattice import mat_mul, mat_vec
     from momentcert.polytope import Facet, Polytope
 
     rng = random.Random(97)
@@ -642,15 +640,6 @@ def test_auto_certify_validates_a_translate_once(monkeypatch):
 def test_auto_certify_rejections_keep_their_order(p, error):
     with pytest.raises(error):
         auto_certify_monotone(p)
-
-
-# -- invariant read as a TR bound -----------------------------------------------------
-
-def test_hf_lower_bound_tr():
-    bound, caveat = hf_lower_bound_tr(hexagon())
-    assert bound == 4 and caveat
-    assert hf_lower_bound_tr(simplex(2))[0] == 2
-    assert hf_lower_bound_tr(cp1())[0] == 2
 
 
 # -- random reduction trees -------------------------------------------------------------

@@ -267,6 +267,10 @@ UNWRITABLE = "polytope.json/out"  # under a regular file, so not even root can c
      ["certify", "polytope.json"], 2,
      "error: polytope.json.tree.basis_change: not accepted; write the leaf in the model's "
      "coordinates and reduce it along the square section A = C^(-T)"),
+    ({"claim": {"kind": "TT"},
+      "tree": {"base": "cp1", "weights": [1, 7, 9], "instance": load_doc("segment")}},
+     ["certify", "polytope.json"], 2,
+     "error: polytope.json.tree.weights: only a weighted_projective leaf takes weights"),
     (polytope_to_doc(cube(3)), ["render", "polytope.json", "-o", "out.svg"], 1,
      "error: MomentcertError: rendering is only available for 2-dimensional polytopes"),
 ], ids=["boolean-dim", "probe-point-length", "probe-negative-bound", "marked-point-length",
@@ -278,7 +282,7 @@ UNWRITABLE = "polytope.json/out"  # under a regular file, so not even root can c
         "marked-points-type", "normal-type", "x0-type", "matrix-type", "offset-null",
         "normal-length", "section-no-matrix", "ragged-slice", "reduce-no-child",
         "node-no-kind", "base-no-instance", "certificate-not-object", "certificate-no-tree",
-        "leaf-basis-change", "render-dimension-3"])
+        "leaf-basis-change", "leaf-weights-not-weighted", "render-dimension-3"])
 def test_hostile_input_exits_cleanly(tmp_path, monkeypatch, capsys, doc, argv, code, message):
     monkeypatch.chdir(tmp_path)
     save_json("polytope.json", doc)

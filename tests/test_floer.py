@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_polytope, xor_square
+from conftest import mat_vec, random_polytope, xor_square
 from momentcert.errors import DimensionLimitError, OddPolytopeError
 from momentcert.floer import DIMENSION_LIMIT, BoundaryOp, boundary_op, hf, hf_even, rank_gf2
 from momentcert.polytope import polytope, product
@@ -257,7 +257,6 @@ def test_symmetric_even_gives_full_invariant():
 def test_invariant_under_unimodular_change():
     # an invertible-mod-2 change of basis permutes the sign vectors, so the
     # operator rank cannot move
-    from momentcert.lattice import mat_vec
     from momentcert.polytope import Facet, Polytope
 
     rng = random.Random(5150)

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mat_mul
 from momentcert.errors import SliceError, ZeroVectorError
 from momentcert.lattice import (
     det_exact,
     identity,
     is_primitive,
-    mat_mul,
     rank_exact,
     smith_normal_form,
     solve_exact,

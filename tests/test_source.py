@@ -59,9 +59,145 @@ def test_the_package_declares_its_exports():
     assert PACKAGE / "__init__.py" in EXPORTING
 
 
-@pytest.mark.parametrize("path", EXPORTING, ids=[p.name for p in EXPORTING])
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_all_entry_resolves(path):
+    """Every module imports without side effects, and its __all__ resolves."""
     names = _dunder_all(_tree(path))
     name = "momentcert" if path.stem == "__init__" else f"momentcert.{path.stem}"
     module = importlib.import_module(name)
     assert [n for n in names if not hasattr(module, n)] == []
+
+
+# -- the trusted base of verify ------------------------------------------------------
+
+
+def _index():
+    """(functions, methods by name, module scopes) for the whole package.
+
+    functions maps "module.func" and "module.Class.method" to their defs;
+    a scope maps each top-level name of a module to ("func", qualname),
+    ("class", qualname), ("module", name) or ("from", module, name).
+    """
+    functions, methods, scopes = {}, {}, {}
+    for path in MODULES:
+        mod = path.stem
+        scope = scopes.setdefault(mod, {})
+        for node in _tree(path).body:
+            if isinstance(node, ast.FunctionDef):
+                functions[f"{mod}.{node.name}"] = node
+                scope[node.name] = ("func", f"{mod}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                scope[node.name] = ("class", f"{mod}.{node.name}")
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        qualname = f"{mod}.{node.name}.{item.name}"
+                        functions[qualname] = item
+                        methods.setdefault(item.name, []).append(qualname)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    if node.module is None:
+                        scope[bound] = ("module", alias.name)
+                    else:
+                        scope[bound] = ("from", node.module, alias.name)
+    return functions, methods, scopes
+
+
+def reachable(start):
+    """The package functions and methods that start can reach, by name.
+
+    A bare name resolves through its module's definitions and relative
+    imports, module.attr through the imported module, and any other
+    obj.attr to every package method or property of that name.  Reaching a
+    method of a class also reaches the class's __post_init__.
+    """
+    functions, methods, scopes = _index()
+
+    def resolve(mod, name):
+        target = scopes[mod].get(name)
+        if target and target[0] == "from":
+            return resolve(target[1], target[2])
+        return target
+
+    todo, seen = [start], set()
+    while todo:
+        qualname = todo.pop()
+        if qualname in seen or qualname not in functions:
+            continue
+        seen.add(qualname)
+        mod, *owner, _ = qualname.split(".")
+        if owner:
+            todo.append(f"{mod}.{owner[0]}.__post_init__")
+        for node in ast.walk(functions[qualname]):
+            if isinstance(node, ast.Name):
+                target = resolve(mod, node.id)
+            elif isinstance(node, ast.Attribute):
+                base = isinstance(node.value, ast.Name) and resolve(mod, node.value.id)
+                if base and base[0] == "module":
+                    target = resolve(base[1], node.attr)
+                else:
+                    todo.extend(methods.get(node.attr, ()))
+                    continue
+            else:
+                continue
+            if target and target[0] == "func":
+                todo.append(target[1])
+    return seen
+
+
+TRUSTED_BASE = (
+    "certificate._check_regular_level",
+    "certificate._check_target",
+    "certificate._describe",
+    "certificate._merge",
+    "certificate._model_and_bound",
+    "certificate._verify_leaf",
+    "certificate._verify_node",
+    "certificate._verify_product",
+    "certificate._verify_reduction",
+    "certificate.verify",
+    "lattice._eliminate",
+    "lattice.dot",
+    "lattice.identity",
+    "lattice.integer_rows",
+    "lattice.is_primitive",
+    "lattice.neg",
+    "lattice.smith_normal_form",
+    "lattice.solve_exact",
+    "lattice.transpose",
+    "lattice.vec_gcd",
+    "lattice.vsub",
+    "polytope.Polytope.__post_init__",
+    "polytope.Polytope.canonical_form",
+    "polytope.Polytope.normals",
+    "polytope._check_facet_count",
+    "polytope._coprime",
+    "polytope._dominate",
+    "polytope._interior_nonempty",
+    "polytope._prune_facet_list",
+    "polytope._unvalidated",
+    "polytope.equidistant_point",
+    "polytope.feasible",
+    "polytope.polytope",
+    "polytope.product",
+    "polytope.prune_redundant",
+    "reduction.AffineReduction.__post_init__",
+    "reduction.AffineReduction.ambient_dim",
+    "reduction.AffineReduction.preimage",
+    "reduction.AffineReduction.reduced_dim",
+    "reduction.cp1",
+    "reduction.o_minus_one",
+    "reduction.reduce_with_sources",
+    "reduction.simplex",
+    "reduction.weighted_projective",
+)
+
+
+def test_the_trusted_base_of_verify_is_pinned():
+    """Everything verify's verdict depends on; growing it needs a reason."""
+    base = reachable("certificate.verify")
+    assert tuple(sorted(base)) == TRUSTED_BASE
+    outside = {"certificate.auto_certify_monotone", "reduction.monotone_weights",
+               "polytope.Polytope.vertices"}
+    assert not base & outside
+    assert not [q for q in base if q.split(".")[0] in ("floer", "probes", "cli")]
