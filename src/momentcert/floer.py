@@ -9,7 +9,7 @@ by a single generator row in the group algebra of (Z/2)^n: every matrix
 row is an XOR translate of that row, and all 2^n entries of a row live
 bit-packed in one big integer.
 
-Two exact facts about the generator g = sum of x^s over the set S of
+Three exact facts about the generator g = sum of x^s over the set S of
 translations with odd multiplicity cut the elimination down:
 
 - The square law: over GF(2) the cross terms x^s x^t + x^t x^s cancel, so
@@ -17,11 +17,27 @@ translations with odd multiplicity cut the elimination down:
   An even |S| makes the operator square to zero, so its image lies in its
   kernel and the rank is at most half the dimension; elimination stops once
   it reaches that bound.
-- The coset split: for t0 in S, g = x^t0 * h with h in the group algebra of
-  the subgroup H spanned by the shifts s ^ t0.  Multiplication by x^t0 is
-  invertible, and the whole algebra is free over that of H with one basis
-  element per coset, so the rank is the number of cosets times the rank of
-  h on the 2^k-dimensional algebra of H, where k = dim H.
+- The block split: two coordinates share a block when some s in S has
+  both bits set.  A translation 0 belongs to no block; it is the scalar 1.
+  For a block B on k_B coordinates, let S_B be the part of S inside B,
+  g_B the sum of x^s over S_B, e_B = |S_B| mod 2 and m_B = g_B + e_B.
+  Then m_B has even support, so m_B^2 = 0.  For even |S| the scalars
+  cancel and g = sum of the m_B, each acting on its own tensor factor of
+  the algebra.  A square-zero operator N on a space of dimension D has
+  only Jordan blocks of size 1 and 2, so its homology ker N / im N has
+  dimension D - 2 rank N.  The sum of two commuting square-zero operators
+  on separate factors squares to zero again (the cross terms are
+  doubled), and by Kuenneth its homology is the tensor product of theirs,
+  so their ranks fold as r = r_a 2^k_b + r_b 2^k_a - 2 r_a r_b.  Hence
+  2^n - 2 rank is the product over blocks of 2^k_B - 2 r_B, with a factor
+  2 for each coordinate no s touches, and a product P x P eliminates on
+  the blocks of P alone.
+- The coset split: for t0 in the support of m_B, m_B = x^t0 * h with h in
+  the group algebra of the subgroup H spanned by the shifts s ^ t0.
+  Multiplication by x^t0 is invertible, and the block's algebra is free
+  over that of H with one basis element per coset, so r_B is the number of
+  cosets times the rank of h on the 2^k-dimensional algebra of H, where
+  k = dim H.
 """
 
 from __future__ import annotations
@@ -82,31 +98,23 @@ def _reduce_into(pivots: dict[int, int], row: int) -> None:
         row ^= pivots[p]
 
 
-def rank_gf2(op: BoundaryOp) -> tuple[int, int]:
-    """(rank, nullity) of the operator, by bit-packed Gaussian elimination.
+def _square_zero_rank(dim: int, support: list[int]) -> int:
+    """Rank of a square-zero element on the algebra of its coordinate block.
 
-    An odd number of translations with odd multiplicity gives a unit
-    generator (g^2 = 1), so full rank without elimination.  Otherwise the
-    shifts s ^ t0 from one support element t0 span a subgroup H of
-    dimension k.  Their bits at the pivot columns of a lowest-bit echelon
-    basis of H are coordinates on H: the map is linear, and injective
-    because a nonzero element of H has the bit of its lowest basis pivot
-    set.  In those coordinates row e is the shifted generator XOR-translated
-    by e, built straight from its set bits, and elimination always picks the
-    lowest set bit as pivot, so the result is deterministic.  The shifted
-    generator squares to g^2 = 0, so its rank on H is at most 2^(k-1), and
-    elimination stops when it gets there.  The full rank is 2^(n-k) times
-    the rank on H, one copy per coset.
+    support is the element's set bits, an even number of them, all inside a
+    block of dim coordinates; the rank is on that block's 2^dim-dimensional
+    algebra, where the element acts as on its own tensor factor.  The shifts
+    s ^ t0 from one support element t0 span a subgroup H of dimension k.
+    Their bits at the pivot columns of a lowest-bit echelon basis of H are
+    coordinates on H: the map is linear, and injective because a nonzero
+    element of H has the bit of its lowest basis pivot set.  In those
+    coordinates row e is the shifted element XOR-translated by e, built
+    straight from its set bits, and elimination always picks the lowest set
+    bit as pivot, so the result is deterministic.  The shifted element still
+    squares to zero, so its rank on H is at most 2^(k-1), and elimination
+    stops when it gets there.  The rank on the whole algebra is 2^(dim-k)
+    times the rank on H, one copy per coset.
     """
-    if op.dim > DIMENSION_LIMIT:
-        raise DimensionLimitError(f"dimension {op.dim} exceeds the limit {DIMENSION_LIMIT}")
-    size = 1 << op.dim
-    g = op.generator
-    support = [b for b in range(size) if g >> b & 1]
-    if not support:
-        return 0, size
-    if len(support) % 2:
-        return size, 0
     shifts = [s ^ support[0] for s in support]
     span: dict[int, int] = {}
     for s in shifts:
@@ -123,7 +131,58 @@ def rank_gf2(op: BoundaryOp) -> tuple[int, int]:
         _reduce_into(pivots, row)
         if len(pivots) == half:
             break
-    rank = len(pivots) << (op.dim - k)
+    return len(pivots) << (dim - k)
+
+
+def _coordinate_blocks(support: list[int]) -> list[tuple[int, list[int]]]:
+    """The nonzero support elements grouped by coordinate block.
+
+    Two coordinates share a block when some element has both bits set.
+    Each element merges the blocks whose coordinate masks it meets; blocks
+    stay disjoint, so one pass suffices.  Returns (mask, elements) per block.
+    """
+    blocks: list[tuple[int, list[int]]] = []
+    for s in support:
+        if s:
+            met = [b for b in blocks if b[0] & s]
+            blocks = [b for b in blocks if not b[0] & s]
+            mask, elements = s, [s]
+            for m, es in met:
+                mask |= m
+                elements += es
+            blocks.append((mask, elements))
+    return blocks
+
+
+def rank_gf2(op: BoundaryOp) -> tuple[int, int]:
+    """(rank, nullity) of the operator, block by block.
+
+    An odd number of translations with odd multiplicity gives a unit
+    generator (g^2 = 1), so full rank without elimination.  Otherwise the
+    support splits into coordinate blocks (see the module docstring).  The
+    scalar 1 is added to a block that holds an odd number of elements, and
+    the resulting square-zero element's rank r_B on the block's k_B
+    coordinates comes from _square_zero_rank, which eliminates on at most
+    2^k_B rows.  Square-zero operators have Jordan blocks of size at most 2,
+    so the homology dimension 2^n - 2 rank is the product of the blocks'
+    2^k_B - 2 r_B, times 2 per coordinate no translation touches; the zero
+    generator has no blocks and rank 0.
+    """
+    if op.dim > DIMENSION_LIMIT:
+        raise DimensionLimitError(f"dimension {op.dim} exceeds the limit {DIMENSION_LIMIT}")
+    size = 1 << op.dim
+    g = op.generator
+    support = [b for b in range(size) if g >> b & 1]
+    if len(support) % 2:
+        return size, 0
+    homology, touched = 1, 0
+    for mask, elements in _coordinate_blocks(support):
+        if len(elements) % 2:
+            elements.append(0)
+        k = mask.bit_count()
+        homology *= (1 << k) - 2 * _square_zero_rank(k, elements)
+        touched += k
+    rank = (size - (homology << (op.dim - touched))) // 2
     return rank, size - rank
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mat_vec, random_polytope, xor_square
+from momentcert import floer
 from momentcert.errors import DimensionLimitError, OddPolytopeError
 from momentcert.floer import DIMENSION_LIMIT, BoundaryOp, boundary_op, hf, hf_even, rank_gf2
 from momentcert.polytope import polytope, product
@@ -197,6 +198,112 @@ def test_odd_support_is_a_unit():
             assert assert_matches_oracles(op) == (1 << n, 0)
             odd += 1
     assert odd >= 20
+
+
+# -- the block split -------------------------------------------------------------
+
+def block_translations(rng: random.Random, n: int) -> tuple[list[int], list[list[int]]]:
+    """Random translations built block by block on shuffled coordinates.
+
+    The shuffled coordinates are cut into runs.  Some runs stay untouched;
+    each other run gets one to four random translations inside it, so a
+    block may hold an odd number of them.  Returns the translations and the
+    touched runs.
+    """
+    coords = list(range(n))
+    rng.shuffle(coords)
+    translations, runs = [], []
+    while coords:
+        size = rng.randint(1, 4)
+        run, coords = coords[:size], coords[size:]
+        if rng.random() < 0.2:
+            continue
+        runs.append(run)
+        for _ in range(rng.randint(1, 4)):
+            translations.append(sum(1 << c for c in run if rng.random() < 0.6))
+    return translations, runs
+
+
+def block_supports(op: BoundaryOp, runs: list[list[int]]) -> list[int]:
+    """For each run, how many nonzero elements of the generator's support lie in it."""
+    g = op.generator
+    masks = [sum(1 << c for c in run) for run in runs]
+    return [sum(g >> s & 1 for s in range(1, 1 << op.dim) if s & ~mask == 0) for mask in masks]
+
+
+def test_block_split_matches_oracles():
+    rng = random.Random(6174)
+    seen = {"folded": 0, "translation 0": 0, "untouched coordinate": 0, "odd block": 0}
+    for _ in range(800):
+        n = rng.randint(3, 10)
+        translations, runs = block_translations(rng, n)
+        op = BoundaryOp(n, tuple(sorted(translations)))
+        # adding translation 0 flips the support's parity: mostly to even, so
+        # that the blocks are folded rather than the unit case taken
+        if support_size(op) % 2 ^ (rng.random() < 0.15):
+            op = BoundaryOp(n, (0, *op.translations))
+        assert_matches_oracles(op)
+        counts = [c for c in block_supports(op, runs) if c]
+        if support_size(op) % 2 == 0 and len(counts) >= 2:
+            seen["folded"] += 1
+            seen["translation 0"] += op.generator & 1
+            seen["untouched coordinate"] += sum(map(len, runs)) < n
+            seen["odd block"] += any(c % 2 for c in counts)
+    assert seen["folded"] >= 300, seen
+    assert min(seen.values()) >= 50, seen
+
+
+@st.composite
+def block_operators(draw):
+    n = draw(st.integers(0, 8))
+    coords = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=n)))
+    translations = []
+    for run in (coords[a:b] for a, b in zip([0, *cuts], [*cuts, n])):
+        for _ in range(draw(st.integers(0, 4))):
+            translations.append(sum(1 << c for c in run if draw(st.booleans())))
+    if draw(st.booleans()):
+        translations.append(0)
+    return BoundaryOp(n, tuple(sorted(translations)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(block_operators())
+def test_block_split_property(op):
+    assert_matches_oracles(op)
+
+
+def test_hf_of_p_times_p_eliminates_on_p(monkeypatch):
+    rng = random.Random(3301)
+    p = random_polytope(rng, 6, 9, even=False)
+    expected = hf(p)
+    dims, calls = [], []
+    block_rank, rank = floer._square_zero_rank, floer.rank_gf2
+    monkeypatch.setattr(
+        floer, "_square_zero_rank", lambda dim, support: dims.append(dim) or block_rank(dim, support)
+    )
+    monkeypatch.setattr(floer, "rank_gf2", lambda op: calls.append(op.dim) or rank(op))
+    assert hf(p) == expected
+    assert calls == [12]
+    assert dims and max(dims) <= 6
+
+
+def test_hf_matches_the_closed_form():
+    # hf(P) = 2^n - 2 rank(L_m) with m = g + (|g| mod 2): the generator made
+    # square-zero by adding the scalar 1 when its support is odd; the
+    # formula needs no P x P
+    rng = random.Random(1123)
+    odd = 0
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        p = random_polytope(rng, n, rng.randint(n, 9))
+        op = boundary_op(p)
+        if support_size(op) % 2:
+            op = BoundaryOp(n, op.translations + (0,))
+            odd += 1
+        rank, _ = dense_rank(op)
+        assert hf(p) == (1 << n) - 2 * rank, p
+    assert odd >= 10
 
 
 # -- the square law -------------------------------------------------------------

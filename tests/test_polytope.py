@@ -448,6 +448,13 @@ def _random_system(rng, nvars):
     ([((2, 0), F(-1, 3), True), ((-5, 0), 1, True)], 2, True),  # 1/6 < x < 1/5
     ([((2, 0), F(-1, 3), True), ((-3, 0), F(1, 2), False)], 2, False),  # 1/6 < x <= 1/6
     ([((F(1, 2), 1), F(-1, 4), False), ((F(-1, 2), -1), F(1, 5), False)], 2, False),
+    # infeasible; a Fourier-Motzkin elimination that combines Chernikov's
+    # rule with keeping only the tightest of parallel rows wrongly returns True
+    ([((2, -1, 0, 1), 2, False), ((1, 0, -1, 0), F(-1, 2), False), ((0, 1, 0, 1), -3, True),
+      ((-2, 1, 0, -1), -2, False), ((0, 0, -1, 0), F(-1, 2), False),
+      ((0, 0, 0, -2), -3, False), ((-2, 1, 2, 0), F(5, 2), False), ((-1, 1, 0, 0), 4, True),
+      ((2, -1, -1, -2), 2, False), ((-1, 1, 0, 0), 2, False),
+      ((-1, -2, -1, 0), F(5, 2), False)], 4, False),
 ])
 def test_feasible_edge_cases(constraints, nvars, expected):
     assert feasible(constraints, nvars) is expected
