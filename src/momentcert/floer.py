@@ -2,12 +2,14 @@
 
 The operator acts on the 2^n-dimensional GF(2) space spanned by sign
 vectors in {+1,-1}^n.  A sign vector is indexed by the subset of
-coordinates carrying -1, packed as the bits of an integer; a vector of the
-space is a 2^n-bit integer.  Each facet normal contributes the XOR
-translation by its mod-2 reduction, so the whole operator is convolution
-by a single generator row in the group algebra of (Z/2)^n: every matrix
-row is an XOR translate of that row, and all 2^n entries of a row live
-bit-packed in one big integer.
+coordinates carrying -1, packed as the bits of an integer.  Each facet
+normal contributes the XOR translation by its mod-2 reduction, so the whole
+operator is convolution by a single generator in the group algebra of
+(Z/2)^n: every matrix row is an XOR translate of the generator row.
+Translations of even multiplicity cancel, so the generator's support is
+the set of translations of odd multiplicity, read from the translations
+without building the 2^n-bit row; the rows that are eliminated, on the
+subgroup H below, stay bit-packed in one big integer each.
 
 Three exact facts about the generator g = sum of x^s over the set S of
 translations with odd multiplicity cut the elimination down:
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import DimensionLimitError, NonSquareInvariantError, OddPolytopeError
-from .polytope import Polytope, product
+from .polytope import Polytope, _coordinate_blocks, product
 
 DIMENSION_LIMIT = 13
 
@@ -66,14 +68,6 @@ class BoundaryOp:
         for t in self.translations:
             if t < 0 or t.bit_length() > self.dim:
                 raise ValueError(f"translation {t} is outside range(2**{self.dim})")
-
-    @property
-    def generator(self) -> int:
-        """The image of the all-plus sign vector; determines the operator."""
-        g = 0
-        for t in self.translations:
-            g ^= 1 << t
-        return g
 
 
 def boundary_op(p: Polytope) -> BoundaryOp:
@@ -134,49 +128,33 @@ def _square_zero_rank(dim: int, support: list[int]) -> int:
     return len(pivots) << (dim - k)
 
 
-def _coordinate_blocks(support: list[int]) -> list[tuple[int, list[int]]]:
-    """The nonzero support elements grouped by coordinate block.
-
-    Two coordinates share a block when some element has both bits set.
-    Each element merges the blocks whose coordinate masks it meets; blocks
-    stay disjoint, so one pass suffices.  Returns (mask, elements) per block.
-    """
-    blocks: list[tuple[int, list[int]]] = []
-    for s in support:
-        if s:
-            met = [b for b in blocks if b[0] & s]
-            blocks = [b for b in blocks if not b[0] & s]
-            mask, elements = s, [s]
-            for m, es in met:
-                mask |= m
-                elements += es
-            blocks.append((mask, elements))
-    return blocks
-
-
 def rank_gf2(op: BoundaryOp) -> tuple[int, int]:
     """(rank, nullity) of the operator, block by block.
 
-    An odd number of translations with odd multiplicity gives a unit
-    generator (g^2 = 1), so full rank without elimination.  Otherwise the
-    support splits into coordinate blocks (see the module docstring).  The
-    scalar 1 is added to a block that holds an odd number of elements, and
-    the resulting square-zero element's rank r_B on the block's k_B
-    coordinates comes from _square_zero_rank, which eliminates on at most
-    2^k_B rows.  Square-zero operators have Jordan blocks of size at most 2,
-    so the homology dimension 2^n - 2 rank is the product of the blocks'
-    2^k_B - 2 r_B, times 2 per coordinate no translation touches; the zero
-    generator has no blocks and rank 0.
+    The generator's support is read from the translations: each is toggled
+    in a set, so those of odd multiplicity remain, and sorted.  An odd
+    number of them gives a unit generator (g^2 = 1), so full rank without
+    elimination.  Otherwise the support splits into coordinate blocks (see
+    the module docstring).  The scalar 1 is added to a block that holds an
+    odd number of elements, and the resulting square-zero element's rank
+    r_B on the block's k_B coordinates comes from _square_zero_rank, which
+    eliminates on at most 2^k_B bit-packed rows.  Square-zero operators have
+    Jordan blocks of size at most 2, so the homology dimension 2^n - 2 rank
+    is the product of the blocks' 2^k_B - 2 r_B, times 2 per coordinate no
+    support element touches; the zero generator has no blocks and rank 0.
     """
     if op.dim > DIMENSION_LIMIT:
         raise DimensionLimitError(f"dimension {op.dim} exceeds the limit {DIMENSION_LIMIT}")
     size = 1 << op.dim
-    g = op.generator
-    support = [b for b in range(size) if g >> b & 1]
+    odd: set[int] = set()
+    for t in op.translations:
+        odd ^= {t}
+    support = sorted(odd)
     if len(support) % 2:
         return size, 0
     homology, touched = 1, 0
-    for mask, elements in _coordinate_blocks(support):
+    for mask, indices in _coordinate_blocks(support):
+        elements = [support[i] for i in indices]
         if len(elements) % 2:
             elements.append(0)
         k = mask.bit_count()

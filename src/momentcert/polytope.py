@@ -56,10 +56,6 @@ class Polytope:
     def normals(self) -> tuple[IntVec, ...]:
         return tuple(f.normal for f in self.facets)
 
-    @property
-    def offsets(self) -> tuple[Fraction, ...]:
-        return tuple(f.offset for f in self.facets)
-
     def support(self, i: int, x) -> Fraction:
         """Value of the i-th facet functional at x."""
         nu, a = self.facets[i]
@@ -67,9 +63,6 @@ class Polytope:
 
     def support_values(self, x) -> tuple[Fraction, ...]:
         return tuple(self.support(i, x) for i in range(self.d))
-
-    def interior_contains(self, x) -> bool:
-        return all(v > 0 for v in self.support_values(x))
 
     # -- predicates ---------------------------------------------------------
 
@@ -143,17 +136,6 @@ class Polytope:
         facets = tuple(sorted(self.facets))
         return self if facets == self.facets else _unvalidated(self.dim, facets)
 
-    def translate(self, x0) -> Polytope:
-        """The polytope shifted by x0 (offsets pick up -<x0, normal>)."""
-        # Not validated again: a translate keeps every property __post_init__
-        # checks.  The normals are the same primitive vectors of length dim,
-        # facets with the same normal move by the same offset and stay
-        # distinct, the facet count is unchanged, and the interior moves by x0.
-        return _unvalidated(
-            self.dim,
-            tuple(Facet(f.normal, f.offset - lattice.dot(x0, f.normal)) for f in self.facets),
-        )
-
 
 @dataclass(frozen=True)
 class Vertex:
@@ -170,39 +152,50 @@ def _unvalidated(dim: int, facets: tuple[Facet, ...]) -> Polytope:
     return p
 
 
+def _coordinate_blocks(masks: list[int]) -> list[tuple[int, list[int]]]:
+    """The indices of the non-zero coordinate masks, grouped by block.
+
+    Two coordinates share a block when some mask has both bits set.  Each
+    mask merges the blocks whose coordinate masks it meets; blocks stay
+    disjoint, so one pass suffices.  Returns (coordinate mask, indices in
+    increasing order) per block.
+    """
+    blocks: list[tuple[int, list[int]]] = []
+    for i, mask in enumerate(masks):
+        if mask:
+            met = [b for b in blocks if b[0] & mask]
+            blocks = [b for b in blocks if not b[0] & mask]
+            indices = [i]
+            for m, js in met:
+                mask |= m
+                indices += js
+            blocks.append((mask, sorted(indices)))
+    return blocks
+
+
 def _blocks(p: Polytope) -> list[tuple[tuple[int, ...], tuple[int, ...], Polytope]]:
     """p split into coordinate blocks: (coordinates, facet indices, subsystem).
 
-    Two coordinates share a block when some facet normal is non-zero on
-    both, so p is the product of its blocks' subsystems up to a permutation
-    of coordinates and facets.  Each subsystem holds the block's facets in
-    p's order, with normals restricted to the block's coordinates (still
-    primitive: the entries dropped are zero).  Blocks are ordered by their
-    first coordinate.
+    The blocks are _coordinate_blocks of the facet normals' non-zero
+    entries, so p is the product of their subsystems up to a permutation of
+    coordinates and facets; a coordinate that no normal touches is a block
+    with no facets.  Each subsystem holds the block's facets in p's order,
+    with normals restricted to the block's coordinates (still primitive:
+    the entries dropped are zero).  Blocks are ordered by their first
+    coordinate.
     """
-    parent = list(range(p.dim))
-
-    def root(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        return c
-
-    supports = [[c for c, x in enumerate(f.normal) if x] for f in p.facets]
-    for support in supports:
-        for c in support[1:]:
-            parent[root(c)] = root(support[0])
-    coords: dict[int, list[int]] = {}
-    for c in range(p.dim):
-        coords.setdefault(root(c), []).append(c)
-    members: dict[int, list[int]] = {r: [] for r in coords}
-    for i, support in enumerate(supports):
-        members[root(support[0])].append(i)
+    split = _coordinate_blocks(
+        [sum(1 << c for c, x in enumerate(f.normal) if x) for f in p.facets]
+    )
+    touched = sum(mask for mask, _ in split)
+    split += [(1 << c, []) for c in range(p.dim) if not touched >> c & 1]
     blocks = []
-    for r, cs in coords.items():
+    for mask, members in sorted(split, key=lambda b: b[0] & -b[0]):
+        cs = [c for c in range(p.dim) if mask >> c & 1]
         facets = tuple(
-            Facet(tuple(p.facets[i].normal[c] for c in cs), p.facets[i].offset) for i in members[r]
+            Facet(tuple(p.facets[i].normal[c] for c in cs), p.facets[i].offset) for i in members
         )
-        blocks.append((tuple(cs), tuple(members[r]), _unvalidated(len(cs), facets)))
+        blocks.append((tuple(cs), tuple(members), _unvalidated(len(cs), facets)))
     return blocks
 
 

@@ -68,13 +68,8 @@ class AffineReduction:
     def reduced_dim(self) -> int:
         return len(self.matrix[0]) if self.matrix else 0
 
-    def map_point(self, y) -> RatVec:
-        return tuple(
-            lattice.dot(row, y) + b for row, b in zip(self.matrix, self.base, strict=True)
-        )
-
     def preimage(self, x) -> RatVec | None:
-        """The unique y with map_point(y) = x, or None if x is off the slice."""
+        """The unique y with matrix @ y + base = x, or None if x is off the slice."""
         rhs = [Fraction(xi) - bi for xi, bi in zip(x, self.base, strict=True)]
         sol = lattice.solve_exact(self.matrix, rhs)
         if sol is None:

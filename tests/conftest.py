@@ -3,8 +3,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from momentcert.floer import BoundaryOp
 from momentcert.lattice import dot, transpose, vec_gcd
-from momentcert.polytope import Polytope, polytope
+from momentcert.polytope import Facet, Polytope, _unvalidated, polytope
+from momentcert.reduction import AffineReduction
 
 OFFSET_CHOICES = [Fraction(k, 2) for k in range(1, 7)]
 
@@ -16,6 +18,36 @@ def mat_vec(m, v) -> tuple:
 def mat_mul(a, b) -> tuple:
     bt = transpose(b)
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
+
+
+def translate(p: Polytope, x0) -> Polytope:
+    """p shifted by x0 (offsets pick up -<x0, normal>), not validated again:
+    the normals, their multiplicities and the facet count are unchanged, and
+    the interior moves by x0."""
+    return _unvalidated(
+        p.dim, tuple(Facet(f.normal, f.offset - dot(x0, f.normal)) for f in p.facets)
+    )
+
+
+def offsets(p: Polytope) -> tuple:
+    return tuple(f.offset for f in p.facets)
+
+
+def interior_contains(p: Polytope, x) -> bool:
+    return all(v > 0 for v in p.support_values(x))
+
+
+def map_point(sec: AffineReduction, y) -> tuple:
+    """The ambient point matrix @ y + base of the reduced point y."""
+    return tuple(dot(row, y) + b for row, b in zip(sec.matrix, sec.base, strict=True))
+
+
+def generator(op: BoundaryOp) -> int:
+    """The image of the all-plus sign vector, bit-packed; determines the operator."""
+    g = 0
+    for t in op.translations:
+        g ^= 1 << t
+    return g
 
 
 def random_polytope(rng: random.Random, n: int, d: int, even: bool | None = None) -> Polytope:
@@ -47,8 +79,8 @@ def random_polytope(rng: random.Random, n: int, d: int, even: bool | None = None
 
 
 def xor_square(g: int) -> int:
-    """g * g in the GF(2) group algebra of (Z/2)^n, g bit-packed as in
-    BoundaryOp.generator: the XOR convolution of g with itself."""
+    """g * g in the GF(2) group algebra of (Z/2)^n, g bit-packed as by
+    generator: the XOR convolution of g with itself."""
     support = [b for b in range(g.bit_length()) if g >> b & 1]
     square = 0
     for s in support:

@@ -17,7 +17,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_polytope, xor_square
+from conftest import generator, random_polytope, xor_square
 from momentcert.certificate import auto_certify_monotone, verify
 from momentcert.corpus import (
     MONOTONE_CASES,
@@ -70,7 +70,7 @@ def test_criterion_02_parity_law():
     for _ in range(200):
         n = rng.randint(1, 5)
         p = random_polytope(rng, n, rng.randint(n, 10))
-        squared = xor_square(boundary_op(p).generator)
+        squared = xor_square(generator(boundary_op(p)))
         assert squared == (0 if p.d % 2 == 0 else 1)
     report("2 parity law (200 random polytopes)")
 

@@ -6,7 +6,15 @@ from itertools import product as iter_product
 import pytest
 
 import momentcert.polytope as polytope_module
-from conftest import mat_mul, mat_vec, random_polytope
+from conftest import (
+    interior_contains,
+    map_point,
+    mat_mul,
+    mat_vec,
+    offsets,
+    random_polytope,
+    translate,
+)
 from momentcert import lattice
 from momentcert.certificate import (
     BASE_KINDS,
@@ -193,7 +201,7 @@ def _old_verify_leaf(fact, change=None):
     center = equidistant_point(fact.instance)
     if center is None:
         raise MarkedPointMismatchError("base fact instance has no equidistant center")
-    shape = tuple(zip(normals, fact.instance.offsets))
+    shape = tuple(zip(normals, offsets(fact.instance)))
     if _old_match_dilate_translate(fact.instance.dim, shape, model) is None:
         raise ModelMismatchError(f"instance is not a dilated translate of the {fact.kind} model")
     return VerifiedClaim(
@@ -332,7 +340,7 @@ def test_every_model_has_offset_one_and_distinct_normals():
                 continue
             accepted[kind] += 1
             assert model.dim == n
-            assert set(model.offsets) == {1}
+            assert set(offsets(model)) == {1}
             assert len(set(model.normals)) == model.d
     assert set(accepted) == set(BASE_KINDS), accepted
 
@@ -582,7 +590,7 @@ def test_verified_marked_points_are_interior():
     certs += [pentagon_certificate(F(k, 8)) for k in range(9, 16)]
     for cert in certs:
         claim = verify(cert)
-        assert claim.polytope.interior_contains(claim.marked_point), cert.name
+        assert interior_contains(claim.polytope, claim.marked_point), cert.name
 
 
 def test_auto_certify_rejects_non_monotone():
@@ -614,7 +622,7 @@ def test_auto_certify_validates_once(monkeypatch, name, enumerations, compactnes
 
 
 def test_auto_certify_validates_a_translate_once(monkeypatch):
-    moved = cube(2, 2).translate((3, 0))  # offsets <= 0, so validation runs feasible
+    moved = translate(cube(2, 2), (3, 0))  # offsets <= 0, so validation runs feasible
     calls = []
     original = polytope_module.feasible
 
@@ -635,7 +643,7 @@ def test_auto_certify_validates_a_translate_once(monkeypatch):
     (o_minus_one(1, 2, 3), NotCompactError),  # also not monotone: compactness is checked first
     (weighted_projective((1, 1, 2)), NotDelzantError),
     (polytope(2, [((1, 0), 1), ((0, 1), 1), ((-1, -2), 2)]), NotDelzantError),  # also not monotone
-    (cube(2, 2).translate((1, 0)), NotMonotoneError),
+    (translate(cube(2, 2), (1, 0)), NotMonotoneError),
 ])
 def test_auto_certify_rejections_keep_their_order(p, error):
     with pytest.raises(error):
@@ -687,7 +695,7 @@ def _random_section(rng, ambient_dim, marked):
     if len(marked) != ambient_dim:
         return sec
     y = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(k)]
-    base = list(lattice.vsub(marked, sec.map_point(y)))
+    base = list(lattice.vsub(marked, map_point(sec, y)))
     if ambient_dim and rng.random() < 0.35:
         i = rng.randrange(ambient_dim)
         base[i] += F(rng.randint(-12, 12), 2)
@@ -730,7 +738,7 @@ def test_random_reduction_trees_fail_only_with_verification_errors():
                 outcomes[str(exc).removeprefix(prefix).split(":")[0]] += 1
             continue
         outcomes["accepted"] += 1
-        assert got.polytope.interior_contains(got.marked_point), root
+        assert interior_contains(got.polytope, got.marked_point), root
     assert outcomes["accepted"] >= 600, outcomes
     for name in ("SliceError", "NonPrimitiveImageError", "SliceOutsidePolytopeError",
                  "EmptyInteriorError", "ModelMismatchError", "MarkedPointMismatchError"):

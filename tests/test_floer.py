@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mat_vec, random_polytope, xor_square
+from conftest import generator, mat_vec, random_polytope, xor_square
 from momentcert import floer
 from momentcert.errors import DimensionLimitError, OddPolytopeError
 from momentcert.floer import DIMENSION_LIMIT, BoundaryOp, boundary_op, hf, hf_even, rank_gf2
@@ -44,7 +44,7 @@ def full_rank_gf2(op: BoundaryOp) -> tuple[int, int]:
     square law and no coset split: each row is the generator XOR-translated
     by its index, packed in one integer."""
     size = 1 << op.dim
-    g = op.generator
+    g = generator(op)
     if g == 0:
         return 0, size
     support = [b for b in range(size) if g >> b & 1]
@@ -75,7 +75,7 @@ def assert_matches_oracles(op: BoundaryOp) -> tuple[int, int]:
 
 
 def support_size(op: BoundaryOp) -> int:
-    return bin(op.generator).count("1")
+    return bin(generator(op)).count("1")
 
 
 # -- construction --------------------------------------------------------------
@@ -83,7 +83,7 @@ def support_size(op: BoundaryOp) -> int:
 def test_segment_operator_vanishes():
     op = boundary_op(cp1())
     assert op.translations == (1, 1)
-    assert op.generator == 0
+    assert generator(op) == 0
 
 
 def test_simplex2_translations():
@@ -91,11 +91,11 @@ def test_simplex2_translations():
     # masks for (1,0), (0,1), (1,1)
     assert op.translations == (1, 2, 3)
     # the all-plus vector maps to the sum of its three translates
-    assert op.generator == 0b1110
+    assert generator(op) == 0b1110
 
 
 def test_hexagon_operator_vanishes():
-    assert boundary_op(hexagon()).generator == 0
+    assert generator(boundary_op(hexagon())) == 0
 
 
 def test_mod2_reduction_ignores_even_shifts():
@@ -119,7 +119,7 @@ def test_simplex2_squared_rank():
 
 def test_zero_operator_rank():
     op = boundary_op(cube(3))
-    assert op.generator == 0
+    assert generator(op) == 0
     assert rank_gf2(op) == (0, 8)
 
 
@@ -206,9 +206,10 @@ def block_translations(rng: random.Random, n: int) -> tuple[list[int], list[list
     """Random translations built block by block on shuffled coordinates.
 
     The shuffled coordinates are cut into runs.  Some runs stay untouched;
-    each other run gets one to four random translations inside it, so a
-    block may hold an odd number of them.  Returns the translations and the
-    touched runs.
+    each other run gets one to four random translations inside it, each
+    taken one to three times, so a block may hold an odd number of them and
+    a translation of even multiplicity cancels.  Returns the translations
+    and the touched runs.
     """
     coords = list(range(n))
     rng.shuffle(coords)
@@ -220,35 +221,40 @@ def block_translations(rng: random.Random, n: int) -> tuple[list[int], list[list
             continue
         runs.append(run)
         for _ in range(rng.randint(1, 4)):
-            translations.append(sum(1 << c for c in run if rng.random() < 0.6))
+            t = sum(1 << c for c in run if rng.random() < 0.6)
+            translations += [t] * rng.randint(1, 3)
     return translations, runs
 
 
 def block_supports(op: BoundaryOp, runs: list[list[int]]) -> list[int]:
     """For each run, how many nonzero elements of the generator's support lie in it."""
-    g = op.generator
+    g = generator(op)
     masks = [sum(1 << c for c in run) for run in runs]
     return [sum(g >> s & 1 for s in range(1, 1 << op.dim) if s & ~mask == 0) for mask in masks]
 
 
 def test_block_split_matches_oracles():
     rng = random.Random(6174)
-    seen = {"folded": 0, "translation 0": 0, "untouched coordinate": 0, "odd block": 0}
+    seen = {"folded": 0, "translation 0": 0, "untouched coordinate": 0, "odd block": 0,
+            "repeated translation": 0, "even translation 0": 0}
     for _ in range(800):
         n = rng.randint(3, 10)
         translations, runs = block_translations(rng, n)
-        op = BoundaryOp(n, tuple(sorted(translations)))
-        # adding translation 0 flips the support's parity: mostly to even, so
-        # that the blocks are folded rather than the unit case taken
-        if support_size(op) % 2 ^ (rng.random() < 0.15):
-            op = BoundaryOp(n, (0, *op.translations))
+        # translation 0 with odd multiplicity (1 or 3) flips the support's
+        # parity: mostly to even, so that the blocks are folded rather than
+        # the unit case taken; with even multiplicity (2) it cancels
+        flip = support_size(BoundaryOp(n, tuple(translations))) % 2 ^ (rng.random() < 0.15)
+        zeros = rng.choice((1, 3)) if flip else rng.choice((0, 0, 2))
+        op = BoundaryOp(n, tuple(sorted(translations + [0] * zeros)))
         assert_matches_oracles(op)
         counts = [c for c in block_supports(op, runs) if c]
         if support_size(op) % 2 == 0 and len(counts) >= 2:
             seen["folded"] += 1
-            seen["translation 0"] += op.generator & 1
+            seen["translation 0"] += generator(op) & 1
             seen["untouched coordinate"] += sum(map(len, runs)) < n
             seen["odd block"] += any(c % 2 for c in counts)
+            seen["repeated translation"] += len(set(op.translations)) < len(op.translations)
+            seen["even translation 0"] += zeros == 2
     assert seen["folded"] >= 300, seen
     assert min(seen.values()) >= 50, seen
 
@@ -318,7 +324,7 @@ def operators(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(operators())
 def test_generator_squares_to_its_support_size_mod_2(op):
-    assert xor_square(op.generator) == support_size(op) % 2
+    assert xor_square(generator(op)) == support_size(op) % 2
 
 
 def test_square_law_on_random_polytopes():
@@ -326,7 +332,7 @@ def test_square_law_on_random_polytopes():
     for _ in range(80):
         n = rng.randint(1, 5)
         p = random_polytope(rng, n, rng.randint(n, 10))
-        squared = xor_square(boundary_op(p).generator)
+        squared = xor_square(generator(boundary_op(p)))
         assert squared == (0 if p.is_even() else 1)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momentcert.polytope as polytope_module
-from conftest import random_polytope
+from conftest import interior_contains, offsets, random_polytope, translate
 from momentcert import lattice
 from momentcert.errors import EmptyInteriorError, PolytopeError
 from momentcert.polytope import (
@@ -77,7 +77,7 @@ def test_rejects_too_few_facets():
 def test_product_square():
     sq = product(cp1(), cp1())
     assert sq.normals == ((1, 0), (-1, 0), (0, 1), (0, -1))
-    assert all(a == 1 for a in sq.offsets)
+    assert all(a == 1 for a in offsets(sq))
 
 
 def test_product_simplex2_squared():
@@ -169,7 +169,7 @@ def _vertex_test_polytope(rng, n):
             seen.add((normal, offset))
             facets.append((normal, offset))
     shift = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
-    return polytope(n, facets).translate(shift)
+    return translate(polytope(n, facets), shift)
 
 
 def test_vertices_match_fraction_evaluation_on_random_polytopes():
@@ -181,8 +181,8 @@ def test_vertices_match_fraction_evaluation_on_random_polytopes():
         assert verts == fraction_vertices(p), p.facets
         seen["unbounded"] += not p.is_compact()
         seen["degenerate"] += sum(len(v.active) > p.dim for v in verts)
-        seen["fraction offset"] += any(a.denominator != 1 for a in p.offsets)
-        seen["offset <= 0"] += any(a <= 0 for a in p.offsets)
+        seen["fraction offset"] += any(a.denominator != 1 for a in offsets(p))
+        seen["offset <= 0"] += any(a <= 0 for a in offsets(p))
     assert all(count >= 20 for count in seen.values()), seen
 
 
@@ -191,11 +191,11 @@ def vertex_test_polytopes(draw, max_facets=9):
     n = draw(st.integers(1, min(4, max_facets)))
     normals = st.tuples(*[st.integers(-2, 2)] * n).filter(any).map(
         lambda v: tuple(x // lattice.vec_gcd(v) for x in v))
-    offsets = st.one_of(st.just(F(1)), st.fractions(F(1, 3), 6, max_denominator=3))
-    facets = draw(st.lists(st.tuples(normals, offsets), min_size=n,
+    offset_values = st.one_of(st.just(F(1)), st.fractions(F(1, 3), 6, max_denominator=3))
+    facets = draw(st.lists(st.tuples(normals, offset_values), min_size=n,
                            max_size=min(n + 5, max_facets), unique=True))
     shift = draw(st.tuples(*[st.fractions(-4, 4, max_denominator=3)] * n))
-    return polytope(n, facets).translate(shift)
+    return translate(polytope(n, facets), shift)
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,7 +205,7 @@ def test_vertices_property_matches_fraction_evaluation(p):
 
 
 def test_vertices_build_no_fraction_per_facet(monkeypatch):
-    p = product(hexagon(), simplex(2)).translate((F(1, 3), 0, F(-1, 2), 0))
+    p = translate(product(hexagon(), simplex(2)), (F(1, 3), 0, F(-1, 2), 0))
     expected = fraction_vertices(p)
 
     def refuse(*args):
@@ -260,19 +260,62 @@ def _random_shuffled_product(rng):
     return shuffled_product(factors, rng.sample(range(d), d), rng.sample(range(dim), dim))
 
 
+def union_find_blocks(p):
+    """The coordinate blocks of p by a parent-array union-find over the
+    normals' supports: (coordinates, facet indices, subsystem), ordered by
+    first coordinate."""
+    parent = list(range(p.dim))
+
+    def root(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    supports = [[c for c, x in enumerate(f.normal) if x] for f in p.facets]
+    for support in supports:
+        for c in support[1:]:
+            parent[root(c)] = root(support[0])
+    coords = {}
+    for c in range(p.dim):
+        coords.setdefault(root(c), []).append(c)
+    members = {r: [] for r in coords}
+    for i, support in enumerate(supports):
+        members[root(support[0])].append(i)
+    blocks = []
+    for r, cs in coords.items():
+        facets = tuple(polytope_module.Facet(tuple(p.facets[i].normal[c] for c in cs),
+                                             p.facets[i].offset) for i in members[r])
+        blocks.append((tuple(cs), tuple(members[r]), polytope_module._unvalidated(len(cs), facets)))
+    return blocks
+
+
+def with_untouched_coordinate(p, c):
+    """p times a line: a zero entry inserted at coordinate c of every normal."""
+    facets = tuple(polytope_module.Facet(f.normal[:c] + (0,) + f.normal[c:], f.offset)
+                   for f in p.facets)
+    return polytope_module._unvalidated(p.dim + 1, facets)
+
+
 def test_split_matches_flat_scans_on_shuffled_products():
-    rng = random.Random(2011)
-    seen = {"unbounded": 0, "degenerate": 0, "indecomposable": 0, "several blocks": 0}
-    for _ in range(300):
+    rng, lines = random.Random(2011), random.Random(2012)
+    seen = {"unbounded": 0, "degenerate": 0, "indecomposable": 0, "several blocks": 0,
+            "untouched coordinate": 0}
+    for case in range(300):
         p = _random_shuffled_product(rng)
-        verts = p.vertices()
-        assert verts == flat_vertices(p), p.facets
-        assert p.is_compact() == flat_is_compact(p), p.facets
-        seen["unbounded"] += not p.is_compact()
-        seen["degenerate"] += any(len(v.active) > p.dim for v in verts)
-        blocks = len(polytope_module._blocks(p))
-        seen["indecomposable"] += blocks == 1
-        seen["several blocks"] += blocks > 1
+        cases = [p]
+        if case % 3 == 0:
+            cases.append(with_untouched_coordinate(p, lines.randint(0, p.dim)))
+        for p in cases:
+            verts = p.vertices()
+            assert verts == flat_vertices(p), p.facets
+            assert p.is_compact() == flat_is_compact(p), p.facets
+            blocks = polytope_module._blocks(p)
+            assert blocks == union_find_blocks(p), p.facets
+            seen["unbounded"] += not p.is_compact()
+            seen["degenerate"] += any(len(v.active) > p.dim for v in verts)
+            seen["indecomposable"] += len(blocks) == 1
+            seen["several blocks"] += len(blocks) > 1
+            seen["untouched coordinate"] += any(not facets for _, facets, _ in blocks)
     assert all(count >= 20 for count in seen.values()), seen
 
 
@@ -482,7 +525,7 @@ def test_prune_matches_fraction_fm(monkeypatch):
     for _ in range(30):
         n = rng.choice((2, 3))
         p = random_polytope(rng, n, rng.randint(n + 1, 8))
-        cases.append(p.translate(tuple(F(rng.randint(-2, 2), 2) for _ in range(n))))
+        cases.append(translate(p, tuple(F(rng.randint(-2, 2), 2) for _ in range(n))))
     pruned = [prune_redundant(p).facets for p in cases]
     monkeypatch.setattr(polytope_module, "feasible", fraction_fm_feasible)
     assert [prune_redundant(p).facets for p in cases] == pruned
@@ -545,7 +588,7 @@ def _count_feasible(monkeypatch):
 
 
 def test_prune_does_not_validate_its_result(monkeypatch):
-    p = cube(2, 2).translate((3, 0))
+    p = translate(cube(2, 2), (3, 0))
     calls = _count_feasible(monkeypatch)
     pruned = prune_redundant(p)
     assert len(calls) == 4  # one redundancy test per facet
@@ -565,7 +608,7 @@ def test_prune_empty_interior_error():
 
 
 def test_product_is_not_validated_again(monkeypatch):
-    left, right = cube(2, 2).translate((3, 0)), o_minus_one()
+    left, right = translate(cube(2, 2), (3, 0)), o_minus_one()
     calls = _count_feasible(monkeypatch)
     constructed = []
     monkeypatch.setattr(Polytope, "__post_init__", lambda self: constructed.append(self))
@@ -592,7 +635,7 @@ def test_canonical_form_is_order_invariant():
 def test_canonical_form_of_a_canonical_polytope_is_itself():
     q = polytope(2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)]).canonical_form()
     assert q.canonical_form() is q
-    assert q.translate((3, 0)).canonical_form() is not q
+    assert translate(q, (3, 0)).canonical_form() is not q
 
 
 def test_canonical_form_is_not_validated_again(monkeypatch):
@@ -645,19 +688,5 @@ def test_equidistant_point_is_interior():
         p = random_polytope(rng, rng.randint(1, 3), rng.randint(3, 7))
         hit = equidistant_point(p)
         if hit is not None:
-            assert p.interior_contains(hit[0])
+            assert interior_contains(p, hit[0])
 
-
-def test_translate_offsets():
-    p = simplex(2).translate((F(1), F(2)))
-    assert p.offsets == (0, -1, 4)
-    assert p.translate((F(-1), F(-2))) == simplex(2)
-
-
-def test_translate_is_not_validated_again(monkeypatch):
-    calls = _count_feasible(monkeypatch)
-    moved = cube(2, 2).translate((3, 0))
-    assert calls == []
-    # the unvalidated translate passes validation when built afresh
-    assert Polytope(moved.dim, moved.facets) == moved
-    assert len(calls) == 1

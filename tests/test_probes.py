@@ -4,7 +4,7 @@ from itertools import product as iter_product
 
 import pytest
 
-from conftest import random_polytope
+from conftest import interior_contains, random_polytope
 from momentcert import lattice
 from momentcert.corpus import PROBE_NONE_CASES, load_corpus_polytope
 
@@ -106,7 +106,7 @@ def scan_oracle(p, u, direction_bound):
     """Reference scan: one probe_reach, with its own support values, per
     candidate direction."""
     u = tuple(F(x) for x in u)
-    if not p.interior_contains(u):
+    if not interior_contains(p, u):
         raise ProbeError(f"scan point {u} is not interior")
     for f in range(p.d):
         nu = p.facets[f].normal
@@ -145,7 +145,7 @@ def test_scan_matches_oracle_on_random_interior_points():
         if p.dim > 3:
             continue
         u = tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(p.dim))
-        if not p.interior_contains(u):
+        if not interior_contains(p, u):
             u = (F(0),) * p.dim  # offsets are positive, so the origin is interior
         bound = rng.randint(1, 3)
         found = probe_scan(p, u, bound)

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import mat_vec
+from conftest import interior_contains, map_point, mat_vec, offsets
 from momentcert import lattice
 from momentcert.corpus import load_corpus_polytope, load_corpus_section
 from momentcert.errors import (
@@ -56,11 +56,11 @@ def test_section_base_length():
 
 def test_preimage_and_map_point():
     hexa = section([(1, 0), (0, 1), (1, 1)])
-    assert hexa.map_point((0, 0)) == (0, 0, 0)
+    assert map_point(hexa, (0, 0)) == (0, 0, 0)
     sec = section([(1, 0), (0, 1), (0, 1), (1, 1)])
     a, lam = F(1, 4), F(1, 4)
     y = (-a + lam, -a)
-    assert sec.map_point(y) == (-a + lam, -a, -a, -2 * a + lam)
+    assert map_point(sec, y) == (-a + lam, -a, -a, -2 * a + lam)
     assert sec.preimage((-a + lam, -a, -a, -2 * a + lam)) == y
     assert sec.preimage((0, 0, 1, 0)) is None
 
@@ -68,7 +68,7 @@ def test_preimage_and_map_point():
 def test_mcduff_section_levels():
     sec = section([(1, 0), (0, 1), (0, 1), (-1, -2), (0, -1)])
     lam = F(3, 2)
-    assert sec.map_point((lam, 0)) == (lam, 0, 0, -lam, 0)
+    assert map_point(sec, (lam, 0)) == (lam, 0, 0, -lam, 0)
 
 
 def test_subtorus_recovery():
@@ -140,7 +140,7 @@ def test_models():
     assert simplex(2).normals == ((1, 0), (0, 1), (-1, -1))
     assert weighted_projective((1, 1, 2)).facets[-1].normal == (-1, -2)
     assert o_minus_one().normals == ((1, 0), (0, 1), (1, 1))
-    assert cp1(1, F(1, 2)).offsets == (1, F(1, 2))
+    assert offsets(cp1(1, F(1, 2))) == (1, F(1, 2))
     assert cube(2).d == 4
     with pytest.raises(ValueError):
         weighted_projective((2, 1))
@@ -235,7 +235,7 @@ def test_dimension_mismatch_errors():
 def _assert_composes(outer, inner, composite):
     """composite maps each point as inner, then outer, does."""
     for y in ((0, 0), (1, 0), (0, 1), (F(-2, 3), F(5, 2))):
-        assert composite.map_point(y) == outer.map_point(inner.map_point(y))
+        assert map_point(composite, y) == map_point(outer, map_point(inner, y))
 
 
 def test_stage_composition_matches_composite():
@@ -274,8 +274,8 @@ def test_reduce_respects_points():
     sec = section([(1, 0), (0, 1), (1, 1)])
     reduced = reduce_polytope(ambient, sec)
     for v in reduced.vertices():
-        assert all(x >= 0 for x in ambient.support_values(sec.map_point(v.point)))
-    assert ambient.interior_contains(sec.map_point((0, 0)))
+        assert all(x >= 0 for x in ambient.support_values(map_point(sec, v.point)))
+    assert interior_contains(ambient, map_point(sec, (0, 0)))
 
 
 # -- weight lemma ----------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "momentcert"
 MODULES = sorted(PACKAGE.glob("*.py"))
+BENCH = PACKAGE.parent.parent / "bench"
 
 
 def _tree(path):
@@ -50,6 +51,59 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_imports_only_what_it_uses(path):
     assert unused_imports(_tree(path)) == []
+
+
+def unread_functions(defining, reading, exported=()):
+    """The functions and methods of defining that nothing reads by name.
+
+    defining maps a module name to its tree; a top-level function or a
+    class's method counts as read when some tree in reading loads its name,
+    bare or as an attribute.  Exempt are the exported names, dunder methods
+    (called by the language) and cli's _cmd_* handlers (dispatched by
+    name).  Returns sorted "module.qualname" strings.
+    """
+    read = set()
+    for tree in reading:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for mod, tree in defining.items():
+        for node in tree.body:
+            owner, defs = "", [node]
+            if isinstance(node, ast.ClassDef):
+                owner, defs = f"{node.name}.", node.body
+            for item in defs:
+                if not isinstance(item, ast.FunctionDef) or item.name in read:
+                    continue
+                if item.name in exported or item.name.startswith("__"):
+                    continue
+                if mod == "cli" and item.name.startswith("_cmd_"):
+                    continue
+                unread.append(f"{mod}.{owner}{item.name}")
+    return sorted(unread)
+
+
+def test_unread_functions_are_found():
+    tree = ast.parse("def used(): pass\ndef unused(): pass\ndef shown(): pass\n"
+                     "def _cmd_run(): pass\nclass C:\n    def read(self): pass\n"
+                     "    def stale(self): pass\n    def __repr__(self): pass\n"
+                     "used(); C().read\n")
+    assert unread_functions({"cli": tree}, [tree], exported=("shown",)) == [
+        "cli.C.stale", "cli.unused"]
+    assert unread_functions({"m": tree}, [tree], exported=("shown",)) == [
+        "m.C.stale", "m._cmd_run", "m.unused"]
+
+
+def test_every_function_has_a_reader():
+    """Every function and method of the package is read by the package or
+    the benchmark, or exported through momentcert.__all__."""
+    trees = {path.stem: _tree(path) for path in MODULES}
+    bench = [_tree(path) for path in sorted(BENCH.glob("*.py"))]
+    exported = _dunder_all(trees["__init__"])
+    assert unread_functions(trees, [*trees.values(), *bench], exported) == []
 
 
 EXPORTING = [p for p in MODULES if _dunder_all(_tree(p))]
