@@ -391,17 +391,58 @@ def _interior_nonempty(dim: int, facets) -> bool:
     return feasible([(f.normal, f.offset, True) for f in facets], dim)
 
 
+def _ray_witnessed(facets: list[Facet]) -> set[Facet]:
+    """The facets that a ray from the origin proves irredundant.
+
+    Every offset must be > 0, so the origin is interior.  The ray along
+    -nu_i meets facet j, scaled to the integer row (N_j, A_j), at time
+    A_j / <N_j, nu_i> when <N_j, nu_i> > 0; times are compared by
+    cross-multiplying.  A facet met first and alone is irredundant: the hit
+    point lies on it and strictly inside every other half-space.  A tie
+    proves nothing.  One ray per facet; no FM.
+    """
+    rows, _ = lattice.integer_rows([(*f.normal, f.offset) for f in facets])
+    proven = set()
+    for f in facets:
+        first, time = [], None  # the facets met earliest, and that time as (A, s)
+        for j, row in enumerate(rows):
+            # zip stops at len(f.normal), before the offset column
+            s = sum(a * b for a, b in zip(row, f.normal))
+            if s <= 0:
+                continue
+            if time is None or row[-1] * time[1] < time[0] * s:
+                first, time = [j], (row[-1], s)
+            elif row[-1] * time[1] == time[0] * s:
+                first.append(j)
+        if len(first) == 1:
+            proven.add(facets[first[0]])
+    return proven
+
+
 def _prune_facet_list(dim: int, facets) -> list[Facet]:
     """The irredundant facets, sorted, with exact duplicates collapsed.
 
-    The facets' interior must be non-empty; that is not checked here.
+    The facets' interior must be non-empty; that is not checked here.  Only
+    an FM infeasibility proof drops a facet.  When every offset is > 0, ray
+    witnesses from the origin (_ray_witnessed) first prove a core of facets
+    irredundant with no FM call.  Every other facet f is tested by FM
+    against the core alone, and only if the core can be satisfied strictly
+    below f, against every facet still kept.  The irredundant facets of a
+    system with non-empty interior do not depend on the order they are
+    found in, so the result is the plain FM loop's.
     """
     work = sorted(set(facets))
+    core = _ray_witnessed(work) if all(f.offset > 0 for f in work) else set()
+    core_cons = [(g.normal, g.offset, False) for g in work if g in core]
     for f in list(work):
+        if f in core:
+            continue
+        # f is redundant iff the others cannot be satisfied strictly below f;
+        # the core is a subset of the others, so a proof against it is one
+        below = (lattice.neg(f.normal), -f.offset, True)
         others = [g for g in work if g != f]
-        # f is redundant iff the others cannot be satisfied strictly below f
-        cons = [(g.normal, g.offset, False) for g in others]
-        cons.append((lattice.neg(f.normal), -f.offset, True))
-        if not feasible(cons, dim):
+        if (core and not feasible([*core_cons, below], dim)) or not feasible(
+            [*((g.normal, g.offset, False) for g in others), below], dim
+        ):
             work = others
     return work

@@ -13,8 +13,12 @@ from conftest import interior_contains, offsets, random_polytope, translate
 from momentcert import lattice
 from momentcert.errors import EmptyInteriorError, PolytopeError
 from momentcert.polytope import (
+    Facet,
     Polytope,
     Vertex,
+    _prune_facet_list,
+    _ray_witnessed,
+    _unvalidated,
     equidistant_point,
     feasible,
     polytope,
@@ -519,16 +523,143 @@ def test_feasible_matches_fraction_fm_and_lpmax():
     assert True in answers and False in answers
 
 
+def plain_fm_prune(dim, facets):
+    """Reference: pruning with no ray witnesses, one Fourier-Motzkin test per
+    facet against every facet still kept (the real feasible, unpatched)."""
+    work = sorted(set(facets))
+    for f in list(work):
+        others = [g for g in work if g != f]
+        cons = [(g.normal, g.offset, False) for g in others]
+        cons.append((lattice.neg(f.normal), -f.offset, True))
+        if not feasible(cons, dim):
+            work = others
+    return work
+
+
+def ray_first_hits(facets):
+    """For each facet, the facets its ray from the origin along -normal meets
+    first, timed with Fractions; the origin must be interior."""
+    hits = []
+    for f in facets:
+        times = {}
+        for g in facets:
+            s = lattice.dot(g.normal, f.normal)
+            if s > 0:
+                times[g] = g.offset / s
+        first = min(times.values())
+        hits.append([g for g, t in times.items() if t == first])
+    return hits
+
+
+def shifted(facets, x0):
+    """The facet list moved by x0, duplicates kept (translate on the raw list)."""
+    return list(translate(_unvalidated(len(x0), tuple(facets)), x0).facets)
+
+
+def _prune_case(rng, origin):
+    """A facet list with non-empty interior and the origin interior, on the
+    boundary or outside, as origin says.  Some lists gain a facet whose ray
+    from the origin runs through a vertex (a tie), a parallel copy of a facet
+    at another offset, or an exact duplicate."""
+    while True:
+        n = rng.choice((1, 2, 3))
+        p = random_polytope(rng, n, rng.randint(n + 1, 7))
+        verts = [v.point for v in p.vertices()]
+        if verts:
+            break
+    facets = list(p.facets)
+    if rng.random() < 0.8:
+        v = rng.choice(verts)
+        (num,), _ = lattice.integer_rows([v])
+        nu = tuple(-x // lattice.vec_gcd(num) for x in num)
+        facets.append(Facet(nu, -lattice.dot(nu, v)))
+    if rng.random() < 0.5:
+        f = rng.choice(facets)
+        facets.append(Facet(f.normal, f.offset * rng.choice((F(1, 2), F(3, 2), 2))))
+    if rng.random() < 0.5:
+        facets.append(rng.choice(facets))
+    if origin == "boundary":
+        facets = shifted(facets, lattice.neg(rng.choice(verts)))
+    elif origin == "outside":
+        moved = facets
+        while min(f.offset for f in moved) >= 0:
+            moved = shifted(facets, tuple(F(rng.randint(-8, 8), 2) for _ in range(n)))
+        facets = moved
+    rng.shuffle(facets)
+    return n, facets
+
+
 def test_prune_matches_fraction_fm(monkeypatch):
+    """_prune_facet_list keeps exactly the facets of the plain FM loop, and
+    of itself over fraction_fm_feasible; the ray witnesses are exactly the
+    Fraction-timed rays met first and alone, and are all kept."""
     rng = random.Random(6502)
+    seen = dict.fromkeys(("origin interior", "origin on the boundary", "origin outside",
+                          "tied rays", "parallel facets", "exact duplicates"), 0)
     cases = []
-    for _ in range(30):
-        n = rng.choice((2, 3))
-        p = random_polytope(rng, n, rng.randint(n + 1, 8))
-        cases.append(translate(p, tuple(F(rng.randint(-2, 2), 2) for _ in range(n))))
-    pruned = [prune_redundant(p).facets for p in cases]
+    for case in range(360):
+        n, facets = _prune_case(rng, ("interior", "boundary", "outside")[case % 3])
+        got = _prune_facet_list(n, facets)
+        assert got == plain_fm_prune(n, facets), facets
+        distinct = sorted(set(facets))
+        low = min(f.offset for f in facets)
+        if low > 0:
+            hits = ray_first_hits(distinct)
+            witnessed = _ray_witnessed(distinct)
+            assert witnessed == {h[0] for h in hits if len(h) == 1}, facets
+            assert witnessed <= set(got), facets
+            seen["tied rays"] += any(len(h) > 1 for h in hits)
+        seen["origin interior"] += low > 0
+        seen["origin on the boundary"] += low == 0
+        seen["origin outside"] += low < 0
+        seen["parallel facets"] += len({f.normal for f in distinct}) < len(distinct)
+        seen["exact duplicates"] += len(distinct) < len(facets)
+        cases.append((n, facets, got))
+    assert all(count >= 50 for count in seen.values()), seen
     monkeypatch.setattr(polytope_module, "feasible", fraction_fm_feasible)
-    assert [prune_redundant(p).facets for p in cases] == pruned
+    for n, facets, got in cases:
+        assert _prune_facet_list(n, facets) == got, facets
+
+
+@st.composite
+def prune_systems(draw):
+    """(dim, facet list): positive offsets, so the origin is interior, then
+    shifted; duplicates and parallel facets may occur, and no facet at all."""
+    n = draw(st.integers(1, 3))
+    normals = st.tuples(*[st.integers(-2, 2)] * n).filter(any).map(
+        lambda v: tuple(x // lattice.vec_gcd(v) for x in v))
+    facets = draw(st.lists(st.builds(Facet, normals, st.fractions(F(1, 3), 4, max_denominator=3)),
+                           max_size=8))
+    shift = draw(st.one_of(st.just((0,) * n),
+                           st.tuples(*[st.fractions(-3, 3, max_denominator=2)] * n)))
+    return n, shifted(facets, shift)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(prune_systems())
+def test_prune_property_matches_the_plain_fm_loop(system):
+    n, facets = system
+    got = _prune_facet_list(n, facets)
+    assert got == plain_fm_prune(n, facets)
+    if all(f.offset > 0 for f in facets):
+        assert _ray_witnessed(sorted(set(facets))) <= set(got)
+
+
+SQUARE = [Facet((1, 0), F(1)), Facet((-1, 0), F(1)), Facet((0, 1), F(1)), Facet((0, -1), F(1))]
+
+
+@pytest.mark.parametrize("dim, facets, kept, witnessed", [
+    (0, [], [], set()),  # a reduction onto a point
+    (2, [], [], set()),
+    # the ray along -(1, 1) meets (1,1):2, (1,0):1 and (0,1):1 together at (-1, -1)
+    (2, SQUARE + [Facet((1, 1), F(2))], SQUARE, set(SQUARE)),
+    (2, SQUARE + [Facet((-1, -1), F(2))], SQUARE, set(SQUARE)),  # the tie sorts first
+    (2, SQUARE + [Facet((1, 1), F(3))], SQUARE, set(SQUARE)),
+    (2, SQUARE + SQUARE[:2] + [Facet((1, 0), F(2))], SQUARE, set(SQUARE)),
+])
+def test_prune_edge_cases(dim, facets, kept, witnessed):
+    assert _prune_facet_list(dim, facets) == sorted(kept) == plain_fm_prune(dim, facets)
+    assert _ray_witnessed(sorted(set(facets))) == witnessed
 
 
 # -- pruning ------------------------------------------------------------------
@@ -585,6 +716,39 @@ def _count_feasible(monkeypatch):
 
     monkeypatch.setattr(polytope_module, "feasible", counting_feasible)
     return calls
+
+
+def test_prune_cube_needs_no_fm(monkeypatch):
+    calls = _count_feasible(monkeypatch)
+    assert prune_redundant(cube(3)) == cube(3).canonical_form()
+    assert calls == []
+
+
+def test_prune_ray_proves_the_simplex_of_a_catalogue_system(monkeypatch):
+    """A simplex around the origin plus facets clear of it: every simplex
+    facet is ray-proven, and each other facet, implied by that core alone,
+    costs exactly one FM call."""
+    rng = random.Random(31)
+    for n, d in ((3, 10), (3, 12), (4, 9)):
+        core = [Facet(tuple(int(i == j) for i in range(n)), F(1)) for j in range(n)]
+        core.append(Facet((-1,) * n, F(1)))
+        corners = [(-1,) * n] + [tuple(n if i == j else -1 for i in range(n)) for j in range(n)]
+        facets = list(core)
+        while len(facets) < d:
+            vec = tuple(rng.randint(-3, 3) for _ in range(n))
+            if not any(vec):
+                continue
+            nu = tuple(x // lattice.vec_gcd(vec) for x in vec)
+            if any(f.normal == nu for f in facets):
+                continue
+            touch = -min(lattice.dot(nu, v) for v in corners)
+            facets.append(Facet(nu, touch + rng.choice((F(1, 2), F(1), F(3, 2), F(2)))))
+        rng.shuffle(facets)
+        assert set(core) <= _ray_witnessed(sorted(facets))
+        calls = _count_feasible(monkeypatch)
+        assert _prune_facet_list(n, facets) == sorted(core)
+        assert len(calls) == d - len(core)
+        monkeypatch.undo()
 
 
 def test_prune_does_not_validate_its_result(monkeypatch):

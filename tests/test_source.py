@@ -229,6 +229,7 @@ TRUSTED_BASE = (
     "polytope._dominate",
     "polytope._interior_nonempty",
     "polytope._prune_facet_list",
+    "polytope._ray_witnessed",
     "polytope._unvalidated",
     "polytope.equidistant_point",
     "polytope.feasible",
