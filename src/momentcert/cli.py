@@ -60,7 +60,7 @@ def _cmd_info(args) -> int:
     _print_polytope(p)
     verts = p.vertices()
     print(f"compact: {p.is_compact()}")
-    print(f"delzant: {_delzant_at(p, verts)}")
+    print(f"delzant: {_delzant_at(p, (v.active for v in verts))}")
     print(f"even: {p.is_even()}")
     print(f"symmetric: {p.is_symmetric()}")
     lam = p.is_monotone()

@@ -84,8 +84,18 @@ class Polytope:
         return None
 
     def is_delzant(self) -> bool:
-        """Every vertex lies on exactly dim facets whose normals form a Z-basis."""
-        return _delzant_at(self, self.vertices())
+        """Every vertex lies on exactly dim facets whose normals form a Z-basis.
+
+        Decided per coordinate block (see _blocks), as is_compact is: a
+        vertex of the product is one vertex per block, its active set is the
+        union of theirs and its normal matrix is block-diagonal, so it is
+        Delzant exactly when each block's vertex is.  If some block has no
+        vertex, neither has the product, and the answer is vacuously True.
+        """
+        scans = [(block, _vertex_scan(block)) for _, _, block in _blocks(self)]
+        if not all(scan for _, scan in scans):
+            return True
+        return all(_delzant_at(block, scan.values()) for block, scan in scans)
 
     def is_compact(self) -> bool:
         """Exact boundedness test via extreme rays of the recession cone.
@@ -262,13 +272,14 @@ def _check_facet_count(dim: int, facets) -> None:
         raise PolytopeError(f"{len(facets)} facets cannot cut out a {dim}-dimensional polytope")
 
 
-def _delzant_at(p: Polytope, vertices) -> bool:
-    """Whether each of p's vertices lies on exactly dim facets whose normals
-    form a Z-basis; vertices must be p.vertices()."""
-    for v in vertices:
-        if len(v.active) != p.dim:
+def _delzant_at(p: Polytope, actives) -> bool:
+    """Whether each active set holds exactly dim facets of p whose normals
+    form a Z-basis; actives are the active sets of p's vertices, as
+    frozensets of facet indices."""
+    for active in actives:
+        if len(active) != p.dim:
             return False
-        mat = tuple(p.facets[i].normal for i in sorted(v.active))
+        mat = tuple(p.facets[i].normal for i in sorted(active))
         if abs(lattice.det_exact(mat)) != 1:
             return False
     return True

@@ -130,10 +130,12 @@ def reduce_with_sources(
             f"section lives in dimension {sec.ambient_dim}, polytope in {ambient.dim}"
         )
     cols = lattice.transpose(sec.matrix)
+    # x0 = base / den with base integral, so <x0, nu> is one Fraction per facet
+    (base,), den = lattice.integer_rows([sec.base])
     sources: dict[Facet, tuple[IntVec, ...]] = {}
     for nu, a in ambient.facets:
         image = tuple(lattice.dot(col, nu) for col in cols)
-        clearance = a + lattice.dot(sec.base, nu)
+        clearance = a + Fraction(lattice.dot(base, nu), den)
         if all(x == 0 for x in image):
             if clearance <= 0:
                 raise SliceOutsidePolytopeError(

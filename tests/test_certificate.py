@@ -603,8 +603,8 @@ def test_auto_certify_rejects_non_monotone():
 
 
 @pytest.mark.parametrize("name, enumerations, compactness", [
-    ("cp2_blowup1", 2, 1),  # non-zero normal sum: is_delzant, then one vertex cone scan
-    ("hexagon", 1, 1),  # zero normal sum: is_delzant only
+    ("cp2_blowup1", 1, 1),  # non-zero normal sum: one vertex cone scan
+    ("hexagon", 0, 1),  # zero normal sum: is_delzant scans blocks, not vertices()
 ])
 def test_auto_certify_validates_once(monkeypatch, name, enumerations, compactness):
     calls = {"vertices": 0, "is_compact": 0}
@@ -617,7 +617,7 @@ def test_auto_certify_validates_once(monkeypatch, name, enumerations, compactnes
 
         monkeypatch.setattr(Polytope, method, counted)
     auto_certify_monotone(load_corpus_polytope(name))
-    assert calls["vertices"] <= enumerations
+    assert calls["vertices"] == enumerations
     assert calls["is_compact"] == compactness
 
 

@@ -16,6 +16,7 @@ from momentcert.polytope import (
     Facet,
     Polytope,
     Vertex,
+    _delzant_at,
     _prune_facet_list,
     _ray_witnessed,
     _unvalidated,
@@ -377,6 +378,109 @@ def test_split_solves_each_factor_on_its_own(monkeypatch):
     # C(6, 2) and C(6, 1) per hexagon, against C(12, 4) and C(12, 3)
     assert counts == {"vertices": 30, "is_compact": 12,
                       "flat vertices": 495, "flat is_compact": 220}
+
+
+# -- Delzant by blocks ------------------------------------------------------------
+
+def flat_delzant(p):
+    """Oracle: _delzant_at over the active sets of the product's vertices."""
+    return _delzant_at(p, [v.active for v in p.vertices()])
+
+
+STRIP = polytope(2, [((1, 0), 1), ((-1, 0), 1)])  # rank-deficient: no vertex
+# a redundant facet through the corner (-1, -1): three facets meet there
+CORNERED_SQUARE = polytope(2, [*cube(2).facets, ((1, 1), 2)])
+DELZANT_MODELS = (cp1(), simplex(2), cube(2), hexagon(), o_minus_one(), blowup2_alpha())
+NON_UNIMODULAR = (weighted_projective((1, 1, 2)), weighted_projective((1, 2, 3)),
+                  polytope(2, [((1, 0), 1), ((-1, 2), 1), ((0, -1), 1)]))
+
+
+def _delzant_test_factor(rng):
+    """A factor drawn to make each verdict common: a Delzant model, a simple
+    non-unimodular one, one with a vertex on three facets, the strip, or a
+    random _vertex_test_polytope; models are translated by a Fraction."""
+    roll = rng.random()
+    if roll < 0.45:
+        q = rng.choice(DELZANT_MODELS)
+    elif roll < 0.6:
+        q = rng.choice(NON_UNIMODULAR)
+    elif roll < 0.7:
+        q = CORNERED_SQUARE
+    elif roll < 0.8:
+        q = STRIP
+    else:
+        return _vertex_test_polytope(rng, rng.randint(1, 2))
+    return translate(q, tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(q.dim)))
+
+
+def _delzant_verdict(p):
+    verts = p.vertices()
+    if not verts:
+        return "vacuous"
+    if any(len(v.active) != p.dim for v in verts):
+        return "non-simple"
+    return "true" if flat_delzant(p) else "non-unimodular"
+
+
+def test_delzant_by_blocks_matches_the_product_vertices():
+    rng, lines = random.Random(2020), random.Random(2021)
+    seen = {"vacuous": 0, "non-simple": 0, "non-unimodular": 0, "true": 0,
+            "untouched coordinate": 0, "vacuous beside a non-Delzant block": 0}
+    for case in range(600):
+        factors = [_delzant_test_factor(rng) for _ in range(rng.randint(1, 3))]
+        dim, d = sum(q.dim for q in factors), sum(q.d for q in factors)
+        p = shuffled_product(factors, rng.sample(range(d), d), rng.sample(range(dim), dim))
+        if case % 4 == 0:
+            p = with_untouched_coordinate(p, lines.randint(0, p.dim))
+            seen["untouched coordinate"] += 1
+        assert p.is_delzant() == flat_delzant(p), p.facets
+        verdict = _delzant_verdict(p)
+        seen[verdict] += 1
+        seen["vacuous beside a non-Delzant block"] += verdict == "vacuous" and any(
+            not flat_delzant(q) and q.vertices() for q in factors)
+    assert all(count >= 50 for count in seen.values()), seen
+
+
+@st.composite
+def delzant_test_products(draw):
+    """1-3 factors, random or from the models, shuffled, at most 12 facets in
+    all, sometimes with an untouched coordinate."""
+    models = st.sampled_from((*DELZANT_MODELS, *NON_UNIMODULAR, CORNERED_SQUARE, STRIP))
+    factors, budget = [], 12
+    for _ in range(draw(st.integers(1, 3))):
+        if budget < 1:
+            break
+        q = draw(st.one_of(vertex_test_polytopes(min(budget, 6)), models))
+        if q.d <= budget:
+            factors.append(q)
+            budget -= q.d
+    factors = factors or [STRIP]
+    dim, d = sum(q.dim for q in factors), sum(q.d for q in factors)
+    p = shuffled_product(factors, draw(st.permutations(range(d))),
+                         draw(st.permutations(range(dim))))
+    if draw(st.booleans()):
+        p = with_untouched_coordinate(p, draw(st.integers(0, p.dim)))
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(delzant_test_products())
+def test_delzant_property_matches_the_product_vertices(p):
+    assert p.is_delzant() == flat_delzant(p)
+
+
+@pytest.mark.parametrize("p, delzant", [
+    (Polytope(0, ()), True),
+    (STRIP, True),
+    (product(STRIP, weighted_projective((1, 1, 2))), True),
+    (with_untouched_coordinate(CORNERED_SQUARE, 1), True),
+    (product(hexagon(), weighted_projective((1, 1, 2))), False),
+    (product(CORNERED_SQUARE, cp1()), False),
+    (product(o_minus_one(), hexagon()), True),
+], ids=["point", "strip", "strip x wp112", "cornered square x line", "hexagon x wp112",
+        "cornered square x segment", "o_minus_one x hexagon"])
+def test_delzant_edge_cases(p, delzant):
+    assert p.is_delzant() == flat_delzant(p) == delzant
 
 
 # -- predicates ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -7,13 +8,15 @@ from conftest import interior_contains, map_point, mat_vec, offsets
 from momentcert import lattice
 from momentcert.corpus import load_corpus_polytope, load_corpus_section
 from momentcert.errors import (
+    EmptyInteriorError,
+    MomentcertError,
     NonPrimitiveImageError,
     NotCompactError,
     NotDelzantError,
     SliceError,
     SliceOutsidePolytopeError,
 )
-from momentcert.polytope import polytope, product
+from momentcert.polytope import Facet, _unvalidated, feasible, polytope, product, prune_redundant
 from momentcert.reduction import (
     _vertex_cone_coords,
     cp1,
@@ -21,6 +24,7 @@ from momentcert.reduction import (
     monotone_weights,
     o_minus_one,
     reduce_polytope,
+    reduce_with_sources,
     section,
     simplex,
     weighted_projective,
@@ -228,6 +232,118 @@ def test_non_primitive_image_errors():
 def test_dimension_mismatch_errors():
     with pytest.raises(SliceError):
         reduce_polytope(simplex(2), section([(1, 0), (0, 1), (1, 1)]))
+
+
+# -- clearances -------------------------------------------------------------------
+
+def fraction_reduce(ambient, sec):
+    """Oracle for reduce_with_sources: each image A^T nu in ints and each
+    clearance a + <x0, nu> as a sum of Fraction products, gathered into the
+    sources dict and pruned; the same errors, with the same messages."""
+    sources = {}
+    for nu, a in ambient.facets:
+        image = tuple(sum(row[c] * x for row, x in zip(sec.matrix, nu))
+                      for c in range(sec.reduced_dim))
+        clearance = a + sum((F(b) * x for b, x in zip(sec.base, nu)), F(0))
+        if not any(image):
+            if clearance <= 0:
+                raise SliceOutsidePolytopeError(
+                    f"slice misses the interior: facet {nu} has clearance {clearance}")
+            continue
+        if gcd(*image) != 1:
+            raise NonPrimitiveImageError(f"facet {nu} maps to non-primitive {image}")
+        facet = Facet(image, clearance)
+        sources[facet] = sources.get(facet, ()) + (nu,)
+    if not feasible([(f.normal, f.offset, True) for f in sources], sec.reduced_dim):
+        raise EmptyInteriorError("cannot prune a system with empty interior")
+    return prune_redundant(_unvalidated(sec.reduced_dim, tuple(sources))), sources
+
+
+def outcome(reduce, ambient, sec):
+    """The reduced polytope, the sources in order and the clearances' types;
+    or the error's type and message."""
+    try:
+        got, sources = reduce(ambient, sec)
+    except MomentcertError as exc:
+        return type(exc).__name__, str(exc)
+    return got, list(sources.items()), [type(f.offset) for f in sources]
+
+
+def _clearance_case(rng):
+    """A section onto k of n coordinates whose base x0 is fractional and
+    mostly negative (denominators 2 to 7), and an ambient polytope drawn in
+    the section's own coordinates.  The section's matrix is the first k
+    columns of a unimodular U, and x = x0 + U y pairs with the normal nu with
+    U^T nu = (w, t) to <x, nu> = <x0, nu> + <y, (w, t)>: nu has the image w
+    and, at y = 0, the clearance c that is drawn for it, so its offset is
+    c - <x0, nu>.  Images come out primitive, non-primitive or zero; a second
+    t gives a second facet with the same image, and an opposite image at the
+    opposite clearance leaves the reduced system no interior.  A facet is
+    kept only if it holds strictly at a point y* off the slice, so x0 + U y*
+    is interior and the ambient is valid without a feasibility test."""
+    n = rng.randint(1, 4)
+    k = rng.randint(0, n)
+    u = _random_unimodular(rng, n)
+    base = tuple(F(rng.randint(-9, 3), rng.randint(2, 7)) for _ in range(n))
+    sec = section([row[:k] for row in u], base)
+    star = [F(0)] * k + [F(rng.randint(-3, 3), 2) for _ in range(n - k)]
+    facets = {}
+    size = rng.randint(n + 1, n + 5)
+    for _ in range(3 * size):  # n = 1 has two normals only
+        if len(facets) == size:
+            break
+        image = [rng.randint(-2, 2) for _ in range(k)]
+        if any(image):  # made primitive, except that a few are doubled
+            scale = 2 if rng.random() < 0.08 else 1
+            image = [scale * x // lattice.vec_gcd(image) for x in image]
+        tail = [rng.randint(-2, 2) for _ in range(n - k)]
+        clearance = F(rng.randint(-2, 9), rng.randint(1, 3))
+        drawn = [(image, tail, clearance)]
+        roll = rng.random()
+        if k < n and any(image) and roll < 0.45:
+            tail = [x + rng.choice((-1, 1)) for x in tail]
+            drawn.append((image, tail, clearance) if roll < 0.3 else
+                         (lattice.neg(image), tail, -clearance))
+        for image, tail, clearance in drawn:
+            v = [*image, *tail]
+            if any(v) and lattice.vec_gcd(v) == 1 and clearance + lattice.dot(star, v) > 0:
+                nu = tuple(int(x) for x in lattice.solve_exact(lattice.transpose(u), v)[0])
+                facets[nu] = clearance - lattice.dot(base, nu)
+    ambient = _unvalidated(n, tuple(Facet(nu, a) for nu, a in facets.items()))
+    assert interior_contains(ambient, map_point(section(u, base), star))
+    return ambient, sec
+
+
+def test_clearances_match_fraction_arithmetic():
+    rng = random.Random(2020)
+    seen = {"reduced": 0, "SliceOutsidePolytopeError": 0, "NonPrimitiveImageError": 0,
+            "EmptyInteriorError": 0, "parallel facet dropped": 0, "shared image": 0,
+            "onto a point": 0}
+    for _ in range(400):
+        ambient, sec = _clearance_case(rng)
+        got = outcome(reduce_with_sources, ambient, sec)
+        assert got == outcome(fraction_reduce, ambient, sec), (ambient, sec)
+        if len(got) == 2:
+            seen[got[0]] += 1
+            continue
+        sources = dict(got[1])
+        seen["reduced"] += 1
+        seen["parallel facet dropped"] += sum(map(len, sources.values())) < ambient.d
+        seen["shared image"] += any(len(normals) > 1 for normals in sources.values())
+        seen["onto a point"] += sec.reduced_dim == 0
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+@pytest.mark.parametrize("base, clearance", [
+    ((F(1, 2), F(1, 3), F(1, 3)), "-1/6"),
+    ((F(1, 3), F(1, 3), F(1, 3)), "0"),
+])
+def test_slice_outside_message_is_unchanged(base, clearance):
+    sec = section([(1, 0), (0, 1), (-1, -1)], base=base)
+    with pytest.raises(SliceOutsidePolytopeError) as caught:
+        reduce_with_sources(simplex(3), sec)
+    assert str(caught.value) == (
+        f"slice misses the interior: facet (-1, -1, -1) has clearance {clearance}")
 
 
 # -- reduction in stages ----------------------------------------------------------

@@ -256,3 +256,11 @@ def test_the_trusted_base_of_verify_is_pinned():
                "polytope.Polytope.vertices"}
     assert not base & outside
     assert not [q for q in base if q.split(".")[0] in ("floer", "probes", "cli")]
+
+
+def test_delzant_scans_blocks_not_the_product_vertices():
+    """is_delzant decides on each coordinate block's own vertex scan and
+    never builds the product's vertex set."""
+    reached = reachable("polytope.Polytope.is_delzant")
+    assert {"polytope._blocks", "polytope._vertex_scan", "polytope._delzant_at"} <= reached
+    assert "polytope.Polytope.vertices" not in reached
