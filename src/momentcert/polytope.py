@@ -402,23 +402,24 @@ def _interior_nonempty(dim: int, facets) -> bool:
     return feasible([(f.normal, f.offset, True) for f in facets], dim)
 
 
-def _ray_witnessed(facets: list[Facet]) -> set[Facet]:
-    """The facets that a ray from the origin proves irredundant.
+def _ray_witnessed(rows: list[list[int]]) -> set[int]:
+    """The indices of the facets that a ray from the origin proves irredundant.
 
-    Every offset must be > 0, so the origin is interior.  The ray along
-    -nu_i meets facet j, scaled to the integer row (N_j, A_j), at time
-    A_j / <N_j, nu_i> when <N_j, nu_i> > 0; times are compared by
-    cross-multiplying.  A facet met first and alone is irredundant: the hit
-    point lies on it and strictly inside every other half-space.  A tie
-    proves nothing.  One ray per facet; no FM.
+    rows are the facets scaled to integer rows (N_j, A_j), and every A_j
+    must be > 0, so the origin is interior.  The ray along -N_i meets
+    facet j at time A_j / <N_j, N_i> when <N_j, N_i> > 0; times are
+    compared by cross-multiplying, and scaling N_i does not change their
+    order.  A facet met first and alone is irredundant: the hit point lies
+    on it and strictly inside every other half-space.  A tie proves
+    nothing.  One ray per facet; no FM.
     """
-    rows, _ = lattice.integer_rows([(*f.normal, f.offset) for f in facets])
     proven = set()
-    for f in facets:
+    for ray in rows:
+        nu = ray[:-1]
         first, time = [], None  # the facets met earliest, and that time as (A, s)
         for j, row in enumerate(rows):
-            # zip stops at len(f.normal), before the offset column
-            s = sum(a * b for a, b in zip(row, f.normal))
+            # zip stops at len(nu), before the offset column
+            s = sum(a * b for a, b in zip(row, nu))
             if s <= 0:
                 continue
             if time is None or row[-1] * time[1] < time[0] * s:
@@ -426,8 +427,30 @@ def _ray_witnessed(facets: list[Facet]) -> set[Facet]:
             elif row[-1] * time[1] == time[0] * s:
                 first.append(j)
         if len(first) == 1:
-            proven.add(facets[first[0]])
+            proven.add(first[0])
     return proven
+
+
+def _on_hyperplane(f: list[int], rows) -> list[tuple]:
+    """The rows restricted to the hyperplane f = 0, as strict constraints in
+    one variable fewer.
+
+    All rows are integer rows (coefficients, constant).  x_k is substituted
+    out at the coordinate k where |f[k]| is least and non-zero: with
+    p = f[k], the row |p| g - sign(p) g[k] f vanishes at k and equals |p| g
+    wherever f = 0, so on the hyperplane it is > 0 exactly where g is.
+    Column k is then dropped; in dimension 1 only the constants are left.
+    """
+    k = min((c for c, x in enumerate(f[:-1]) if x), key=lambda c: abs(f[c]))
+    p = abs(f[k])
+    sign = 1 if f[k] > 0 else -1
+    cons = []
+    for g in rows:
+        q = sign * g[k]
+        row = [p * x - q * y for x, y in zip(g, f)]
+        del row[k]
+        cons.append((tuple(row[:-1]), row[-1], True))
+    return cons
 
 
 def _prune_facet_list(dim: int, facets) -> list[Facet]:
@@ -437,23 +460,36 @@ def _prune_facet_list(dim: int, facets) -> list[Facet]:
     an FM infeasibility proof drops a facet.  When every offset is > 0, ray
     witnesses from the origin (_ray_witnessed) first prove a core of facets
     irredundant with no FM call.  Every other facet f is tested by FM
-    against the core alone, and only if the core can be satisfied strictly
-    below f, against every facet still kept.  The irredundant facets of a
-    system with non-empty interior do not depend on the order they are
-    found in, so the result is the plain FM loop's.
+    against the core alone, and only if that leaves f standing, against
+    every facet still kept.  The irredundant facets of a system with
+    non-empty interior do not depend on the order they are found in, so the
+    result is the plain FM loop's.
+
+    Each test is asked on f's hyperplane, in dim - 1 variables
+    (_on_hyperplane): f is redundant iff no point y with f(y) = 0
+    satisfies every other kept facet strictly.  Take z strictly inside the
+    facets' interior; every kept facet is > 0 at z.  If some x has
+    f(x) < 0 and every other facet >= 0, the point y of the segment [z, x]
+    where f = 0 puts positive weight on z, so every other facet is > 0 at
+    y.  Conversely, from such a y a small step across f gives such an x.
+    The core test is the same argument, since z is inside the core too.
+
+    The facets are scaled to integer rows once and tracked by index.
     """
     work = sorted(set(facets))
-    core = _ray_witnessed(work) if all(f.offset > 0 for f in work) else set()
-    core_cons = [(g.normal, g.offset, False) for g in work if g in core]
-    for f in list(work):
-        if f in core:
+    rows, _ = lattice.integer_rows([(*f.normal, f.offset) for f in work])
+    core = _ray_witnessed(rows) if all(f.offset > 0 for f in work) else set()
+    core_rows = [rows[j] for j in sorted(core)]
+    kept = list(range(len(work)))
+    for i in range(len(work)):
+        if i in core:
             continue
-        # f is redundant iff the others cannot be satisfied strictly below f;
         # the core is a subset of the others, so a proof against it is one
-        below = (lattice.neg(f.normal), -f.offset, True)
-        others = [g for g in work if g != f]
-        if (core and not feasible([*core_cons, below], dim)) or not feasible(
-            [*((g.normal, g.offset, False) for g in others), below], dim
-        ):
-            work = others
-    return work
+        on_core = _on_hyperplane(rows[i], core_rows)
+        if core and not feasible(on_core, dim - 1):
+            kept.remove(i)
+            continue
+        rest = [rows[j] for j in kept if j != i and j not in core]
+        if not feasible(on_core + _on_hyperplane(rows[i], rest), dim - 1):
+            kept.remove(i)
+    return [work[i] for i in kept]

@@ -554,7 +554,13 @@ def fraction_fm_feasible(constraints, nvars):
 
 def lp_feasible(constraints, nvars):
     """Oracle: sympy's exact simplex maximises a slack t <= 1 on the strict
-    rows; the system is feasible iff that maximum exists and is positive."""
+    rows; the system is feasible iff that maximum exists and is positive.
+
+    A positive maximum counts only at a point that satisfies every row.
+    sympy 1.14's lpmax has returned t = 1 at a point breaking two rows of a
+    5-variable system whose true maximum is -234/313, and solved the same
+    rows correctly in reverse order; so they are tried in both orders.
+    """
     from sympy import Rational, S, Symbol, symbols
     from sympy.solvers.simplex import InfeasibleLPError, lpmax
 
@@ -568,11 +574,16 @@ def lp_feasible(constraints, nvars):
             return False
         if row is not S.true:
             rows.append(row)
-    try:
-        value, _ = lpmax(t, rows)
-    except InfeasibleLPError:
-        return False
-    return bool(value > 0)
+    for order in (rows, rows[::-1]):
+        try:
+            value, point = lpmax(t, order)
+        except InfeasibleLPError:
+            return False
+        if value <= 0:
+            return False
+        if all(row.subs(point) is S.true for row in rows):
+            return True
+    raise AssertionError(f"lpmax gave no valid optimum in either row order: {constraints}")
 
 
 def _random_system(rng, nvars):
@@ -655,6 +666,12 @@ def ray_first_hits(facets):
     return hits
 
 
+def ray_witnessed(facets):
+    """_ray_witnessed on a facet list, as the set of facets it proves."""
+    rows, _ = lattice.integer_rows([(*f.normal, f.offset) for f in facets])
+    return {facets[i] for i in _ray_witnessed(rows)}
+
+
 def shifted(facets, x0):
     """The facet list moved by x0, duplicates kept (translate on the raw list)."""
     return list(translate(_unvalidated(len(x0), tuple(facets)), x0).facets)
@@ -709,7 +726,7 @@ def test_prune_matches_fraction_fm(monkeypatch):
         low = min(f.offset for f in facets)
         if low > 0:
             hits = ray_first_hits(distinct)
-            witnessed = _ray_witnessed(distinct)
+            witnessed = ray_witnessed(distinct)
             assert witnessed == {h[0] for h in hits if len(h) == 1}, facets
             assert witnessed <= set(got), facets
             seen["tied rays"] += any(len(h) > 1 for h in hits)
@@ -746,7 +763,93 @@ def test_prune_property_matches_the_plain_fm_loop(system):
     got = _prune_facet_list(n, facets)
     assert got == plain_fm_prune(n, facets)
     if all(f.offset > 0 for f in facets):
-        assert _ray_witnessed(sorted(set(facets))) <= set(got)
+        assert ray_witnessed(sorted(set(facets))) <= set(got)
+
+
+def touching_facet(rng, p, active):
+    """A facet that holds on p and is tight exactly on the face where the
+    facets of active (indices into p.facets) are: a positive combination of
+    theirs, made primitive.  None when its normal is parallel to one of p's."""
+    lams = {i: rng.randint(1, 3) for i in active}
+    vec = tuple(sum(lams[i] * p.facets[i].normal[c] for i in active) for c in range(p.dim))
+    g = lattice.vec_gcd(vec)
+    nu = tuple(x // g for x in vec)
+    if any(f.normal == nu for f in p.facets):
+        return None
+    return Facet(nu, sum(lams[i] * p.facets[i].offset for i in active) / g)
+
+
+def _hyperplane_case(rng, case):
+    """(dim, facet list, touching) in dimensions 1-4, with at most 9 facets
+    in dimension 4; touching holds (facet, "vertex" or "edge") for the added
+    facets that are tight on P only at a vertex or only along an edge.
+    Some lists gain a parallel copy of a facet.  The origin ends up
+    interior, on the boundary or outside."""
+    n = (1, 2, 3, 3, 4)[case % 5]
+    while True:
+        p = random_polytope(rng, n, rng.randint(n + 1, 6 if n == 4 else 7))
+        verts = p.vertices()
+        if verts:
+            break
+    v = rng.choice(verts)
+    faces = [(v.active, "vertex")] if rng.random() < 0.6 else []
+    for w in verts:
+        common = v.active & w.active
+        if common and lattice.rank_exact([p.facets[i].normal for i in common]) == n - 1:
+            faces.append((common, "edge"))  # v and w span an edge
+            break
+    facets, touching = list(p.facets), []
+    for active, kind in faces:
+        facet = touching_facet(rng, p, active)
+        if facet is not None and len(facets) < 9:
+            touching.append((len(facets), kind))
+            facets.append(facet)
+    if rng.random() < 0.5:
+        f = rng.choice(facets)
+        facets.append(Facet(f.normal, f.offset * rng.choice((F(1, 2), F(3, 2), 2))))
+    origin = ("interior", "boundary", "outside")[case % 3]
+    if origin == "boundary":
+        facets = shifted(facets, lattice.neg(v.point))
+    elif origin == "outside":
+        moved = facets
+        while min(f.offset for f in moved) >= 0:
+            moved = shifted(facets, tuple(F(rng.randint(-8, 8), 2) for _ in range(n)))
+        facets = moved
+    return n, facets, [(facets[i], kind) for i, kind in touching]
+
+
+def test_prune_on_the_hyperplane_matches_the_full_space_question(monkeypatch):
+    """_prune_facet_list, which asks each redundancy question on the tested
+    facet's hyperplane, keeps exactly the facets of plain_fm_prune, which
+    asks it in all dim variables.  A facet tight on P only at a vertex or
+    only along an edge is redundant: no point of its hyperplane satisfies
+    the others strictly."""
+    rng = random.Random(1931)
+    seen = dict.fromkeys(("origin interior", "origin on the boundary or outside",
+                          "parallel facets", "tight at a vertex only",
+                          "tight on a 3-polytope along an edge only", "dimension 1",
+                          "dimension 4"), 0)
+    calls = _count_feasible(monkeypatch)  # plain_fm_prune calls the real feasible
+    for case in range(250):
+        n, facets, touching = _hyperplane_case(rng, case)
+        calls.clear()
+        got = _prune_facet_list(n, facets)
+        assert got == plain_fm_prune(n, facets), facets
+        assert set(calls) <= {n - 1}, facets
+        assert not {f for f, _ in touching} & set(got), facets
+        distinct = set(facets)
+        low = min(f.offset for f in facets)
+        kinds = {kind for _, kind in touching}
+        seen["origin interior"] += low > 0
+        seen["origin on the boundary or outside"] += low <= 0
+        seen["parallel facets"] += len({f.normal for f in distinct}) < len(distinct)
+        seen["tight at a vertex only"] += "vertex" in kinds
+        seen["tight on a 3-polytope along an edge only"] += n == 3 and "edge" in kinds
+        seen["dimension 1"] += n == 1
+        if n == 4:
+            assert len(facets) <= 9
+            seen["dimension 4"] += 1
+    assert all(count >= 20 for count in seen.values()), seen
 
 
 SQUARE = [Facet((1, 0), F(1)), Facet((-1, 0), F(1)), Facet((0, 1), F(1)), Facet((0, -1), F(1))]
@@ -763,7 +866,7 @@ SQUARE = [Facet((1, 0), F(1)), Facet((-1, 0), F(1)), Facet((0, 1), F(1)), Facet(
 ])
 def test_prune_edge_cases(dim, facets, kept, witnessed):
     assert _prune_facet_list(dim, facets) == sorted(kept) == plain_fm_prune(dim, facets)
-    assert _ray_witnessed(sorted(set(facets))) == witnessed
+    assert ray_witnessed(sorted(set(facets))) == witnessed
 
 
 # -- pruning ------------------------------------------------------------------
@@ -828,10 +931,9 @@ def test_prune_cube_needs_no_fm(monkeypatch):
     assert calls == []
 
 
-def test_prune_ray_proves_the_simplex_of_a_catalogue_system(monkeypatch):
-    """A simplex around the origin plus facets clear of it: every simplex
-    facet is ray-proven, and each other facet, implied by that core alone,
-    costs exactly one FM call."""
+def catalogue_systems():
+    """(dim, core, facets): a simplex around the origin, the core, plus
+    facets clear of it, shuffled."""
     rng = random.Random(31)
     for n, d in ((3, 10), (3, 12), (4, 9)):
         core = [Facet(tuple(int(i == j) for i in range(n)), F(1)) for j in range(n)]
@@ -848,11 +950,65 @@ def test_prune_ray_proves_the_simplex_of_a_catalogue_system(monkeypatch):
             touch = -min(lattice.dot(nu, v) for v in corners)
             facets.append(Facet(nu, touch + rng.choice((F(1, 2), F(1), F(3, 2), F(2)))))
         rng.shuffle(facets)
-        assert set(core) <= _ray_witnessed(sorted(facets))
+        yield n, core, facets
+
+
+def test_prune_ray_proves_the_simplex_of_a_catalogue_system(monkeypatch):
+    """Every simplex facet of a catalogue system is ray-proven, and each
+    other facet, implied by that core alone, costs exactly one FM call."""
+    for n, core, facets in catalogue_systems():
+        assert set(core) <= ray_witnessed(sorted(facets))
         calls = _count_feasible(monkeypatch)
         assert _prune_facet_list(n, facets) == sorted(core)
-        assert len(calls) == d - len(core)
+        assert len(calls) == len(facets) - len(core)
         monkeypatch.undo()
+
+
+def test_prune_asks_every_question_on_a_hyperplane(monkeypatch):
+    """Every FM call _prune_facet_list makes is in dim - 1 variables: on the
+    catalogue systems, and on a square whose origin is not interior."""
+    for n, _, facets in catalogue_systems():
+        calls = _count_feasible(monkeypatch)
+        _prune_facet_list(n, facets)
+        assert calls and set(calls) == {n - 1}
+        monkeypatch.undo()
+    p = translate(cube(2, 2), (3, 0))
+    calls = _count_feasible(monkeypatch)
+    prune_redundant(p)
+    assert calls == [1] * 4
+
+
+def grid_system(rng, n, d):
+    """A facet list shaped like the scaling grid's: distinct primitive
+    normals with entries in [-3, 3], offsets 1/2 to 3, the origin interior."""
+    facets = []
+    while len(facets) < d:
+        nu = tuple(rng.randint(-3, 3) for _ in range(n))
+        if lattice.vec_gcd(nu) == 1 and all(f.normal != nu for f in facets):
+            facets.append(Facet(nu, F(rng.randint(1, 6), 2)))
+    return facets
+
+
+def test_prune_matches_lpmax_facet_by_facet_in_dimension_5():
+    """On grid systems in dimension 5, each with a facet implied by two of
+    its facets added, a facet is kept exactly when sympy's simplex finds a
+    point where the others hold and it fails."""
+    rng = random.Random(2011)
+    verdicts = []
+    for d in (7, 8, 9):
+        facets = grid_system(rng, 5, d)
+        implied = None
+        while implied is None:
+            implied = touching_facet(rng, _unvalidated(5, tuple(facets)), rng.sample(range(d), 2))
+        facets = sorted([*facets, Facet(implied.normal, implied.offset + rng.choice((0, 1)))])
+        kept = _prune_facet_list(5, facets)
+        for f in facets:
+            below = (lattice.neg(f.normal), -f.offset, True)
+            irredundant = lp_feasible([*((g.normal, g.offset, False) for g in facets if g != f),
+                                       below], 5)
+            assert (f in kept) is irredundant, (facets, f)
+            verdicts.append(irredundant)
+    assert True in verdicts and False in verdicts
 
 
 def test_prune_does_not_validate_its_result(monkeypatch):

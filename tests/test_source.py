@@ -215,7 +215,6 @@ TRUSTED_BASE = (
     "lattice.identity",
     "lattice.integer_rows",
     "lattice.is_primitive",
-    "lattice.neg",
     "lattice.smith_normal_form",
     "lattice.solve_exact",
     "lattice.transpose",
@@ -228,6 +227,7 @@ TRUSTED_BASE = (
     "polytope._coprime",
     "polytope._dominate",
     "polytope._interior_nonempty",
+    "polytope._on_hyperplane",
     "polytope._prune_facet_list",
     "polytope._ray_witnessed",
     "polytope._unvalidated",
@@ -264,3 +264,19 @@ def test_delzant_scans_blocks_not_the_product_vertices():
     reached = reachable("polytope.Polytope.is_delzant")
     assert {"polytope._blocks", "polytope._vertex_scan", "polytope._delzant_at"} <= reached
     assert "polytope.Polytope.vertices" not in reached
+
+
+def test_pruning_runs_on_integer_rows():
+    """_prune_facet_list and the helpers it calls, apart from the feasibility
+    test it shares, never name Fraction: the rows are scaled to integers once
+    and every redundancy question is built from them."""
+    functions, _, _ = _index()
+    shared = {"polytope.feasible", "polytope._coprime", "polytope._dominate"}
+    own = {q for q in reachable("polytope._prune_facet_list")
+           if q.startswith("polytope.")} - shared
+    assert own == {"polytope._prune_facet_list", "polytope._on_hyperplane",
+                   "polytope._ray_witnessed"}
+    named = {node.id for q in own for node in ast.walk(functions[q]) if isinstance(node, ast.Name)}
+    named |= {node.attr for q in own for node in ast.walk(functions[q])
+              if isinstance(node, ast.Attribute)}
+    assert "Fraction" not in named
