@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as iter_product
-from math import gcd
 from typing import NamedTuple
 
 from . import lattice
@@ -342,64 +341,47 @@ def equidistant_point(p: Polytope):
 
 # -- exact feasibility (Fourier-Motzkin) -------------------------------------
 
-def _coprime(coeffs, const, strict):
-    """Divide an integer constraint by the gcd of all its entries, the constant included."""
-    g = gcd(lattice.vec_gcd(coeffs), const)
-    if g > 1:
-        return tuple(x // g for x in coeffs), const // g, strict
-    return coeffs, const, strict
-
-
-def _dominate(cons):
-    """Keep only the tightest constraint per coefficient vector."""
-    best: dict[tuple, tuple] = {}
-    for c, b, strict in cons:
-        key = c
-        cur = best.get(key)
-        cand = (b, 0 if strict else 1)
-        if cur is None or cand < (cur[1], 0 if cur[2] else 1):
-            best[key] = (c, b, strict)
+def _tightest(rows) -> list[tuple[int, ...]]:
+    """The integer rows, each divided by the gcd of its entries, with only
+    the least constant kept per coefficient vector: the tightest of
+    parallel strict rows."""
+    best: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for row in rows:
+        g = lattice.vec_gcd(row)
+        row = tuple(x // g for x in row) if g > 1 else tuple(row)
+        key = row[:-1]
+        if key not in best or row[-1] < best[key][-1]:
+            best[key] = row
     return list(best.values())
 
 
-def feasible(constraints, nvars: int) -> bool:
-    """Exact satisfiability of a system sum(c_i x_i) + b >= 0 (or > 0).
+def feasible(rows, nvars: int) -> bool:
+    """Whether some x has <c, x> + b > 0 for every integer row (c_1, ..., c_nvars, b).
 
-    constraints: iterable of (coeffs, const, strict).  Decided by
-    Fourier-Motzkin elimination on integer rows: each constraint is scaled
-    to integers once, and every combination of two is divided by its gcd.
+    Decided by Fourier-Motzkin elimination, last variable first; every
+    combination of two rows goes through _tightest.
     """
-    constraints = list(constraints)
-    rows, _ = lattice.integer_rows([(*c, b) for c, b, _ in constraints])
-    cons = _dominate([
-        _coprime(tuple(row[:-1]), row[-1], s) for row, (_, _, s) in zip(rows, constraints)
-    ])
+    cons = _tightest(rows)
     for var in range(nvars - 1, -1, -1):
-        pos = [c for c in cons if c[0][var] > 0]
-        negs = [c for c in cons if c[0][var] < 0]
-        zero = [c for c in cons if c[0][var] == 0]
+        pos = [r for r in cons if r[var] > 0]
+        negs = [r for r in cons if r[var] < 0]
+        zero = [r for r in cons if r[var] == 0]
         if not pos or not negs:
             cons = zero  # the variable escapes to +/- infinity
             continue
-        new = list(zero)
-        for cp, bp, sp in pos:
-            for cn, bn, sn in negs:
-                fp = -cn[var]
-                fn = cp[var]
-                coeffs = tuple(fp * a + fn * b for a, b in zip(cp, cn))
-                const = fp * bp + fn * bn
-                new.append(_coprime(coeffs, const, sp or sn))
-        cons = _dominate(new)
-    for _, b, strict in cons:
-        if b < 0 or (strict and b == 0):
-            return False
-    return True
+        for rp in pos:
+            for rn in negs:
+                fp, fn = -rn[var], rp[var]
+                zero.append([fp * a + fn * b for a, b in zip(rp, rn)])
+        cons = _tightest(zero)
+    return all(r[-1] > 0 for r in cons)
 
 
 def _interior_nonempty(dim: int, facets) -> bool:
     if all(f.offset > 0 for f in facets):
         return True  # the origin is interior
-    return feasible([(f.normal, f.offset, True) for f in facets], dim)
+    rows, _ = lattice.integer_rows([(*f.normal, f.offset) for f in facets])
+    return feasible(rows, dim)
 
 
 def _ray_witnessed(rows: list[list[int]]) -> set[int]:
@@ -431,9 +413,8 @@ def _ray_witnessed(rows: list[list[int]]) -> set[int]:
     return proven
 
 
-def _on_hyperplane(f: list[int], rows) -> list[tuple]:
-    """The rows restricted to the hyperplane f = 0, as strict constraints in
-    one variable fewer.
+def _on_hyperplane(f: list[int], rows) -> list[list[int]]:
+    """The rows restricted to the hyperplane f = 0, in one variable fewer.
 
     All rows are integer rows (coefficients, constant).  x_k is substituted
     out at the coordinate k where |f[k]| is least and non-zero: with
@@ -449,7 +430,7 @@ def _on_hyperplane(f: list[int], rows) -> list[tuple]:
         q = sign * g[k]
         row = [p * x - q * y for x, y in zip(g, f)]
         del row[k]
-        cons.append((tuple(row[:-1]), row[-1], True))
+        cons.append(row)
     return cons
 
 

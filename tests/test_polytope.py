@@ -511,16 +511,15 @@ def test_compactness():
 # -- feasibility ---------------------------------------------------------------
 
 def _fraction_normalize(coeffs, const, strict):
+    row = [F(x) for x in (*coeffs, const)]
     denom = 1
-    for x in (*coeffs, const):
-        denom = denom * F(x).denominator // gcd(denom, F(x).denominator)
-    ic = tuple(int(F(x) * denom) for x in coeffs)
-    ib = int(F(const) * denom)
-    g = gcd(*ic, ib)
+    for x in row:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [x.numerator * (denom // x.denominator) for x in row]
+    g = gcd(*ints)
     if g > 1:
-        ic = tuple(x // g for x in ic)
-        ib = ib // g
-    return ic, ib, strict
+        ints = [x // g for x in ints]
+    return tuple(ints[:-1]), ints[-1], strict
 
 
 def _fraction_dominate(cons):
@@ -586,6 +585,14 @@ def lp_feasible(constraints, nvars):
     raise AssertionError(f"lpmax gave no valid optimum in either row order: {constraints}")
 
 
+def strict_rows(constraints):
+    """feasible's input for constraints that are all strict: the rows
+    (coeffs, const) scaled to integers."""
+    assert all(strict for _, _, strict in constraints)
+    rows, _ = lattice.integer_rows([(*c, b) for c, b, _ in constraints])
+    return rows
+
+
 def _random_system(rng, nvars):
     rows = []
     for _ in range(rng.randint(0, 6)):
@@ -617,11 +624,21 @@ def _random_system(rng, nvars):
       ((0, 0, 0, -2), -3, False), ((-2, 1, 2, 0), F(5, 2), False), ((-1, 1, 0, 0), 4, True),
       ((2, -1, -1, -2), 2, False), ((-1, 1, 0, 0), 2, False),
       ((-1, -2, -1, 0), F(5, 2), False)], 4, False),
+    # the all-strict forms of x = -1/2 and of the Chernikov system
+    ([((1,), F(1, 2), True), ((-1,), F(-1, 2), True)], 1, False),
+    ([((2, -1, 0, 1), 2, True), ((1, 0, -1, 0), F(-1, 2), True), ((0, 1, 0, 1), -3, True),
+      ((-2, 1, 0, -1), -2, True), ((0, 0, -1, 0), F(-1, 2), True),
+      ((0, 0, 0, -2), -3, True), ((-2, 1, 2, 0), F(5, 2), True), ((-1, 1, 0, 0), 4, True),
+      ((2, -1, -1, -2), 2, True), ((-1, 1, 0, 0), 2, True),
+      ((-1, -2, -1, 0), F(5, 2), True)], 4, False),
 ])
 def test_feasible_edge_cases(constraints, nvars, expected):
-    assert feasible(constraints, nvars) is expected
+    """The oracles on every system; feasible, which asks only for a strict
+    solution, on the systems whose constraints are all strict."""
     assert fraction_fm_feasible(constraints, nvars) is expected
     assert lp_feasible(constraints, nvars) is expected
+    if all(strict for _, _, strict in constraints):
+        assert feasible(strict_rows(constraints), nvars) is expected
 
 
 def test_feasible_matches_fraction_fm_and_lpmax():
@@ -629,8 +646,8 @@ def test_feasible_matches_fraction_fm_and_lpmax():
     answers = []
     for case in range(2000):
         nvars = rng.randint(0, 4)
-        system = _random_system(rng, nvars)
-        got = feasible(system, nvars)
+        system = [(c, b, True) for c, b, _ in _random_system(rng, nvars)]
+        got = feasible(strict_rows(system), nvars)
         assert got is fraction_fm_feasible(system, nvars), system
         if case % 80 == 0:  # lpmax takes about 45 ms a system
             assert got is lp_feasible(system, nvars), system
@@ -638,15 +655,72 @@ def test_feasible_matches_fraction_fm_and_lpmax():
     assert True in answers and False in answers
 
 
+def _validation_case(rng, kind):
+    """(dim, facets) built from a random polytope, with some offset <= 0: the
+    origin moved to a vertex or outside, or a facet faced by its own
+    reverse, moved past it (an empty strip) or onto it (a slab of zero
+    width), and the origin then shifted by up to 3/2 per coordinate."""
+    while True:
+        n = rng.choice((1, 2, 3))
+        p = random_polytope(rng, n, rng.randint(n + 1, 6))
+        verts = [v.point for v in p.vertices()]
+        if verts or kind in ("empty strip", "zero-width slab"):
+            break
+    facets = list(p.facets)
+    if kind == "origin on the boundary":
+        return n, shifted(facets, lattice.neg(rng.choice(verts)))
+    if kind == "origin outside":
+        moved = facets
+        while min(f.offset for f in moved) >= 0:
+            moved = shifted(facets, tuple(F(rng.randint(-8, 8), rng.randint(1, 3))
+                                          for _ in range(n)))
+        return n, moved
+    f = rng.choice(facets)
+    gap = F(rng.randint(1, 6), rng.randint(1, 3)) if kind == "empty strip" else 0
+    facets.append(Facet(lattice.neg(f.normal), -f.offset - gap))
+    return n, shifted(facets, tuple(F(rng.randint(-3, 3), 2) for _ in range(n)))
+
+
+def test_validation_matches_lpmax_when_the_origin_is_not_interior(monkeypatch):
+    """Polytope accepts a facet system with some offset <= 0, the one case
+    where _interior_nonempty scales rational offsets and runs FM, exactly
+    when sympy's simplex finds a point strictly inside every facet."""
+    rng = random.Random(1729)
+    kinds = ("origin on the boundary", "origin outside", "empty strip", "zero-width slab")
+    seen = dict.fromkeys((*kinds, "accepted", "rejected"), 0)
+    calls = _count_feasible(monkeypatch)
+    for case in range(120):
+        n, facets = _validation_case(rng, kinds[case % 4])
+        calls.clear()
+        try:
+            Polytope(n, tuple(facets))
+        except EmptyInteriorError:
+            accepted = False
+        else:
+            accepted = True
+        assert calls == [n], facets
+        assert accepted is lp_feasible([(f.normal, f.offset, True) for f in facets], n), facets
+        low = min(f.offset for f in facets)
+        widths = {f.offset + g.offset for f in facets for g in facets
+                  if f.normal == lattice.neg(g.normal)}
+        seen["origin on the boundary"] += low == 0
+        seen["origin outside"] += low < 0
+        seen["empty strip"] += any(w < 0 for w in widths)
+        seen["zero-width slab"] += 0 in widths
+        seen["accepted" if accepted else "rejected"] += 1
+    assert all(count >= 20 for count in seen.values()), seen
+
+
 def plain_fm_prune(dim, facets):
     """Reference: pruning with no ray witnesses, one Fourier-Motzkin test per
-    facet against every facet still kept (the real feasible, unpatched)."""
+    facet against every facet still kept, in all dim variables; the test is
+    fraction_fm_feasible, so no code is shared with feasible."""
     work = sorted(set(facets))
     for f in list(work):
         others = [g for g in work if g != f]
         cons = [(g.normal, g.offset, False) for g in others]
         cons.append((lattice.neg(f.normal), -f.offset, True))
-        if not feasible(cons, dim):
+        if not fraction_fm_feasible(cons, dim):
             work = others
     return work
 
@@ -737,7 +811,8 @@ def test_prune_matches_fraction_fm(monkeypatch):
         seen["exact duplicates"] += len(distinct) < len(facets)
         cases.append((n, facets, got))
     assert all(count >= 50 for count in seen.values()), seen
-    monkeypatch.setattr(polytope_module, "feasible", fraction_fm_feasible)
+    monkeypatch.setattr(polytope_module, "feasible", lambda rows, nvars: fraction_fm_feasible(
+        [(tuple(row[:-1]), row[-1], True) for row in rows], nvars))
     for n, facets, got in cases:
         assert _prune_facet_list(n, facets) == got, facets
 
@@ -829,7 +904,7 @@ def test_prune_on_the_hyperplane_matches_the_full_space_question(monkeypatch):
                           "parallel facets", "tight at a vertex only",
                           "tight on a 3-polytope along an edge only", "dimension 1",
                           "dimension 4"), 0)
-    calls = _count_feasible(monkeypatch)  # plain_fm_prune calls the real feasible
+    calls = _count_feasible(monkeypatch)  # only _prune_facet_list calls feasible
     for case in range(250):
         n, facets, touching = _hyperplane_case(rng, case)
         calls.clear()

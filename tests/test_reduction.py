@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from conftest import interior_contains, map_point, mat_vec, offsets
+from test_polytope import fraction_fm_feasible
 from momentcert import lattice
 from momentcert.corpus import load_corpus_polytope, load_corpus_section
 from momentcert.errors import (
@@ -16,7 +17,7 @@ from momentcert.errors import (
     SliceError,
     SliceOutsidePolytopeError,
 )
-from momentcert.polytope import Facet, _unvalidated, feasible, polytope, product, prune_redundant
+from momentcert.polytope import Facet, _unvalidated, polytope, product, prune_redundant
 from momentcert.reduction import (
     _vertex_cone_coords,
     cp1,
@@ -254,7 +255,8 @@ def fraction_reduce(ambient, sec):
             raise NonPrimitiveImageError(f"facet {nu} maps to non-primitive {image}")
         facet = Facet(image, clearance)
         sources[facet] = sources.get(facet, ()) + (nu,)
-    if not feasible([(f.normal, f.offset, True) for f in sources], sec.reduced_dim):
+    if not fraction_fm_feasible([(f.normal, f.offset, True) for f in sources],
+                                sec.reduced_dim):
         raise EmptyInteriorError("cannot prune a system with empty interior")
     return prune_redundant(_unvalidated(sec.reduced_dim, tuple(sources))), sources
 

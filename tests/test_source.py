@@ -224,12 +224,11 @@ TRUSTED_BASE = (
     "polytope.Polytope.canonical_form",
     "polytope.Polytope.normals",
     "polytope._check_facet_count",
-    "polytope._coprime",
-    "polytope._dominate",
     "polytope._interior_nonempty",
     "polytope._on_hyperplane",
     "polytope._prune_facet_list",
     "polytope._ray_witnessed",
+    "polytope._tightest",
     "polytope._unvalidated",
     "polytope.equidistant_point",
     "polytope.feasible",
@@ -267,16 +266,20 @@ def test_delzant_scans_blocks_not_the_product_vertices():
 
 
 def test_pruning_runs_on_integer_rows():
-    """_prune_facet_list and the helpers it calls, apart from the feasibility
-    test it shares, never name Fraction: the rows are scaled to integers once
-    and every redundancy question is built from them."""
+    """_prune_facet_list and the helpers it calls, Fourier-Motzkin included,
+    never name Fraction: the rows are scaled to integers once and every
+    redundancy question is built from them.  FM takes integer rows as they
+    come and scales nothing itself."""
     functions, _, _ = _index()
-    shared = {"polytope.feasible", "polytope._coprime", "polytope._dominate"}
-    own = {q for q in reachable("polytope._prune_facet_list")
-           if q.startswith("polytope.")} - shared
+
+    def named(qualnames):
+        nodes = [node for q in qualnames for node in ast.walk(functions[q])]
+        return ({node.id for node in nodes if isinstance(node, ast.Name)}
+                | {node.attr for node in nodes if isinstance(node, ast.Attribute)})
+
+    own = {q for q in reachable("polytope._prune_facet_list") if q.startswith("polytope.")}
+    fm = {"polytope.feasible", "polytope._tightest"}
     assert own == {"polytope._prune_facet_list", "polytope._on_hyperplane",
-                   "polytope._ray_witnessed"}
-    named = {node.id for q in own for node in ast.walk(functions[q]) if isinstance(node, ast.Name)}
-    named |= {node.attr for q in own for node in ast.walk(functions[q])
-              if isinstance(node, ast.Attribute)}
-    assert "Fraction" not in named
+                   "polytope._ray_witnessed"} | fm
+    assert "Fraction" not in named(own)
+    assert "integer_rows" not in named(fm)
