@@ -297,7 +297,7 @@ def auto_certify_monotone(p: Polytope) -> Certificate:
     offset.
     """
     canon = p.canonical_form()
-    wv = monotone_weights(canon)  # NotCompactError, then NotDelzantError
+    wv = monotone_weights(canon)  # NotMonotoneError, NotCompactError, NotDelzantError
     lam = canon.is_monotone()
     if lam is None:
         raise NotMonotoneError("automatic certification needs equal positive offsets")

@@ -97,12 +97,17 @@ class Polytope:
         return all(_delzant_at(block, scan.values()) for block, scan in scans)
 
     def is_compact(self) -> bool:
-        """Exact boundedness test via extreme rays of the recession cone.
+        """Bounded iff the normals have full rank and -sum(nu_i) is in the
+        cone of dim linearly independent normals.
 
+        Proof: with an interior point, bounded means no y != 0 has every
+        <nu_i, y> >= 0, which (Farkas) means the normals positively span
+        R^dim; with full rank, iff sum((1 + c_i) nu_i) = 0 with all c_i >= 0,
+        i.e. -sum(nu_i) is in their cone (Caratheodory: that of dim of them).
         A product is compact exactly when each factor is, so the test runs
         on each coordinate block (see _blocks) and is true when every block
-        is compact.  A coordinate no normal touches is a block with no
-        facets, which is not compact; dimension 0 has no blocks and is.
+        is.  A coordinate no normal touches is a block with no facets, which
+        is not compact; dimension 0 has no blocks and is.
         """
         return all(_compact_scan(block) for _, _, block in _blocks(self))
 
@@ -241,29 +246,19 @@ def _vertex_scan(p: Polytope) -> dict[RatVec, frozenset[int]]:
 
 
 def _compact_scan(p: Polytope) -> bool:
-    """Whether p is bounded: its normals have full rank and no extreme ray
-    candidate (the kernel line of some (dim-1)-subset of normals) pairs
-    non-negatively with every normal in either direction."""
+    """is_compact's test on p, one solve_exact per dim-subset of normals."""
     n = p.dim
     if n == 0:
         return True
     normals = p.normals
     if lattice.rank_exact(normals) < n:
         return False  # recession cone contains a line
-    for subset in combinations(range(p.d), n - 1):
-        rows = [normals[i] for i in subset]
-        sol = lattice.solve_exact(rows, [0] * len(rows)) if rows else (
-            (Fraction(0),) * n,
-            tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)),
-        )
-        if sol is None or len(sol[1]) != 1:
-            continue
-        # the sign test below does not depend on the ray's scale
-        (ray,), _ = lattice.integer_rows(sol[1])
-        for w in (ray, lattice.neg(ray)):
-            if all(lattice.dot(nu, w) >= 0 for nu in normals):
-                return False
-    return True
+    deficit = [-sum(column) for column in zip(*normals)]
+    for basis in combinations(normals, n):
+        sol = lattice.solve_exact(lattice.transpose(basis), deficit)
+        if sol is not None and not sol[1] and all(c >= 0 for c in sol[0]):
+            return True
+    return False
 
 
 def _check_facet_count(dim: int, facets) -> None:

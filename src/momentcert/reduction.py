@@ -17,6 +17,7 @@ from .errors import (
     NonPrimitiveImageError,
     NotCompactError,
     NotDelzantError,
+    NotMonotoneError,
     SliceError,
     SliceOutsidePolytopeError,
 )
@@ -235,9 +236,11 @@ def monotone_weights(p: Polytope) -> WeightVector:
 
     The weights are 1 + c_j with sum c_j nu_j = -sum nu_j, so
     sum m_j nu_j = 0 by construction.  At most n of the c_j are non-zero
-    and a compact p has more than n facets, so some weight is 1.
+    and a compact p with facets has more than n, so some weight is 1.
     """
     canon = p.canonical_form()
+    if not canon.facets:
+        raise NotMonotoneError("weights need at least one facet to pivot on")
     if not canon.is_compact():
         raise NotCompactError("weights exist only for compact polytopes")
     if not canon.is_delzant():

@@ -476,6 +476,36 @@ def test_reduction_rejects_singular_level_in_pentagon_family(lam, nu, other):
         verify(bare)
 
 
+# Known gaps of the singular-level check: each level is singular, but no two
+# ambient facets share an image, so verify accepts it with bound 4.  They
+# xfail only by pytest.raises finding nothing to catch, and fail (XPASS,
+# strict) once verify checks every reduced vertex.
+KNOWN_GAP_XFAIL = pytest.mark.xfail(
+    strict=True, raises=pytest.fail.Exception,
+    reason="verify misses a singular level whose active facets have distinct images")
+
+
+@KNOWN_GAP_XFAIL
+def test_reduction_rejects_excess_active_facets_at_a_reduced_vertex():
+    # three ambient facets are active at each corner (+-1, +-1) of the
+    # reduced square, so the circle (1, 1, -1) fixes those points
+    spheres = Product((BaseFact(CP1, TT, cp1()), BaseFact(CP1, TT, cp1()),
+                       BaseFact(CP1, TT, cp1(2, 2))))
+    cert = Certificate(Reduction(spheres, section([(1, 0), (0, 1), (1, 1)])), TT)
+    with pytest.raises(ReducedPolytopeMismatchError):
+        verify(cert)
+
+
+@KNOWN_GAP_XFAIL
+def test_reduction_rejects_a_non_free_level():
+    # at the reduced vertex (-3/2, 1/2) the active images (1, -1) and (1, 1)
+    # have determinant 2, so the subtorus has Z/2 isotropy there
+    ambient = Product((BaseFact(CLIFFORD_TORUS, TT, simplex(2, 2)), BaseFact(CP1, TT, cp1())))
+    cert = Certificate(Reduction(ambient, section([(1, -1), (-1, 0), (1, 1)])), TT)
+    with pytest.raises(ReducedPolytopeMismatchError):
+        verify(cert)
+
+
 def test_declared_claim_checks():
     cert = hexagon_tr_certificate()
     bad_kind = Certificate(cert.root, TT, cert.marked_point, cert.target)

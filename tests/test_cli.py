@@ -417,6 +417,13 @@ def test_auto_certify_rejects_non_monotone(corpus_dir, capsys):
     assert main(["auto-certify", str(corpus_dir / "cp2_blowup2_alpha.json")]) == 1
 
 
+def test_auto_certify_rejects_a_point(tmp_path, capsys):
+    doc = tmp_path / "point.json"
+    doc.write_text(json.dumps({"dim": 0, "facets": []}), encoding="utf-8")
+    assert main(["auto-certify", str(doc)]) == 1
+    assert "NotMonotoneError: weights need at least one facet" in capsys.readouterr().err
+
+
 def test_probe_command(corpus_dir, capsys):
     assert main([
         "probe",

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 from math import gcd
@@ -230,8 +231,28 @@ def flat_vertices(p):
 
 
 def flat_is_compact(p):
-    """Oracle: the unsplit scan over every (dim-1)-subset of p's normals."""
+    """The unsplit cone test over every dim-subset of p's normals."""
     return polytope_module._compact_scan(p)
+
+
+def ray_scan_is_compact(p):
+    """Oracle: the extreme-ray scan.  p is bounded iff its normals have full
+    rank and no kernel line of a (dim-1)-subset of normals pairs >= 0 with
+    every normal in one of its two directions; with dim 1 the kernel of no
+    rows is the whole line."""
+    n, normals = p.dim, p.normals
+    if n == 0:
+        return True  # a point
+    if lattice.rank_exact(normals) < n:
+        return False  # a line in the recession cone
+    for subset in combinations(normals, n - 1):
+        kernel = lattice.solve_exact(subset, [0] * len(subset))[1] if subset else ((1,),)
+        if len(kernel) != 1:
+            continue
+        for ray in (kernel[0], lattice.neg(kernel[0])):
+            if all(lattice.dot(nu, ray) >= 0 for nu in normals):
+                return False
+    return True
 
 
 def shuffled_product(factors, order, perm):
@@ -313,7 +334,7 @@ def test_split_matches_flat_scans_on_shuffled_products():
         for p in cases:
             verts = p.vertices()
             assert verts == flat_vertices(p), p.facets
-            assert p.is_compact() == flat_is_compact(p), p.facets
+            assert p.is_compact() == flat_is_compact(p) == ray_scan_is_compact(p), p.facets
             blocks = polytope_module._blocks(p)
             assert blocks == union_find_blocks(p), p.facets
             seen["unbounded"] += not p.is_compact()
@@ -342,7 +363,7 @@ def shuffled_products(draw):
 @given(shuffled_products())
 def test_split_property_matches_flat_scans(p):
     assert p.vertices() == flat_vertices(p)
-    assert p.is_compact() == flat_is_compact(p)
+    assert p.is_compact() == flat_is_compact(p) == ray_scan_is_compact(p)
 
 
 @pytest.mark.parametrize("p, n_vertices, compact", [
@@ -354,7 +375,7 @@ def test_split_property_matches_flat_scans(p):
 def test_split_edge_cases(p, n_vertices, compact):
     assert p.vertices() == flat_vertices(p)
     assert len(p.vertices()) == n_vertices
-    assert p.is_compact() == flat_is_compact(p) == compact
+    assert p.is_compact() == flat_is_compact(p) == ray_scan_is_compact(p) == compact
 
 
 def test_split_solves_each_factor_on_its_own(monkeypatch):
@@ -375,9 +396,11 @@ def test_split_solves_each_factor_on_its_own(monkeypatch):
         calls.clear()
         scan()
         counts[name] = len(calls)
-    # C(6, 2) and C(6, 1) per hexagon, against C(12, 4) and C(12, 3)
-    assert counts == {"vertices": 30, "is_compact": 12,
-                      "flat vertices": 495, "flat is_compact": 220}
+    # vertices: C(6, 2) per hexagon, against C(12, 4).  The normals sum to
+    # 0, so is_compact stops at the first invertible basis: the second pair
+    # of each hexagon, and the 19th of the C(12, 4) shuffled 4-subsets
+    assert counts == {"vertices": 30, "is_compact": 4,
+                      "flat vertices": 495, "flat is_compact": 19}
 
 
 # -- Delzant by blocks ------------------------------------------------------------
@@ -506,6 +529,128 @@ def test_compactness():
     # a strip: bounded in x1 only
     strip = polytope(2, [((1, 0), 1), ((-1, 0), 1)])
     assert not strip.is_compact()
+
+
+COMPACTNESS_KINDS = ("random", "repeated normals", "one-sided", "rank < n", "sum zero",
+                     "untouched coordinate")
+
+
+def _random_normal(rng, n, span):
+    while True:
+        vec = tuple(rng.randint(-span, span) for _ in range(n))
+        if any(vec):
+            g = lattice.vec_gcd(vec)
+            return tuple(x // g for x in vec)
+
+
+def _compactness_case(rng, kind):
+    """(p, ray): a facet system of dimension 1-5 whose normals are drawn for
+    `kind`, and a non-zero direction that pairs >= 0 with every normal
+    when the construction gives one (p is then unbounded), else None.
+
+    one-sided: every normal turned to pair >= 0 with a random ray.  rank <
+    n: the normals projected onto the hyperplane orthogonal to a random
+    ray.  sum zero: the normals closed by their negated sum, or taken with
+    their negatives.  untouched coordinate: a zero entry inserted at
+    coordinate c, whose unit vector is the ray.  Offsets are 1, 3/2, 2, ...
+    per repeat of a normal, so the origin is interior."""
+    while True:
+        n = rng.randint(2 if kind == "untouched coordinate" else 1, 5)
+        m = n - 1 if kind == "untouched coordinate" else n
+        span = rng.choice((1, 2, 3))
+        normals = [_random_normal(rng, m, span) for _ in range(rng.randint(m, m + 3))]
+        ray = None
+        if kind == "repeated normals":
+            normals += rng.choices(normals, k=rng.randint(1, 2))
+        elif kind == "one-sided":
+            ray = _random_normal(rng, n, 2)
+            normals = [nu if lattice.dot(nu, ray) >= 0 else lattice.neg(nu) for nu in normals]
+        elif kind == "rank < n":
+            ray = _random_normal(rng, n, 2)
+            zz = lattice.dot(ray, ray)
+            normals = [tuple(zz * a - lattice.dot(nu, ray) * b for a, b in zip(nu, ray))
+                       for nu in normals]
+            normals = [tuple(x // lattice.vec_gcd(nu) for x in nu) for nu in normals if any(nu)]
+        elif kind == "sum zero" and rng.random() < 0.5:
+            normals = normals[:(len(normals) + 1) // 2]
+            normals += [lattice.neg(nu) for nu in normals]
+        elif kind == "sum zero":
+            closing = lattice.neg(tuple(map(sum, zip(*normals))))
+            if not any(closing) or not lattice.is_primitive(closing):
+                continue
+            normals.append(closing)
+        elif kind == "untouched coordinate":
+            c = rng.randint(0, m)
+            normals = [nu[:c] + (0,) + nu[c:] for nu in normals]
+            ray = tuple(int(i == c) for i in range(n))
+        if len(normals) < n:
+            continue
+        repeats = Counter()
+        facets = []
+        for nu in normals:
+            facets.append((nu, 1 + F(repeats[nu], 2)))
+            repeats[nu] += 1
+        return polytope(n, facets), ray
+
+
+def test_cone_test_matches_the_ray_scan():
+    rng = random.Random(2023)
+    seen = dict.fromkeys(("repeated normals", "one-sided", "rank < n", "untouched coordinate",
+                          "sum zero", "compact", "not compact"), 0)
+    for case in range(5000):
+        kind = COMPACTNESS_KINDS[case % len(COMPACTNESS_KINDS)]
+        p, ray = _compactness_case(rng, kind)
+        compact = p.is_compact()
+        assert compact == flat_is_compact(p) == ray_scan_is_compact(p), p.facets
+        normals = p.normals
+        full_rank = lattice.rank_exact(normals) == p.dim
+        if ray is not None:
+            assert all(lattice.dot(nu, ray) >= 0 for nu in normals) and not compact, p.facets
+        if not any(map(sum, zip(*normals))):
+            # sum(1 * nu_i) = 0 already: compact exactly when of full rank
+            assert compact == full_rank, p.facets
+            seen["sum zero"] += 1
+        seen["repeated normals"] += len(set(normals)) < p.d
+        seen["one-sided"] += kind == "one-sided"
+        seen["rank < n"] += not full_rank
+        seen["untouched coordinate"] += any(not any(col) for col in zip(*normals))
+        seen["compact" if compact else "not compact"] += 1
+    assert all(count >= 300 for count in seen.values()), seen
+
+
+def lp_bounded(p):
+    """Oracle: sympy's exact simplex.  p is bounded iff lpmin and lpmax of
+    every coordinate over p are finite.  A finite optimum counts only at a
+    point of p, and the rows are tried in both orders, as in lp_feasible."""
+    from sympy import Rational, S, symbols
+    from sympy.solvers.simplex import UnboundedLPError, lpmax, lpmin
+
+    xs = symbols(f"x0:{p.dim}")
+    rows = [sum(c * x for c, x in zip(f.normal, xs)) + Rational(f.offset) >= 0
+            for f in p.facets]
+    for x in xs:
+        for optimum in (lpmin, lpmax):
+            for order in (rows, rows[::-1]):
+                try:
+                    _, point = optimum(x, order)
+                except UnboundedLPError:
+                    return False
+                if all(row.subs(point) is S.true for row in rows):
+                    break
+            else:
+                raise AssertionError(f"{optimum.__name__} gave no point of p: {p.facets}")
+    return True
+
+
+def test_cone_test_matches_lp_boundedness():
+    rng = random.Random(2024)
+    answers = []
+    for case in range(102):
+        p, _ = _compactness_case(rng, COMPACTNESS_KINDS[case % len(COMPACTNESS_KINDS)])
+        compact = p.is_compact()
+        assert compact is lp_bounded(p), p.facets
+        answers.append(compact)
+    assert answers.count(True) >= 15 and answers.count(False) >= 15, answers
 
 
 # -- feasibility ---------------------------------------------------------------

@@ -14,10 +14,18 @@ from momentcert.errors import (
     NonPrimitiveImageError,
     NotCompactError,
     NotDelzantError,
+    NotMonotoneError,
     SliceError,
     SliceOutsidePolytopeError,
 )
-from momentcert.polytope import Facet, _unvalidated, polytope, product, prune_redundant
+from momentcert.polytope import (
+    Facet,
+    Polytope,
+    _unvalidated,
+    polytope,
+    product,
+    prune_redundant,
+)
 from momentcert.reduction import (
     _vertex_cone_coords,
     cp1,
@@ -428,6 +436,12 @@ def test_monotone_weights_rejects():
         monotone_weights(o_minus_one())
     with pytest.raises(NotDelzantError):
         monotone_weights(weighted_projective((1, 1, 2)))
+
+
+def test_monotone_weights_rejects_a_polytope_with_no_facets():
+    # the pivot has to name a facet (m_pivot = 1); a point has none
+    with pytest.raises(NotMonotoneError, match="at least one facet"):
+        monotone_weights(Polytope(0, ()))
 
 
 # -- vertex cones -----------------------------------------------------------------
