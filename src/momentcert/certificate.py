@@ -281,8 +281,8 @@ def verify(cert: Certificate) -> VerifiedClaim:
         )
     if cert.marked_point is not None and tuple(cert.marked_point) != tuple(claim.marked_point):
         raise MarkedPointMismatchError(
-            f"declared marked point {cert.marked_point} differs from computed "
-            f"{claim.marked_point}"
+            f"declared marked point {lattice.format_vec(cert.marked_point)} differs "
+            f"from computed {lattice.format_vec(claim.marked_point)}"
         )
     _check_target(cert.target, claim.polytope, "final polytope")
     return claim

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -30,6 +31,7 @@ from .documents import (
 )
 from .errors import DocumentError, MomentcertError, VerificationError
 from .floer import hf
+from .lattice import format_vec
 from .polytope import _delzant_at, equidistant_point, product
 from .probes import probe_reach, probe_scan
 from .reduction import reduce_polytope
@@ -38,10 +40,6 @@ from .render import render_svg
 
 def _fmt(x: Fraction) -> str:
     return str(rational_to_json(x))
-
-
-def _fmt_point(pt) -> str:
-    return "(" + ", ".join(_fmt(x) for x in pt) + ")"
 
 
 def _print_polytope(p) -> None:
@@ -67,12 +65,12 @@ def _cmd_info(args) -> int:
     print(f"monotone: {_fmt(lam) if lam is not None else 'no'}")
     print(f"vertices: {len(verts)}")
     for v in verts:
-        print(f"  {_fmt_point(v.point)} on facets {sorted(v.active)}")
+        print(f"  {format_vec(v.point)} on facets {sorted(v.active)}")
     center = equidistant_point(p)
     if center is None:
         print("equidistant point: none")
     else:
-        print(f"equidistant point: {_fmt_point(center[0])} at value {_fmt(center[1])}")
+        print(f"equidistant point: {format_vec(center[0])} at value {_fmt(center[1])}")
     return 0
 
 
@@ -130,7 +128,7 @@ def _print_claim(claim) -> None:
     print(f"claim kind: {claim.kind}")
     print(f"polytope: dimension {claim.polytope.dim}, {claim.polytope.d} facets")
     _print_polytope(claim.polytope)
-    print(f"marked point: {_fmt_point(claim.marked_point)}")
+    print(f"marked point: {format_vec(claim.marked_point)}")
     print(f"intersection bound: {claim.bound}")
     if claim.citations:
         print("citations:")
@@ -179,7 +177,7 @@ def _cmd_probe(args) -> int:
     probe = probe_scan(p, point, args.bound)
     if probe is None:
         print(
-            f"no probe with direction bound {args.bound} displaces {_fmt_point(point)}"
+            f"no probe with direction bound {args.bound} displaces {format_vec(point)}"
         )
     else:
         reach = probe_reach(p, probe)
@@ -187,7 +185,7 @@ def _cmd_probe(args) -> int:
         # the scan runs in canonical order; the facet is named by its index in the file
         facet = as_read.facets.index(p.facets[probe.facet])
         print(f"displaceable: facet {facet}, direction {probe.direction}, "
-              f"base {_fmt_point(probe.base)}")
+              f"base {format_vec(probe.base)}")
         print(f"reach {_fmt(reach)}; point sits at parameter {_fmt(t)}, "
               f"inside the displaceable segment (0, {_fmt(reach / 2)})")
     return 0
@@ -324,7 +322,13 @@ def main(argv=None) -> int:
     # _cmd_* function replaced after the first call still takes effect
     command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout goes to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,6 +43,11 @@ def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
+def format_vec(v) -> str:
+    """v as a point, e.g. (1/2, 0): str writes a Fraction as p/q, or p if integral."""
+    return "(" + ", ".join(str(x) for x in v) + ")"
+
+
 def identity(n: int) -> IntMat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
@@ -205,28 +210,13 @@ def det_exact(mat) -> Fraction:
     return Fraction(-d if swaps % 2 else d, scale)
 
 
-def solve_exact(rows, rhs):
-    """Solve rows * x = rhs exactly.
-
-    Returns (particular, kernel_basis) with free variables set to zero, or
-    None when the system is inconsistent.  kernel_basis is a tuple of
-    rational vectors spanning the solution space of the homogeneous system.
-    """
+def solve_exact(rows, rhs) -> RatVec | None:
+    """The unique x with rows * x = rhs, exactly, or None when the system is
+    inconsistent or has more than one solution."""
     n = len(rows[0]) if rows else 0
     aug, _ = integer_rows([(*row, b) for row, b in zip(rows, rhs, strict=True)])
     pivots, d, _ = _eliminate(aug, n)
-    if any(row[n] for row in aug[len(pivots):]):
+    if len(pivots) < n or any(row[n] for row in aug[n:]):
         return None
-    particular = [Fraction(0)] * n
-    for row, col in zip(aug, pivots):
-        particular[col] = Fraction(row[n], d)
-    kernel = []
-    for free in range(n):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for row, col in zip(aug, pivots):
-            vec[col] = Fraction(-row[free], d)
-        kernel.append(tuple(vec))
-    return tuple(particular), tuple(kernel)
+    # the n pivots are columns 0..n-1, so row i reads d * x_i = row[n]
+    return tuple(Fraction(row[n], d) for row in aug[:n])

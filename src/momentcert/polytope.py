@@ -218,19 +218,18 @@ def _vertex_scan(p: Polytope) -> dict[RatVec, frozenset[int]]:
     dim-subsets of facets.
 
     One solve_exact per subset; a subset with an invertible normal matrix
-    gives a candidate point.  The facet rows are scaled to integers once,
-    so a new point x = P / D, with D the lcm of its denominators, is tested
-    by the sign of the integer N_i . P + A_i D for each scaled facet row
-    (N_i, A_i); no Fraction is built per facet.
+    has a unique solution, the candidate point.  The facet rows are scaled
+    to integers once, so a new point x = P / D, with D the lcm of its
+    denominators, is tested by the sign of the integer N_i . P + A_i D for
+    each scaled facet row (N_i, A_i); no Fraction is built per facet.
     """
     n = p.dim
     rows, _ = lattice.integer_rows([(*f.normal, f.offset) for f in p.facets])
     found: dict[RatVec, frozenset[int]] = {}
     for subset in combinations(range(p.d), n):
-        sol = lattice.solve_exact([rows[i][:n] for i in subset], [-rows[i][n] for i in subset])
-        if sol is None or sol[1] or sol[0] in found:
+        point = lattice.solve_exact([rows[i][:n] for i in subset], [-rows[i][n] for i in subset])
+        if point is None or point in found:
             continue
-        point = sol[0]
         (num,), den = lattice.integer_rows([point])
         active = []
         for i, row in enumerate(rows):
@@ -246,7 +245,9 @@ def _vertex_scan(p: Polytope) -> dict[RatVec, frozenset[int]]:
 
 
 def _compact_scan(p: Polytope) -> bool:
-    """is_compact's test on p, one solve_exact per dim-subset of normals."""
+    """is_compact's test on p: one solve_exact per dim-subset of normals,
+    unique exactly on a basis, whose cone holds -sum(nu_i) iff no coordinate
+    is negative."""
     n = p.dim
     if n == 0:
         return True
@@ -255,8 +256,8 @@ def _compact_scan(p: Polytope) -> bool:
         return False  # recession cone contains a line
     deficit = [-sum(column) for column in zip(*normals)]
     for basis in combinations(normals, n):
-        sol = lattice.solve_exact(lattice.transpose(basis), deficit)
-        if sol is not None and not sol[1] and all(c >= 0 for c in sol[0]):
+        coeffs = lattice.solve_exact(lattice.transpose(basis), deficit)
+        if coeffs is not None and all(c >= 0 for c in coeffs):
             return True
     return False
 
@@ -326,9 +327,9 @@ def equidistant_point(p: Polytope):
     rows = [f.normal + (-1,) for f in p.facets]
     rhs = [-f.offset for f in p.facets]
     sol = lattice.solve_exact(rows, rhs)
-    if sol is None or sol[1]:
+    if sol is None:
         return None
-    point, t = sol[0][:n], sol[0][n]
+    point, t = sol[:n], sol[n]
     if t <= 0:
         return None
     return point, t

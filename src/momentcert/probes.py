@@ -15,7 +15,7 @@ from itertools import product as iter_product
 
 from . import lattice
 from .errors import NotOnFacetError, NotTransverseError, ProbeError, UnboundedProbeError
-from .lattice import IntVec, RatVec
+from .lattice import IntVec, RatVec, format_vec
 from .polytope import Polytope
 
 
@@ -37,11 +37,11 @@ def _check_probe(p: Polytope, probe: Probe) -> None:
         )
     values = p.support_values(probe.base)
     if values[probe.facet] != 0:
-        raise NotOnFacetError(f"base point {probe.base} is not on facet {probe.facet}")
+        raise NotOnFacetError(f"base point {format_vec(probe.base)} is not on facet {probe.facet}")
     for i, v in enumerate(values):
         if i != probe.facet and v <= 0:
             raise NotOnFacetError(
-                f"base point {probe.base} is not in the relative interior of the facet"
+                f"base point {format_vec(probe.base)} is not in the relative interior of the facet"
             )
 
 
@@ -94,7 +94,7 @@ def probe_scan(p: Polytope, u, direction_bound: int):
     u = tuple(Fraction(x) for x in u)
     values = p.support_values(u)
     if not all(v > 0 for v in values):
-        raise ProbeError(f"scan point {u} is not interior")
+        raise ProbeError(f"scan point {format_vec(u)} is not interior")
     (scaled,), _ = lattice.integer_rows([values])
     normals = p.normals
     for f, nu in enumerate(normals):

@@ -70,12 +70,10 @@ class AffineReduction:
         return len(self.matrix[0]) if self.matrix else 0
 
     def preimage(self, x) -> RatVec | None:
-        """The unique y with matrix @ y + base = x, or None if x is off the slice."""
+        """The unique y with matrix @ y + base = x (the columns of matrix are
+        independent), or None if x is off the slice."""
         rhs = [Fraction(xi) - bi for xi, bi in zip(x, self.base, strict=True)]
-        sol = lattice.solve_exact(self.matrix, rhs)
-        if sol is None:
-            return None
-        return sol[0]
+        return lattice.solve_exact(self.matrix, rhs)
 
     def subtorus_generators(self) -> tuple[IntVec, ...]:
         """Integral basis of the kernel of A^T: the Lie algebra directions of
@@ -214,14 +212,15 @@ def _vertex_cone_coords(p: Polytope, target: IntVec):
     p must be compact and Delzant.  Nothing here checks it, and on a
     non-Delzant p int() would truncate a fractional coordinate silently.
     Vertices are scanned in coordinate order and the first admissible one
-    wins.  At each vertex the n active normals form a Z-basis, so one solve
-    gives the unique coordinates of target, and they are integral.  A
+    wins.  At each vertex the n active normals form a Z-basis, so the one
+    solve never returns None: it gives the unique, integral coordinates of
+    target.  A
     compact p attains min <target, x> at some vertex, and by LP duality the
     coordinates there are nonnegative, so the scan always returns.
     """
     for vertex in p.vertices():
         normals = [p.facets[i].normal for i in sorted(vertex.active)]
-        coeffs, _ = lattice.solve_exact(lattice.transpose(normals), target)
+        coeffs = lattice.solve_exact(lattice.transpose(normals), target)
         if all(c >= 0 for c in coeffs):
             return vertex, tuple(int(c) for c in coeffs)
 

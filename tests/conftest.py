@@ -42,6 +42,50 @@ def map_point(sec: AffineReduction, y) -> tuple:
     return tuple(dot(row, y) + b for row, b in zip(sec.matrix, sec.base, strict=True))
 
 
+def solve_oracle(rows, rhs):
+    """Fraction Gauss-Jordan for rows * x = rhs: (particular, kernel_basis)
+    with the free variables set to zero, or None when inconsistent.
+
+    It shares no code with lattice.solve_exact, so a test that needs a
+    solve checks the package against an independent answer.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs, strict=True)]
+    pivot_cols: list[int] = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][col]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivot_cols.append(col)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][n] != 0:
+            return None
+    particular = [Fraction(0)] * n
+    for i, col in enumerate(pivot_cols):
+        particular[col] = aug[i][n]
+    free_cols = [c for c in range(n) if c not in pivot_cols]
+    kernel = []
+    for free in free_cols:
+        vec = [Fraction(0)] * n
+        vec[free] = Fraction(1)
+        for i, col in enumerate(pivot_cols):
+            vec[col] = -aug[i][free]
+        kernel.append(tuple(vec))
+    return tuple(particular), tuple(kernel)
+
+
 def generator(op: BoundaryOp) -> int:
     """The image of the all-plus sign vector, bit-packed; determines the operator."""
     g = 0

@@ -13,6 +13,7 @@ from conftest import (
     mat_vec,
     offsets,
     random_polytope,
+    solve_oracle,
     translate,
 )
 from momentcert import lattice
@@ -173,7 +174,7 @@ def _old_match_dilate_translate(dim, facets, model):
             rhs.append(a)
     if not rows:
         return None
-    sol = lattice.solve_exact(rows, rhs)
+    sol = solve_oracle(rows, rhs)
     if sol is None or sol[1] or sol[0][0] <= 0:
         return None
     return sol[0][0], sol[0][1:]

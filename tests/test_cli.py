@@ -393,6 +393,45 @@ def test_certify_success_and_failure(corpus_dir, tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def test_point_errors_print_points_as_the_cli_does(corpus_dir, tmp_path, capsys):
+    doc = load_doc("hexagon_tr")
+    doc["claim"]["marked_point"] = ["1/2", 0]
+    bad = tmp_path / "bad_cert.json"
+    save_json(bad, doc)
+    assert main(["certify", str(bad)]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "result: FAILED (MarkedPointMismatchError)",
+        "declared marked point (1/2, 0) differs from computed (0, 0)",
+    ]
+    assert main(["probe", str(corpus_dir / "simplex2.json"), "--point", "5,1/2"]) == 1
+    assert capsys.readouterr().err == "error: ProbeError: scan point (5, 1/2) is not interior\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "command", [["corpus", "run"], ["info", "hexagon.json"]], ids=["corpus-run", "info"]
+)
+def test_a_closed_stdout_ends_without_a_traceback(corpus_dir, command, unbuffered):
+    """Unbuffered, the first print meets the closed pipe; buffered, the
+    flush does."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if command[0] == "info":
+        command = ["info", str(corpus_dir / command[1])]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "momentcert", *command],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()  # the reader goes away before the first line
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
 def test_certify_malformed_input(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json", encoding="utf-8")

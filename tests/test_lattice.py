@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mat_mul
+from conftest import mat_mul, solve_oracle
 from momentcert.errors import SliceError, ZeroVectorError
 from momentcert.lattice import (
     det_exact,
@@ -184,11 +184,15 @@ def test_section_check_matches_rank_and_minor_oracle():
 
 
 def test_solve_exact_unique_and_underdetermined():
-    sol = solve_exact(((1, 1), (1, -1)), (4, 0))
-    assert sol is not None and sol[0] == (2, 2) and sol[1] == ()
-    sol = solve_exact(((1, 1),), (3,))
-    assert sol is not None and len(sol[1]) == 1
+    assert_same(solve_exact(((1, 1), (1, -1)), (4, 0)), (Fraction(2), Fraction(2)))
+    # a line of solutions has no unique one
+    assert solve_exact(((1, 1),), (3,)) is None
     assert solve_exact(((1, 0), (1, 0)), (0, 1)) is None
+    # consistent and overdetermined: the point all three rows agree on
+    assert_same(solve_exact(((1, 0), (0, 1), (1, 1)), (1, Fraction(1, 2), Fraction(3, 2))),
+                (Fraction(1), Fraction(1, 2)))
+    # no unknowns and a zero right-hand side: the empty point is the solution
+    assert_same(solve_exact(((), ()), (0, 0)), ())
 
 
 def test_transpose_roundtrip():
@@ -199,9 +203,12 @@ def test_transpose_roundtrip():
 # -- the fraction-free kernel against Fraction Gauss-Jordan oracles ------------
 #
 # The three oracles are the Fraction eliminations rank_exact, det_exact and
-# solve_exact were written as before the fraction-free kernel replaced them.
+# solve_exact were written as before the fraction-free kernel replaced them;
+# solve_oracle lives in conftest, as the other modules check against it too.
 # The reduced row echelon form is unique, so the kernel must return the same
-# values, down to the kernel basis and the None of an inconsistent system.
+# values: solve_exact gives the oracle's particular solution when its kernel
+# basis is empty, and None when the basis is not empty or the system is
+# inconsistent.
 
 
 def rank_oracle(mat) -> int:
@@ -245,44 +252,6 @@ def det_oracle(mat) -> Fraction:
     return det
 
 
-def solve_oracle(rows, rhs):
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs, strict=True)]
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    particular = [Fraction(0)] * n
-    for i, col in enumerate(pivot_cols):
-        particular[col] = aug[i][n]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    kernel = []
-    for free in free_cols:
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for i, col in enumerate(pivot_cols):
-            vec[col] = -aug[i][free]
-        kernel.append(tuple(vec))
-    return tuple(particular), tuple(kernel)
-
-
 def assert_same(got, want):
     """Equal values of equal types, all the way down."""
     assert type(got) is type(want)
@@ -298,7 +267,8 @@ def assert_kernel_matches(mat, rhs):
     assert_same(rank_exact(mat), rank_oracle(mat))
     if all(len(row) == len(mat) for row in mat):
         assert_same(det_exact(mat), det_oracle(mat))
-    assert_same(solve_exact(mat, rhs), solve_oracle(mat, rhs))
+    sol = solve_oracle(mat, rhs)
+    assert_same(solve_exact(mat, rhs), None if sol is None or sol[1] else sol[0])
 
 
 def random_entry(rng: random.Random):

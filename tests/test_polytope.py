@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momentcert.polytope as polytope_module
-from conftest import interior_contains, offsets, random_polytope, translate
+from conftest import interior_contains, offsets, random_polytope, solve_oracle, translate
 from momentcert import lattice
 from momentcert.errors import EmptyInteriorError, PolytopeError
 from momentcert.polytope import (
@@ -146,7 +146,7 @@ def fraction_vertices(p):
     for subset in combinations(range(p.d), p.dim):
         rows = [p.facets[i].normal for i in subset]
         rhs = [-p.facets[i].offset for i in subset]
-        sol = lattice.solve_exact(rows, rhs)
+        sol = solve_oracle(rows, rhs)
         if sol is None or sol[1]:
             continue
         point = sol[0]
@@ -246,7 +246,7 @@ def ray_scan_is_compact(p):
     if lattice.rank_exact(normals) < n:
         return False  # a line in the recession cone
     for subset in combinations(normals, n - 1):
-        kernel = lattice.solve_exact(subset, [0] * len(subset))[1] if subset else ((1,),)
+        kernel = solve_oracle(subset, [0] * len(subset))[1] if subset else ((1,),)
         if len(kernel) != 1:
             continue
         for ray in (kernel[0], lattice.neg(kernel[0])):

@@ -59,6 +59,18 @@ def test_reach_errors():
         probe_reach(o_minus_one(), Probe(0, (1, 0), (F(-1), F(1))))
 
 
+def test_point_errors_write_rationals_as_p_over_q():
+    with pytest.raises(NotOnFacetError) as info:
+        probe_reach(simplex(2), Probe(0, (1, 0), (F(0), F(1, 2))))
+    assert str(info.value) == "base point (0, 1/2) is not on facet 0"
+    with pytest.raises(NotOnFacetError) as info:
+        probe_reach(simplex(2), Probe(0, (1, 0), (F(-1), F(2))))
+    assert str(info.value) == "base point (-1, 2) is not in the relative interior of the facet"
+    with pytest.raises(ProbeError) as info:
+        probe_scan(simplex(2), (5, F(1, 2)), 1)
+    assert str(info.value) == "scan point (5, 1/2) is not interior"
+
+
 def test_displaceable_half_open_segment():
     probe = Probe(0, (1, 0), (F(-1), F(0)))
     s2 = simplex(2)

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from conftest import interior_contains, map_point, mat_vec, offsets
+from conftest import interior_contains, map_point, mat_vec, offsets, solve_oracle
 from test_polytope import fraction_fm_feasible
 from momentcert import lattice
 from momentcert.corpus import load_corpus_polytope, load_corpus_section
@@ -317,7 +317,7 @@ def _clearance_case(rng):
         for image, tail, clearance in drawn:
             v = [*image, *tail]
             if any(v) and lattice.vec_gcd(v) == 1 and clearance + lattice.dot(star, v) > 0:
-                nu = tuple(int(x) for x in lattice.solve_exact(lattice.transpose(u), v)[0])
+                nu = tuple(int(x) for x in solve_oracle(lattice.transpose(u), v)[0])
                 facets[nu] = clearance - lattice.dot(base, nu)
     ambient = _unvalidated(n, tuple(Facet(nu, a) for nu, a in facets.items()))
     assert interior_contains(ambient, map_point(section(u, base), star))
