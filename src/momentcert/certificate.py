@@ -29,16 +29,15 @@ from .errors import (
     SliceError,
     UnsupportedClaimError,
 )
-from .lattice import RatVec
+from .lattice import IntVec, RatVec
 from .polytope import Polytope, equidistant_point, product
 from .reduction import (
+    O_MINUS_ONE_NORMALS,
     AffineReduction,
     monotone_weights,
     reduce_with_sources,
-    simplex,
-    cp1,
-    o_minus_one,
     weighted_projective,
+    weighted_projective_normals,
 )
 
 # claim kinds
@@ -127,15 +126,16 @@ class VerifiedClaim:
     hypotheses: tuple[str, ...] = ()
 
 
-def _model_and_bound(fact: BaseFact) -> tuple[Polytope, int]:
+def _model_and_bound(fact: BaseFact) -> tuple[tuple[IntVec, ...], int]:
+    """The normals of the fact's model, whose offsets are all 1, and its bound."""
     n = fact.instance.dim
     if n == 0:
         raise ModelMismatchError("every model has positive dimension; the instance has 0")
     if fact.kind == CLIFFORD_TORUS:
         if fact.claim == TT:
-            return simplex(n), 2**n
+            return weighted_projective_normals((1,) * (n + 1)), 2**n
         if n % 2 == 1:
-            return simplex(n), 2 ** ((n + 1) // 2)
+            return weighted_projective_normals((1,) * (n + 1)), 2 ** ((n + 1) // 2)
         raise UnsupportedClaimError(
             "real-locus bound for the Clifford torus needs odd dimension"
         )
@@ -145,19 +145,22 @@ def _model_and_bound(fact: BaseFact) -> tuple[Polytope, int]:
         if fact.weights is None or len(fact.weights) != n + 1:
             raise ModelMismatchError(f"weighted model needs {n + 1} weights")
         try:
-            return weighted_projective(fact.weights), 2**n
+            normals = weighted_projective_normals(fact.weights)
+            if not lattice.is_primitive(normals[-1]):
+                raise PolytopeError(f"normal {normals[-1]} is not primitive")
         except (ValueError, PolytopeError) as exc:
             raise ModelMismatchError(f"weighted model weights {fact.weights}: {exc}") from None
+        return normals, 2**n
     if fact.kind == CP1:
         if n != 1:
             raise ModelMismatchError("the sphere model is 1-dimensional")
-        return cp1(), 2
+        return weighted_projective_normals((1, 1)), 2
     if fact.kind == O_MINUS_ONE:
         if fact.claim != TT:
             raise UnsupportedClaimError("no real-locus fact for the O(-1) model")
         if n != 2:
             raise ModelMismatchError("the O(-1) model is 2-dimensional")
-        return o_minus_one(), 4
+        return O_MINUS_ONE_NORMALS, 4
     raise UnsupportedClaimError(f"unknown base fact kind {fact.kind!r}")
 
 
@@ -172,11 +175,11 @@ def _verify_leaf(fact: BaseFact) -> VerifiedClaim:
     """
     if fact.claim not in (TT, TR):
         raise UnsupportedClaimError(f"unknown claim kind {fact.claim!r}")
-    model, bound = _model_and_bound(fact)
+    normals, bound = _model_and_bound(fact)
     center = equidistant_point(fact.instance)
     if center is None:
         raise MarkedPointMismatchError("base fact instance has no equidistant center")
-    if Counter(fact.instance.normals) != Counter(model.normals):
+    if Counter(fact.instance.normals) != Counter(normals):
         raise ModelMismatchError(
             f"instance is not a dilated translate of the {fact.kind} model"
         )

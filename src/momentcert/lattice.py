@@ -62,40 +62,26 @@ def smith_normal_form(mat) -> tuple[IntMat, IntMat]:
     """Return (D, V) with U*mat*V = D in Smith normal form for some U.
 
     U and V are unimodular, D is diagonal with d_i >= 0 and d_i | d_{i+1}.
-    Only V is built; no caller reads U.  The pivot choice (smallest
-    absolute value, then lowest position) makes the output deterministic.
+    Only V is built, as rows under mat's, so one loop moves a column of
+    both.  The pivot choice (smallest absolute value, then lowest position)
+    makes the output deterministic.
     """
-    a = [list(row) for row in mat]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    v = [list(row) for row in identity(ncols)]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_col(dst, src, q):
-        for row in a:
-            row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
-
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    a = [list(row) for row in mat] + [list(row) for row in identity(ncols)]
     for k in range(min(nrows, ncols)):
         while True:
             # smallest nonzero entry of the trailing block becomes the pivot
-            piv = None
-            for i in range(k, nrows):
-                for j in range(k, ncols):
-                    if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                        piv = (i, j)
-            if piv is None:
+            entries = [(abs(a[i][j]), i, j) for i in range(k, nrows)
+                       for j in range(k, ncols) if a[i][j]]
+            if not entries:
                 break
-            if piv[0] != k:
-                a[k], a[piv[0]] = a[piv[0]], a[k]
-            if piv[1] != k:
-                swap_cols(k, piv[1])
+            _, pi, pj = min(entries)
+            if pi != k:
+                a[k], a[pi] = a[pi], a[k]
+            if pj != k:
+                for row in a:
+                    row[k], row[pj] = row[pj], row[k]
             if a[k][k] < 0:
                 a[k] = [-x for x in a[k]]
             p = a[k][k]
@@ -110,7 +96,9 @@ def smith_normal_form(mat) -> tuple[IntMat, IntMat]:
                 if a[k][j] != 0:
                     if a[k][j] % p != 0:
                         dirty = True
-                    addmul_col(j, k, a[k][j] // p)
+                    q = a[k][j] // p
+                    for row in a:
+                        row[j] -= q * row[k]
             if dirty:
                 continue
             # row k and column k are clear; enforce divisibility of the rest
@@ -125,8 +113,7 @@ def smith_normal_form(mat) -> tuple[IntMat, IntMat]:
                 break
         if k < min(nrows, ncols) and a[k][k] == 0:
             break
-
-    return tuple(tuple(row) for row in a), tuple(tuple(row) for row in v)
+    return tuple(tuple(row) for row in a[:nrows]), tuple(tuple(row) for row in a[nrows:])
 
 
 def integer_rows(mat) -> tuple[list[list[int]], int]:

@@ -39,7 +39,7 @@ class Polytope:
             if not lattice.is_primitive(f.normal):
                 raise PolytopeError(f"normal {f.normal} is not primitive")
             if f in seen:
-                raise PolytopeError(f"duplicate facet {f}")
+                raise PolytopeError(f"duplicate facet {f.normal}:{f.offset}")
             seen.add(f)
         _check_facet_count(self.dim, self.facets)
         if not _interior_nonempty(self.dim, self.facets):

@@ -152,6 +152,24 @@ def reduce_with_sources(
 
 
 # -- standard models ----------------------------------------------------------
+#
+# Every model is a normal table with all offsets 1: verify compares a leaf's
+# normals with its model's table, and the constructors below build from it.
+
+O_MINUS_ONE_NORMALS = ((1, 0), (0, 1), (1, 1))
+
+
+def weighted_projective_normals(weights) -> tuple[IntVec, ...]:
+    """The normals e_1, ..., e_n and -(m_1, ..., m_n) of CP(1, m_1, ..., m_n):
+    all ones give the simplex, and (1, 1) the sphere.  The last normal is
+    primitive, so a facet normal, only when the m_j are coprime."""
+    weights = tuple(int(w) for w in weights)
+    if not weights or weights[0] != 1:
+        raise ValueError("weights must start with 1")
+    if any(w < 1 for w in weights):
+        raise ValueError("weights must be positive")
+    return lattice.identity(len(weights) - 1) + (tuple(-w for w in weights[1:]),)
+
 
 def simplex(n: int, offset=1) -> Polytope:
     """x_j + offset >= 0 for each j, and -(sum x_j) + offset >= 0."""
@@ -159,30 +177,19 @@ def simplex(n: int, offset=1) -> Polytope:
 
 
 def weighted_projective(weights, offset=1) -> Polytope:
-    """x_j + offset >= 0 for each j, and -(sum m_j x_j) + offset >= 0.
-
-    weights = (1, m_1, ..., m_n) with the leading entry 1; the trailing
-    weights tilt the slanted facet.
-    """
-    weights = tuple(int(w) for w in weights)
-    if not weights or weights[0] != 1:
-        raise ValueError("weights must start with 1")
-    if any(w < 1 for w in weights):
-        raise ValueError("weights must be positive")
-    n = len(weights) - 1
-    facets = [(tuple(int(i == j) for i in range(n)), offset) for j in range(n)]
-    facets.append((tuple(-w for w in weights[1:]), offset))
-    return polytope(n, facets)
+    """x_j + offset >= 0 for each j, and -(sum m_j x_j) + offset >= 0."""
+    normals = weighted_projective_normals(weights)
+    return polytope(len(normals) - 1, [(nu, offset) for nu in normals])
 
 
 def cp1(a1=1, a2=1) -> Polytope:
     """The segment x + a1 >= 0, -x + a2 >= 0."""
-    return polytope(1, [((1,), a1), ((-1,), a2)])
+    return polytope(1, zip(weighted_projective_normals((1, 1)), (a1, a2)))
 
 
 def o_minus_one(a1=1, a2=1, a3=1) -> Polytope:
     """The unbounded wedge with normals (1,0), (0,1), (1,1)."""
-    return polytope(2, [((1, 0), a1), ((0, 1), a2), ((1, 1), a3)])
+    return polytope(2, zip(O_MINUS_ONE_NORMALS, (a1, a2, a3)))
 
 
 def cube(n: int, offset=1) -> Polytope:

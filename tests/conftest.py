@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from momentcert.floer import BoundaryOp
-from momentcert.lattice import dot, transpose, vec_gcd
+from momentcert.lattice import IntMat, dot, identity, transpose, vec_gcd
 from momentcert.polytope import Facet, Polytope, _unvalidated, polytope
 from momentcert.reduction import AffineReduction
 
@@ -84,6 +84,79 @@ def solve_oracle(rows, rhs):
             vec[col] = -aug[i][free]
         kernel.append(tuple(vec))
     return tuple(particular), tuple(kernel)
+
+
+# The two-matrix Smith form the package used before it kept V under A as
+# extra rows: a test oracle for lattice.smith_normal_form, kept as it was.
+def smith_normal_form(mat) -> tuple[IntMat, IntMat]:
+    """Return (D, V) with U*mat*V = D in Smith normal form for some U.
+
+    U and V are unimodular, D is diagonal with d_i >= 0 and d_i | d_{i+1}.
+    Only V is built; no caller reads U.  The pivot choice (smallest
+    absolute value, then lowest position) makes the output deterministic.
+    """
+    a = [list(row) for row in mat]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    v = [list(row) for row in identity(ncols)]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def addmul_col(dst, src, q):
+        for row in a:
+            row[dst] -= q * row[src]
+        for row in v:
+            row[dst] -= q * row[src]
+
+    for k in range(min(nrows, ncols)):
+        while True:
+            # smallest nonzero entry of the trailing block becomes the pivot
+            piv = None
+            for i in range(k, nrows):
+                for j in range(k, ncols):
+                    if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
+                        piv = (i, j)
+            if piv is None:
+                break
+            if piv[0] != k:
+                a[k], a[piv[0]] = a[piv[0]], a[k]
+            if piv[1] != k:
+                swap_cols(k, piv[1])
+            if a[k][k] < 0:
+                a[k] = [-x for x in a[k]]
+            p = a[k][k]
+            dirty = False
+            for i in range(k + 1, nrows):
+                if a[i][k] != 0:
+                    if a[i][k] % p != 0:
+                        dirty = True
+                    q = a[i][k] // p
+                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+            for j in range(k + 1, ncols):
+                if a[k][j] != 0:
+                    if a[k][j] % p != 0:
+                        dirty = True
+                    addmul_col(j, k, a[k][j] // p)
+            if dirty:
+                continue
+            # row k and column k are clear; enforce divisibility of the rest
+            clean = True
+            for i in range(k + 1, nrows):
+                bad = next((j for j in range(k + 1, ncols) if a[i][j] % p != 0), None)
+                if bad is not None:
+                    a[k] = [x + y for x, y in zip(a[k], a[i])]
+                    clean = False
+                    break
+            if clean:
+                break
+        if k < min(nrows, ncols) and a[k][k] == 0:
+            break
+
+    return tuple(tuple(row) for row in a), tuple(tuple(row) for row in v)
 
 
 def generator(op: BoundaryOp) -> int:

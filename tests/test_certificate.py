@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product as iter_product
+from math import gcd
 
 import pytest
 
@@ -53,13 +54,23 @@ from momentcert.errors import (
     NotCompactError,
     NotDelzantError,
     NotMonotoneError,
+    PolytopeError,
     ReducedPolytopeMismatchError,
     SliceError,
     UnsupportedClaimError,
     VerificationError,
 )
 from momentcert.polytope import Polytope, equidistant_point, polytope, product
-from momentcert.reduction import cp1, cube, o_minus_one, section, simplex, weighted_projective
+from momentcert.reduction import (
+    O_MINUS_ONE_NORMALS,
+    cp1,
+    cube,
+    o_minus_one,
+    section,
+    simplex,
+    weighted_projective,
+    weighted_projective_normals,
+)
 
 
 def hexagon():
@@ -190,12 +201,26 @@ def _old_apply_basis_change(p, change):
     return tuple(mat_vec(change, nu) for nu in p.normals)
 
 
+def _model_polytope(fact):
+    """(model, bound): the leaf's model built by the public constructors, with
+    _model_and_bound deciding which model, its bound, or the error."""
+    _, bound = _model_and_bound(fact)
+    n = fact.instance.dim
+    build = {
+        CLIFFORD_TORUS: lambda: simplex(n),
+        WEIGHTED_PROJECTIVE: lambda: weighted_projective(fact.weights),
+        CP1: cp1,
+        O_MINUS_ONE: o_minus_one,
+    }[fact.kind]
+    return build(), bound
+
+
 def _old_verify_leaf(fact, change=None):
     """The leaf rule before it compared normals: claim, model, basis change,
     center, then a solve for the dilation and translation."""
     if fact.claim not in (TT, TR):
         raise UnsupportedClaimError(f"unknown claim kind {fact.claim!r}")
-    model, bound = _model_and_bound(fact)
+    model, bound = _model_polytope(fact)
     normals = fact.instance.normals
     if change is not None:
         normals = _old_apply_basis_change(fact.instance, change)
@@ -336,14 +361,93 @@ def test_every_model_has_offset_one_and_distinct_normals():
         for weights in weight_choices:
             fact = BaseFact(kind, claim, cube(n) if n else Polytope(0, ()), weights=weights)
             try:
-                model, _ = _model_and_bound(fact)
+                model, _ = _model_polytope(fact)
             except MomentcertError:
                 continue
             accepted[kind] += 1
             assert model.dim == n
             assert set(offsets(model)) == {1}
             assert len(set(model.normals)) == model.d
+            # verify reads the table; the constructor builds from it in order
+            assert model.normals == _model_and_bound(fact)[0]
     assert set(accepted) == set(BASE_KINDS), accepted
+
+
+def _unit(n, j):
+    return tuple(int(i == j) for i in range(n))
+
+
+SIMPLEX_NORMALS = {
+    1: ((1,), (-1,)),
+    2: ((1, 0), (0, 1), (-1, -1)),
+    3: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_simplex_table_is_written_out(n):
+    expected = tuple(_unit(n, j) for j in range(n)) + ((-1,) * n,)
+    assert expected == SIMPLEX_NORMALS.get(n, expected)
+    assert weighted_projective_normals((1,) * (n + 1)) == expected
+    assert simplex(n).normals == expected
+    fact = BaseFact(CLIFFORD_TORUS, TT, simplex(n))
+    assert _model_and_bound(fact) == (expected, 2**n)
+
+
+def test_the_weighted_tables_are_written_out():
+    """Every weight vector (1, m_1, ..., m_n) with n <= 3 and m_j in 1..4:
+    the units, then -(m_1, ..., m_n), which is a facet normal only when the
+    m_j are coprime."""
+    assert weighted_projective_normals((1, 2)) == ((1,), (-2,))
+    assert weighted_projective_normals((1, 1, 2)) == ((1, 0), (0, 1), (-1, -2))
+    assert weighted_projective_normals((1, 2, 3, 4)) == (
+        (1, 0, 0), (0, 1, 0), (0, 0, 1), (-2, -3, -4))
+    seen = Counter()
+    for n in range(1, 4):
+        for rest in iter_product(range(1, 5), repeat=n):
+            weights = (1,) + rest
+            expected = tuple(_unit(n, j) for j in range(n)) + (tuple(-m for m in rest),)
+            assert weighted_projective_normals(weights) == expected
+            fact = BaseFact(WEIGHTED_PROJECTIVE, TT, cube(n), weights=weights)
+            if gcd(*rest) == 1:
+                seen["model"] += 1
+                assert weighted_projective(weights).normals == expected
+                assert _model_and_bound(fact) == (expected, 2**n)
+            else:
+                seen["not primitive"] += 1
+                with pytest.raises(PolytopeError, match=r" is not primitive$"):
+                    weighted_projective(weights)
+                with pytest.raises(ModelMismatchError, match=r" is not primitive$"):
+                    _model_and_bound(fact)
+    assert seen == {"model": 67, "not primitive": 17}, seen
+
+
+def test_the_sphere_and_o_minus_one_tables_are_written_out():
+    assert weighted_projective_normals((1, 1)) == ((1,), (-1,))
+    assert cp1().normals == ((1,), (-1,))
+    assert cp1(2, 3).facets == (((1,), 2), ((-1,), 3))
+    assert O_MINUS_ONE_NORMALS == ((1, 0), (0, 1), (1, 1))
+    assert o_minus_one().normals == O_MINUS_ONE_NORMALS
+    assert o_minus_one(1, 2, 3).facets == (((1, 0), 1), ((0, 1), 2), ((1, 1), 3))
+    assert _model_and_bound(BaseFact(CP1, TR, cp1())) == (((1,), (-1,)), 2)
+    assert _model_and_bound(BaseFact(O_MINUS_ONE, TT, o_minus_one())) == (
+        O_MINUS_ONE_NORMALS, 4)
+
+
+@pytest.mark.parametrize("weights, error, message", [
+    ((2, 1, 1), ValueError, "weights must start with 1"),
+    ((1, 0, 1), ValueError, "weights must be positive"),
+    ((1, 2, 2), PolytopeError, "normal (-2, -2) is not primitive"),
+    ((1, 3), PolytopeError, "normal (-3,) is not primitive"),
+])
+def test_the_weighted_constructor_raises_as_it_did(weights, error, message):
+    with pytest.raises(error) as exc:
+        weighted_projective(weights)
+    assert type(exc.value) is error and str(exc.value) == message
+    leaf = BaseFact(WEIGHTED_PROJECTIVE, TT, cube(len(weights) - 1), weights=weights)
+    with pytest.raises(ModelMismatchError) as exc:
+        _model_and_bound(leaf)
+    assert str(exc.value) == f"weighted model weights {weights}: {message}"
 
 
 # -- inner nodes ------------------------------------------------------------------

@@ -141,6 +141,14 @@ def test_hf_command_has_no_limit_option(corpus_dir, capsys):
     assert "--limit" in capsys.readouterr().err
 
 
+def test_info_names_a_duplicate_facet_as_normal_and_offset(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    facet = {"normal": [1], "offset": "1/2"}
+    save_json(path, {"dim": 1, "facets": [facet, facet]})
+    assert main(["info", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: duplicate facet (1,):1/2\n"
+
+
 def _assert_malformed(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

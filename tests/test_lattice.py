@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mat_mul, solve_oracle
+from conftest import smith_normal_form as two_matrix_smith_form
 from momentcert.errors import SliceError, ZeroVectorError
 from momentcert.lattice import (
     det_exact,
@@ -108,6 +109,48 @@ def test_snf_matches_minor_ladder_on_random_matrices():
             # invariant factor ladder: d_1 * ... * d_k = gcd of k x k minors
             assert diag[k - 1] * running == g
             running = g
+
+
+def _seeded_smith_input(rng):
+    """A small integer matrix, sometimes with a zero row or column, a row
+    that is a combination of others, or entries scaled to share a factor."""
+    nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+    mat = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(ncols)] for _ in range(nrows)]
+    shape = rng.randrange(5)
+    if shape == 0:
+        mat[rng.randrange(nrows)] = [0] * ncols
+    elif shape == 1:
+        j = rng.randrange(ncols)
+        for row in mat:
+            row[j] = 0
+    elif shape == 2 and nrows > 1:
+        c = rng.randint(-3, 3)
+        mat[-1] = [x + c * y for x, y in zip(mat[0], mat[-2])]
+    elif shape == 3:
+        f = rng.choice((2, 3, 4, 6))
+        mat = [[f * x + rng.choice((0, 0, 0, 1)) for x in row] for row in mat]
+    return tuple(tuple(row) for row in mat)
+
+
+def test_snf_matches_the_two_matrix_oracle():
+    """D and V equal those of the Smith form that kept V in its own matrix."""
+    for mat in ((), ((0,),), ((0, 0), (0, 0)), ((-4,),), ((2, 3),), ((2,), (3,))):
+        assert smith_normal_form(mat) == two_matrix_smith_form(mat)
+    rng = random.Random(1729)
+    seen = {"zero row": 0, "zero column": 0, "rank deficit": 0,
+            "negative pivot": 0, "pivot does not divide": 0}
+    for _ in range(4000):
+        mat = _seeded_smith_input(rng)
+        assert smith_normal_form(mat) == two_matrix_smith_form(mat), mat
+        nonzero = [(abs(x), i, j, x) for i, row in enumerate(mat) for j, x in enumerate(row) if x]
+        seen["zero row"] += any(not any(row) for row in mat)
+        seen["zero column"] += any(not any(col) for col in transpose(mat))
+        seen["rank deficit"] += rank_exact(mat) < min(len(mat), len(mat[0]))
+        if nonzero:
+            *_, first = min(nonzero)
+            seen["negative pivot"] += first < 0
+            seen["pivot does not divide"] += any(x % first for *_, x in nonzero)
+    assert min(seen.values()) >= 800, seen
 
 
 def test_primitivity():

@@ -233,21 +233,17 @@ TRUSTED_BASE = (
     "polytope._unvalidated",
     "polytope.equidistant_point",
     "polytope.feasible",
-    "polytope.polytope",
     "polytope.product",
     "polytope.prune_redundant",
     "reduction.AffineReduction.__post_init__",
     "reduction.AffineReduction.ambient_dim",
     "reduction.AffineReduction.preimage",
     "reduction.AffineReduction.reduced_dim",
-    "reduction.cp1",
-    "reduction.o_minus_one",
     "reduction.reduce_with_sources",
-    "reduction.simplex",
-    "reduction.weighted_projective",
+    "reduction.weighted_projective_normals",
 )
 # the lines of those definitions, from def to last line, docstrings included
-TRUSTED_BASE_LINES = 619
+TRUSTED_BASE_LINES = 588
 
 
 def test_the_trusted_base_of_verify_is_pinned():
@@ -258,7 +254,8 @@ def test_the_trusted_base_of_verify_is_pinned():
     lines = sum(functions[q].end_lineno - functions[q].lineno + 1 for q in base)
     assert lines == TRUSTED_BASE_LINES
     outside = {"certificate.auto_certify_monotone", "reduction.monotone_weights",
-               "polytope.Polytope.vertices"}
+               "polytope.Polytope.vertices", "polytope.polytope", "reduction.simplex",
+               "reduction.weighted_projective", "reduction.cp1", "reduction.o_minus_one"}
     assert not base & outside
     assert not [q for q in base if q.split(".")[0] in ("floer", "probes", "cli")]
 
