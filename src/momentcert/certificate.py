@@ -321,12 +321,8 @@ def auto_certify_monotone(p: Polytope) -> Certificate:
 
 
 def _merge(groups) -> tuple[str, ...]:
-    out: list[str] = []
-    for group in groups:
-        for item in group:
-            if item not in out:
-                out.append(item)
-    return tuple(out)
+    """The items of the groups in first-seen order, each once."""
+    return tuple(dict.fromkeys(item for group in groups for item in group))
 
 
 def _check_target(target: Polytope | None, computed: Polytope, what: str) -> None:

@@ -10,7 +10,6 @@ import argparse
 import functools
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -25,7 +24,6 @@ from .documents import (
     parse_rational,
     polytope_from_doc,
     polytope_to_doc,
-    rational_to_json,
     save_json,
     save_text,
 )
@@ -38,14 +36,21 @@ from .reduction import reduce_polytope
 from .render import render_svg
 
 
-def _fmt(x: Fraction) -> str:
-    return str(rational_to_json(x))
-
-
 def _print_polytope(p) -> None:
     for nu, a in p.facets:
         terms = " ".join(f"{c:+d} x{i + 1}" for i, c in enumerate(nu) if c != 0)
-        print(f"  {terms} {'+' if a >= 0 else '-'} {_fmt(abs(a))} >= 0")
+        print(f"  {terms} {'+' if a >= 0 else '-'} {abs(a)} >= 0")
+
+
+def _write_or_print(result, args) -> int:
+    """Save result to -o under --name, or print it."""
+    if args.output:
+        save_json(args.output, polytope_to_doc(result, name=args.name or ""))
+        print(f"wrote {args.output}")
+    else:
+        print(f"dimension: {result.dim}, facets: {result.d}")
+        _print_polytope(result)
+    return 0
 
 
 def _cmd_info(args) -> int:
@@ -62,7 +67,7 @@ def _cmd_info(args) -> int:
     print(f"even: {p.is_even()}")
     print(f"symmetric: {p.is_symmetric()}")
     lam = p.is_monotone()
-    print(f"monotone: {_fmt(lam) if lam is not None else 'no'}")
+    print(f"monotone: {lam if lam is not None else 'no'}")
     print(f"vertices: {len(verts)}")
     for v in verts:
         print(f"  {format_vec(v.point)} on facets {sorted(v.active)}")
@@ -70,7 +75,7 @@ def _cmd_info(args) -> int:
     if center is None:
         print("equidistant point: none")
     else:
-        print(f"equidistant point: {format_vec(center[0])} at value {_fmt(center[1])}")
+        print(f"equidistant point: {format_vec(center[0])} at value {center[1]}")
     return 0
 
 
@@ -90,38 +95,20 @@ def _cmd_hf(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    p1 = load_polytope(args.file1)
-    p2 = load_polytope(args.file2)
-    result = product(p1, p2)
-    doc = polytope_to_doc(result, name=args.name or "")
-    if args.output:
-        save_json(args.output, doc)
-        print(f"wrote {args.output}")
-    else:
-        print(f"dimension: {result.dim}, facets: {result.d}")
-        _print_polytope(result)
-    return 0
+    result = product(load_polytope(args.file1), load_polytope(args.file2))
+    return _write_or_print(result, args)
 
 
 def _cmd_reduce(args) -> int:
     ambient = load_polytope(args.ambient)
     sec = load_section(args.section)
     result = reduce_polytope(ambient, sec)
-    doc = polytope_to_doc(result, name=args.name or "")
     generators = sec.subtorus_generators()
     levels = sec.levels()
     if generators:
-        pairs = ", ".join(
-            f"{g} at level {_fmt(c)}" for g, c in zip(generators, levels)
-        )
+        pairs = ", ".join(f"{g} at level {c}" for g, c in zip(generators, levels))
         print(f"quotient subtorus: {pairs}")
-    if args.output:
-        save_json(args.output, doc)
-        print(f"wrote {args.output}")
-    else:
-        print(f"dimension: {result.dim}, facets: {result.d}")
-        _print_polytope(result)
-    return 0
+    return _write_or_print(result, args)
 
 
 def _print_claim(claim) -> None:
@@ -186,8 +173,8 @@ def _cmd_probe(args) -> int:
         facet = as_read.facets.index(p.facets[probe.facet])
         print(f"displaceable: facet {facet}, direction {probe.direction}, "
               f"base {format_vec(probe.base)}")
-        print(f"reach {_fmt(reach)}; point sits at parameter {_fmt(t)}, "
-              f"inside the displaceable segment (0, {_fmt(reach / 2)})")
+        print(f"reach {reach}; point sits at parameter {t}, "
+              f"inside the displaceable segment (0, {reach / 2})")
     return 0
 
 

@@ -5,12 +5,6 @@ class MomentcertError(Exception):
     """Base class for every domain error raised by this package."""
 
 
-# --- lattice ---
-
-class ZeroVectorError(MomentcertError):
-    pass
-
-
 # --- polytope ---
 
 class PolytopeError(MomentcertError):

@@ -10,24 +10,17 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ZeroVectorError
-
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
 RatVec = tuple[Fraction, ...]
 
 
 def vec_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
 
 
 def is_primitive(v) -> bool:
-    """True iff the gcd of the entries is 1.  Zero vectors are rejected."""
-    if all(x == 0 for x in v):
-        raise ZeroVectorError("primitivity is undefined for the zero vector")
+    """True iff the gcd of the entries is 1, so the zero vector is not."""
     return vec_gcd(v) == 1
 
 
@@ -53,8 +46,6 @@ def identity(n: int) -> IntMat:
 
 
 def transpose(m) -> tuple:
-    if not m:
-        return ()
     return tuple(zip(*m))
 
 

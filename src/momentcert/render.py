@@ -8,7 +8,6 @@ pure function of the input.  No timestamps, no environment leakage.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .errors import MomentcertError
 from .polytope import Polytope, equidistant_point
@@ -17,30 +16,18 @@ CANVAS = 480
 PAD_NUM, PAD_DEN = 1, 4  # padding: one quarter of the larger extent
 
 
-def _angle_cmp(center):
-    cx, cy = center
+def _angle_key(dx, dy):
+    """Exact sort key for the counterclockwise angle of (dx, dy) from 0.
 
-    def half(p):
-        dx, dy = p[0] - cx, p[1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    def cmp(a, b):
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return ha - hb
-        ax, ay = a[0] - cx, a[1] - cy
-        bx, by = b[0] - cx, b[1] - cy
-        cross = ax * by - ay * bx
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        # no radius tie-break: the ring is sorted only for a compact polygon,
-        # whose centroid is interior, and of two vertices on one ray from an
-        # interior point the nearer would be interior, not a vertex
-        return 0
-
-    return cmp_to_key(cmp)
+    sgn(dx) * dx^2 / |d|^2 is sgn(cos) * cos^2, which rises with the cosine.
+    The cosine falls as the angle grows through the upper half-plane, angles
+    in [0, pi), so the key is negated there; it rises through the lower one.
+    """
+    # no radius tie-break: the ring is sorted only for a compact polygon,
+    # whose centroid is interior, and of two vertices on one ray from an
+    # interior point the nearer would be interior, not a vertex
+    c = dx * abs(dx) / (dx * dx + dy * dy)
+    return (0, -c) if dy > 0 or (dy == 0 and dx > 0) else (1, c)
 
 
 def _clip_line_to_box(normal, offset, box):
@@ -107,7 +94,7 @@ def render_svg(p: Polytope, marked_points=()) -> str:
     if len(vertices) >= 3 and p.is_compact():
         cx = sum(v[0] for v in vertices) / len(vertices)
         cy = sum(v[1] for v in vertices) / len(vertices)
-        ring = sorted(vertices, key=_angle_cmp((cx, cy)))
+        ring = sorted(vertices, key=lambda v: _angle_key(v[0] - cx, v[1] - cy))
         path = " ".join("{:.2f},{:.2f}".format(*to_canvas(v)) for v in ring)
         lines.append(
             f'<polygon points="{path}" fill="none" stroke="#000000" stroke-width="2"/>'

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cmp_to_key
 from pathlib import Path
 
 import pytest
@@ -11,11 +14,16 @@ from momentcert import cli, corpus, floer, lattice
 from momentcert.certificate import TR_CAVEAT
 from momentcert.cli import main
 from momentcert.corpus import load_corpus_polytope, load_doc
-from momentcert.documents import polytope_from_doc, polytope_to_doc, save_json
+from momentcert.documents import (
+    marked_points_from_doc,
+    polytope_from_doc,
+    polytope_to_doc,
+    save_json,
+)
 from momentcert.floer import boundary_op, rank_gf2
 from momentcert.polytope import Polytope, polytope, product
 from momentcert.reduction import cube, simplex
-from momentcert.render import render_svg
+from momentcert.render import _angle_key, render_svg
 
 
 @pytest.fixture()
@@ -257,6 +265,8 @@ UNWRITABLE = "polytope.json/out"  # under a regular file, so not even root can c
     ({"dim": 2, "facets": [{"normal": [1], "offset": 1}, {"normal": [-1, 0], "offset": 1}]},
      ["info", "polytope.json"], 2,
      "error: polytope.json: normal (1,) has wrong length for dimension 2"),
+    ({"dim": 2, "facets": [{"normal": [0, 0], "offset": 1}, {"normal": [1, 0], "offset": 1}]},
+     ["info", "polytope.json"], 2, "error: polytope.json: normal (0, 0) is not primitive"),
     (HEXAGON, ["reduce", "polytope.json", "--slice", '{"x0": [0, 0]}'], 2,
      "error: inline section: needs the matrix 'A' (and optional 'x0')"),
     (HEXAGON, ["reduce", "polytope.json", "--slice", '{"A": [[1, 0], [1]]}'], 2,
@@ -288,7 +298,7 @@ UNWRITABLE = "polytope.json/out"  # under a regular file, so not even root can c
         "auto-certify-unwritable", "render-unwritable", "corpus-export-unwritable",
         "corpus-export-no-output", "missing-file", "top-level-list", "facets-type",
         "marked-points-type", "normal-type", "x0-type", "matrix-type", "offset-null",
-        "normal-length", "section-no-matrix", "ragged-slice", "reduce-no-child",
+        "normal-length", "normal-zero", "section-no-matrix", "ragged-slice", "reduce-no-child",
         "node-no-kind", "base-no-instance", "certificate-not-object", "certificate-no-tree",
         "leaf-basis-change", "leaf-weights-not-weighted", "render-dimension-3"])
 def test_hostile_input_exits_cleanly(tmp_path, monkeypatch, capsys, doc, argv, code, message):
@@ -540,6 +550,58 @@ def test_render_unbounded(corpus_dir, tmp_path):
     out = tmp_path / "wedge.svg"
     assert main(["render", str(corpus_dir / "o_minus_one.json"), "-o", str(out)]) == 0
     assert out.read_text().startswith("<svg")
+
+
+# SHA-256 of render_svg on each 2-dimensional corpus polytope with its marked
+# points, as the render command draws it: a change in ring order, rounding or
+# layout changes a hash
+RENDER_SHA256 = {
+    "cp2_blowup1": "bf8dd7b52d795eb8e86c2ab5ddd911c168768d72fd62d7f9480a3e964bfd786d",
+    "cp2_blowup2_alpha": "00fb52eea672ef22459cc4b02c2ca7a967702ea27da35b45040da85b750913ea",
+    "hexagon": "9831ab0b9ff132565cd06bf4fce840d1bde4bf14f2e81836b80fd4779190c96f",
+    "hirzebruch2": "2548298fd9c0ac4d090f087855fdc01096d6480f7d9824add0933794bda6dd40",
+    "nonfano_pentagon": "c9802f4e84897867779afbc29572a859e5a323733dc2b9703acceb499c9594ff",
+    "o_minus_one": "1517e2019422e6fa410c649c59f3cb994c640b418bfdf8aa9af3a6b3c1387190",
+    "simplex2": "0284dff9629691cb3fad970f94c730812d6d62d77441cda5a8b07975ae58e1d1",
+    "square": "20349cdbc7e30f34d236bcc3cef4f3bc92ad95babd9fd206424b40c2a9981bab",
+    "wp112": "11584428a2cf3bb711a28b880346de995be6b11dc46ebd456a8ecb6be081dcb3",
+}
+
+
+def test_render_bytes_are_pinned_for_every_corpus_polygon():
+    hashes = {}
+    for name in corpus.data_names():
+        doc = load_doc(name.removesuffix(".json"))
+        if doc.get("dim") != 2 or "facets" not in doc:
+            continue
+        svg = render_svg(polytope_from_doc(doc, name), marked_points_from_doc(doc, name))
+        hashes[name.removesuffix(".json")] = hashlib.sha256(svg.encode()).hexdigest()
+    assert hashes == RENDER_SHA256
+
+
+def _cross_cmp(a, b):
+    """Counterclockwise order from angle 0 by half-plane, then by cross product."""
+    def half(d):
+        return 0 if d[1] > 0 or (d[1] == 0 and d[0] > 0) else 1
+
+    if half(a) != half(b):
+        return half(a) - half(b)
+    cross = a[0] * b[1] - a[1] * b[0]
+    return -1 if cross > 0 else int(cross < 0)
+
+
+def test_angle_key_orders_as_the_cross_product_does():
+    """Same order, ties on one ray included, as the comparator the key replaced."""
+    rng = random.Random(31)
+    ties = 0
+    for _ in range(3000):
+        ds = {(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+               Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(rng.randint(2, 9))}
+        ds = list(ds - {(0, 0)})
+        expected = sorted(ds, key=cmp_to_key(_cross_cmp))
+        assert sorted(ds, key=lambda d: _angle_key(*d)) == expected
+        ties += any(_cross_cmp(a, b) == 0 for a, b in zip(expected, expected[1:]))
+    assert ties > 500
 
 
 def test_render_strip_draws_its_two_lines_only():

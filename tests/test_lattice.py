@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import mat_mul, solve_oracle
 from conftest import smith_normal_form as two_matrix_smith_form
-from momentcert.errors import SliceError, ZeroVectorError
+from momentcert.errors import SliceError
 from momentcert.lattice import (
     det_exact,
     identity,
@@ -157,16 +157,15 @@ def test_primitivity():
     assert is_primitive((1, 0))
     assert not is_primitive((2, 4))
     assert is_primitive((-1, -1))
-    with pytest.raises(ZeroVectorError):
-        is_primitive((0, 0, 0))
+    # the gcd of no entries, or of zeros only, is 0
+    assert not is_primitive((0, 0, 0))
+    assert not is_primitive(())
 
 
 def test_primitive_iff_snf_unit():
     rng = random.Random(5)
     for _ in range(40):
         v = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 4)))
-        if all(x == 0 for x in v):
-            continue
         column = tuple((x,) for x in v)
         assert is_primitive(v) == (diagonal(smith_normal_form(column)[0]) == [1])
 
