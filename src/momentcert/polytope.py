@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as iter_product
+from operator import mul
 from typing import NamedTuple
 
 from . import lattice
@@ -354,23 +355,38 @@ def _tightest(rows) -> list[tuple[int, ...]]:
 def feasible(rows, nvars: int) -> bool:
     """Whether some x has <c, x> + b > 0 for every integer row (c_1, ..., c_nvars, b).
 
-    Decided by Fourier-Motzkin elimination, last variable first; every
-    combination of two rows goes through _tightest.
+    Decided by Fourier-Motzkin elimination, last variable first, down to
+    x_0; the rows go through _tightest before each elimination.  What is
+    left are bounds c x_0 + b > 0, which hold together iff every constant
+    row (c = 0) has b > 0 and the greatest lower bound -b/c (c > 0) is
+    below the least upper bound -b/c (c < 0), compared by cross-multiplying.
     """
-    cons = _tightest(rows)
-    for var in range(nvars - 1, -1, -1):
+    if nvars == 0:
+        return all(r[-1] > 0 for r in rows)
+    cons = rows
+    for var in range(nvars - 1, 0, -1):
+        cons = _tightest(cons)
         pos = [r for r in cons if r[var] > 0]
         negs = [r for r in cons if r[var] < 0]
-        zero = [r for r in cons if r[var] == 0]
-        if not pos or not negs:
-            cons = zero  # the variable escapes to +/- infinity
-            continue
+        cons = [r for r in cons if r[var] == 0]
+        # with no pos or no negs the variable escapes to +/- infinity
         for rp in pos:
             for rn in negs:
                 fp, fn = -rn[var], rp[var]
-                zero.append([fp * a + fn * b for a, b in zip(rp, rn)])
-        cons = _tightest(zero)
-    return all(r[-1] > 0 for r in cons)
+                cons.append([fp * a + fn * b for a, b in zip(rp, rn)])
+    low = high = None  # (c, b) of the greatest lower and the least upper bound
+    for r in cons:
+        c, b = r[0], r[-1]
+        if c > 0:
+            if low is None or b * low[0] < low[1] * c:
+                low = c, b
+        elif c < 0:
+            if high is None or b * high[0] > high[1] * c:
+                high = c, b
+        elif b <= 0:
+            return False
+    # -b_low / c_low < -b_high / c_high, multiplied by c_low * -c_high > 0
+    return low is None or high is None or low[1] * high[0] < high[1] * low[0]
 
 
 def _interior_nonempty(dim: int, facets) -> bool:
@@ -389,20 +405,24 @@ def _ray_witnessed(rows: list[list[int]]) -> set[int]:
     compared by cross-multiplying, and scaling N_i does not change their
     order.  A facet met first and alone is irredundant: the hit point lies
     on it and strictly inside every other half-space.  A tie proves
-    nothing.  One ray per facet; no FM.
+    nothing.  One ray per facet, all read off one Gram matrix of the N_j,
+    each product computed once; no FM.
     """
+    normals = [row[:-1] for row in rows]
+    gram = [[0] * len(rows) for _ in rows]
+    for i, nu in enumerate(normals):
+        for j in range(i, len(rows)):
+            gram[i][j] = gram[j][i] = sum(map(mul, nu, normals[j]))
     proven = set()
-    for ray in rows:
-        nu = ray[:-1]
+    for products in gram:
         first, time = [], None  # the facets met earliest, and that time as (A, s)
-        for j, row in enumerate(rows):
-            # zip stops at len(nu), before the offset column
-            s = sum(a * b for a, b in zip(row, nu))
+        for j, s in enumerate(products):
             if s <= 0:
                 continue
-            if time is None or row[-1] * time[1] < time[0] * s:
-                first, time = [j], (row[-1], s)
-            elif row[-1] * time[1] == time[0] * s:
+            a = rows[j][-1]
+            if time is None or a * time[1] < time[0] * s:
+                first, time = [j], (a, s)
+            elif a * time[1] == time[0] * s:
                 first.append(j)
         if len(first) == 1:
             proven.add(first[0])
@@ -437,10 +457,11 @@ def _prune_facet_list(dim: int, facets) -> list[Facet]:
     an FM infeasibility proof drops a facet.  When every offset is > 0, ray
     witnesses from the origin (_ray_witnessed) first prove a core of facets
     irredundant with no FM call.  Every other facet f is tested by FM
-    against the core alone, and only if that leaves f standing, against
-    every facet still kept.  The irredundant facets of a system with
-    non-empty interior do not depend on the order they are found in, so the
-    result is the plain FM loop's.
+    against the core alone first; only then are the survivors of those
+    tests tested again, each against the core and every other survivor
+    still kept, so no full test carries a facet the core would drop.  The
+    irredundant facets of a system with non-empty interior do not depend on
+    the order they are found in, so the result is the plain FM loop's.
 
     Each test is asked on f's hyperplane, in dim - 1 variables
     (_on_hyperplane): f is redundant iff no point y with f(y) = 0
@@ -457,16 +478,15 @@ def _prune_facet_list(dim: int, facets) -> list[Facet]:
     rows, _ = lattice.integer_rows([(*f.normal, f.offset) for f in work])
     core = _ray_witnessed(rows) if all(f.offset > 0 for f in work) else set()
     core_rows = [rows[j] for j in sorted(core)]
-    kept = list(range(len(work)))
+    survivors = {}  # facet index -> the core's rows on its hyperplane
     for i in range(len(work)):
-        if i in core:
-            continue
-        # the core is a subset of the others, so a proof against it is one
-        on_core = _on_hyperplane(rows[i], core_rows)
-        if core and not feasible(on_core, dim - 1):
-            kept.remove(i)
-            continue
-        rest = [rows[j] for j in kept if j != i and j not in core]
-        if not feasible(on_core + _on_hyperplane(rows[i], rest), dim - 1):
-            kept.remove(i)
-    return [work[i] for i in kept]
+        if i not in core:
+            # the core is a subset of the others, so a proof against it is one
+            on_core = _on_hyperplane(rows[i], core_rows)
+            if not core or feasible(on_core, dim - 1):
+                survivors[i] = on_core
+    for i in list(survivors):
+        rest = [rows[j] for j in survivors if j != i]
+        if not feasible(survivors[i] + _on_hyperplane(rows[i], rest), dim - 1):
+            del survivors[i]
+    return [work[i] for i in sorted(core.union(survivors))]

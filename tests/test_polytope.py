@@ -776,6 +776,20 @@ def _random_system(rng, nvars):
       ((0, 0, 0, -2), -3, True), ((-2, 1, 2, 0), F(5, 2), True), ((-1, 1, 0, 0), 4, True),
       ((2, -1, -1, -2), 2, True), ((-1, 1, 0, 0), 2, True),
       ((-1, -2, -1, 0), F(5, 2), True)], 4, False),
+    # feasible reads the rows left in x_0 as bounds
+    ([((), 1, True), ((), -1, True)], 0, False),
+    ([], 1, True),
+    ([((1,), -5, True), ((3,), 1, True), ((2,), -7, True)], 1, True),  # only lower bounds
+    ([((-1,), -5, True), ((-3,), 1, True), ((-2,), F(-7, 3), True)], 1, True),  # only upper
+    ([((2,), -1, True), ((-4,), 2, True)], 1, False),  # 1/2 < x < 1/2
+    ([((3,), -1, True), ((-6,), 2, True), ((5,), -1, True)], 1, False),  # 1/3 < x < 1/3
+    ([((3,), -1, True), ((5,), -1, True), ((-6,), 3, True), ((-4,), 3, True)], 1, True),
+    ([((1,), 1, True), ((-1,), 1, True), ((0,), 0, True)], 1, False),  # |x| < 1 and 0 > 0
+    ([((1,), 1, True), ((-1,), 1, True), ((0,), -2, True)], 1, False),
+    ([((1, 1), 0, True), ((1, -1), 0, True), ((-1, 0), 1, True)], 2, True),  # |y| < x < 1
+    ([((1, 1), 0, True), ((1, -1), 0, True), ((-1, 0), 0, True)], 2, False),  # |y| < x < 0
+    # y > 0 and y < 0 leave the constant row 0 > 0 beside the bounds 0 < x < 1
+    ([((0, 1), 0, True), ((0, -1), 0, True), ((1, 0), 0, True), ((-1, 0), 1, True)], 2, False),
 ])
 def test_feasible_edge_cases(constraints, nvars, expected):
     """The oracles on every system; feasible, which asks only for a strict
@@ -798,6 +812,56 @@ def test_feasible_matches_fraction_fm_and_lpmax():
             assert got is lp_feasible(system, nvars), system
             answers.append(got)
     assert True in answers and False in answers
+
+
+def _rows_left_in_x0(monkeypatch, rows, nvars):
+    """How many rows feasible reads as bounds on x_0: the rows of its last
+    _tightest with x_1 eliminated, for nvars 2 or 3."""
+    tightened, tightest = [], polytope_module._tightest
+
+    def recording_tightest(cons):
+        tightened.append(tightest(cons))
+        return tightened[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polytope_module, "_tightest", recording_tightest)
+        feasible(rows, nvars)
+    last = tightened[-1]
+    pos, negs = (sum(1 for r in last if sign * r[1] > 0) for sign in (1, -1))
+    return sum(1 for r in last if r[1] == 0) + pos * negs
+
+
+def _bound_system(rng, nvars):
+    """Strict rows around a random centre x: each row is > 0 at x by a
+    margin from 1/4 to 2, or is -1/4 there: one row in twelve in 2
+    variables, one in four in 3, so that both answers are common."""
+    x = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(nvars)]
+    rows = []
+    for _ in range(rng.randint(10, 14) if nvars == 2 else rng.randint(7, 9)):
+        coeffs = tuple(rng.randint(-3, 3) for _ in range(nvars))
+        below = rng.random() < (1 / 12 if nvars == 2 else 1 / 4)
+        margin = F(-1, 4) if below else rng.choice((F(1, 4), F(1, 2), F(1), F(2)))
+        rows.append((coeffs, margin - sum(c * v for c, v in zip(coeffs, x)), True))
+    return rows
+
+
+def test_feasible_bounds_on_x0_match_fraction_fm_and_lpmax(monkeypatch):
+    """2- and 3-variable systems that leave at least 20 rows in x_0, each
+    against fraction_fm_feasible, and every tenth against lpmax."""
+    rng = random.Random(1127)
+    answers = Counter()
+    for case in range(600):
+        nvars = (2, 3)[case % 2]
+        system = _bound_system(rng, nvars)
+        rows = strict_rows(system)
+        if _rows_left_in_x0(monkeypatch, rows, nvars) < 20:
+            continue
+        got = feasible(rows, nvars)
+        assert got is fraction_fm_feasible(system, nvars), system
+        if sum(answers.values()) % 10 == 0:
+            assert got is lp_feasible(system, nvars), system
+        answers[nvars, got] += 1
+    assert min(answers[key] for key in ((2, True), (2, False), (3, True), (3, False))) >= 30, answers
 
 
 def _validation_case(rng, kind):
@@ -983,7 +1047,10 @@ def test_prune_property_matches_the_plain_fm_loop(system):
     got = _prune_facet_list(n, facets)
     assert got == plain_fm_prune(n, facets)
     if all(f.offset > 0 for f in facets):
-        assert ray_witnessed(sorted(set(facets))) <= set(got)
+        distinct = sorted(set(facets))
+        witnessed = ray_witnessed(distinct)
+        assert witnessed == {h[0] for h in ray_first_hits(distinct) if len(h) == 1}
+        assert witnessed <= set(got)
 
 
 def touching_facet(rng, p, active):
@@ -1134,11 +1201,14 @@ def test_prune_idempotent_and_preserves_vertices_on_random_instances():
         assert {v.point for v in pruned.vertices()} == {v.point for v in p.vertices()}
 
 
-def _count_feasible(monkeypatch):
+def _count_feasible(monkeypatch, sizes=None):
+    """The nvars of every feasible call; with sizes, also each call's row count."""
     calls = []
 
     def counting_feasible(constraints, nvars):
         calls.append(nvars)
+        if sizes is not None:
+            sizes.append(len(constraints))
         return feasible(constraints, nvars)
 
     monkeypatch.setattr(polytope_module, "feasible", counting_feasible)
@@ -1182,6 +1252,48 @@ def test_prune_ray_proves_the_simplex_of_a_catalogue_system(monkeypatch):
         assert _prune_facet_list(n, facets) == sorted(core)
         assert len(calls) == len(facets) - len(core)
         monkeypatch.undo()
+
+
+def corner_cut(rng, facets, offset):
+    """facets with two parallel facets added on a new normal: one offset
+    below where that normal touches the simplex of catalogue_systems, so
+    it cuts a corner off, and one 1/4 further out, redundant beside it."""
+    n = len(facets[0].normal)
+    corners = [(-1,) * n] + [tuple(n if i == j else -1 for i in range(n)) for j in range(n)]
+    while True:
+        vec = tuple(rng.randint(-3, 3) for _ in range(n))
+        if any(vec) and all(f.normal != vec for f in facets) and lattice.vec_gcd(vec) == 1:
+            break
+    touch = -min(lattice.dot(vec, v) for v in corners)
+    return facets + [Facet(vec, touch - offset), Facet(vec, touch - offset + F(1, 4))]
+
+
+def test_prune_runs_every_core_test_before_any_full_test(monkeypatch):
+    """On the catalogue systems, some with corners cut off, _prune_facet_list
+    tests every facet the rays leave unproven against the core first; only
+    then does it test the survivors, each against the core and the other
+    survivors still kept, so at most |core| + |survivors| - 1 rows."""
+    rng = random.Random(47)
+    full_tests = 0
+    for n, _, base in catalogue_systems():
+        for cuts in range(4):
+            facets = base
+            for _ in range(cuts):
+                facets = corner_cut(rng, facets, rng.choice((F(1, 4), F(1, 2))))
+            work = sorted(set(facets))
+            core = ray_witnessed(work)
+            sizes = []
+            _count_feasible(monkeypatch, sizes)
+            got = _prune_facet_list(n, facets)
+            monkeypatch.undo()
+            assert got == plain_fm_prune(n, facets), facets
+            unproven = len(work) - len(core)
+            survivors = len(sizes) - unproven
+            assert sizes[:unproven] == [len(core)] * unproven, (sizes, len(core))
+            assert all(size <= len(core) + survivors - 1 for size in sizes[unproven:]), sizes
+            assert survivors >= len(set(got) - core)
+            full_tests += survivors
+    assert full_tests >= 20
 
 
 def test_prune_asks_every_question_on_a_hyperplane(monkeypatch):
