@@ -127,41 +127,36 @@ class VerifiedClaim:
 
 
 def _model_and_bound(fact: BaseFact) -> tuple[tuple[IntVec, ...], int]:
-    """The normals of the fact's model, whose offsets are all 1, and its bound."""
+    """The normals of the fact's model, whose offsets are all 1, and its bound.
+
+    The facts are CITATIONS.  The bound is 2^n against the fiber itself and
+    2^((n+1)/2) against the real locus, which needs n odd (Alston).
+    """
     n = fact.instance.dim
     if n == 0:
         raise ModelMismatchError("every model has positive dimension; the instance has 0")
-    if fact.kind == CLIFFORD_TORUS:
-        if fact.claim == TT:
-            return weighted_projective_normals((1,) * (n + 1)), 2**n
-        if n % 2 == 1:
-            return weighted_projective_normals((1,) * (n + 1)), 2 ** ((n + 1) // 2)
-        raise UnsupportedClaimError(
-            "real-locus bound for the Clifford torus needs odd dimension"
-        )
-    if fact.kind == WEIGHTED_PROJECTIVE:
-        if fact.claim != TT:
-            raise UnsupportedClaimError("no real-locus fact for weighted projective models")
-        if fact.weights is None or len(fact.weights) != n + 1:
+    if (fact.kind, fact.claim) not in CITATIONS:
+        raise UnsupportedClaimError(f"no {fact.claim} fact for base fact kind {fact.kind!r}")
+    dim = {CP1: 1, O_MINUS_ONE: 2}.get(fact.kind, n)
+    if n != dim:
+        raise ModelMismatchError(f"the {fact.kind} model is {dim}-dimensional, not {n}")
+    if fact.kind == O_MINUS_ONE:
+        normals = O_MINUS_ONE_NORMALS
+    else:
+        weights = fact.weights if fact.kind == WEIGHTED_PROJECTIVE else (1,) * (n + 1)
+        if weights is None or len(weights) != n + 1:
             raise ModelMismatchError(f"weighted model needs {n + 1} weights")
         try:
-            normals = weighted_projective_normals(fact.weights)
+            normals = weighted_projective_normals(weights)
             if not lattice.is_primitive(normals[-1]):
                 raise PolytopeError(f"normal {normals[-1]} is not primitive")
         except (ValueError, PolytopeError) as exc:
-            raise ModelMismatchError(f"weighted model weights {fact.weights}: {exc}") from None
+            raise ModelMismatchError(f"weighted model weights {weights}: {exc}") from None
+    if fact.claim == TT:
         return normals, 2**n
-    if fact.kind == CP1:
-        if n != 1:
-            raise ModelMismatchError("the sphere model is 1-dimensional")
-        return weighted_projective_normals((1, 1)), 2
-    if fact.kind == O_MINUS_ONE:
-        if fact.claim != TT:
-            raise UnsupportedClaimError("no real-locus fact for the O(-1) model")
-        if n != 2:
-            raise ModelMismatchError("the O(-1) model is 2-dimensional")
-        return O_MINUS_ONE_NORMALS, 4
-    raise UnsupportedClaimError(f"unknown base fact kind {fact.kind!r}")
+    if n % 2 == 0:
+        raise UnsupportedClaimError("real-locus bound for the Clifford torus needs odd dimension")
+    return normals, 2 ** ((n + 1) // 2)
 
 
 def _verify_leaf(fact: BaseFact) -> VerifiedClaim:

@@ -68,59 +68,42 @@ def smith_normal_form(mat) -> tuple[IntMat, IntMat]:
             if not entries:
                 break
             _, pi, pj = min(entries)
-            if pi != k:
-                a[k], a[pi] = a[pi], a[k]
+            a[k], a[pi] = a[pi], a[k]
             if pj != k:
                 for row in a:
                     row[k], row[pj] = row[pj], row[k]
             if a[k][k] < 0:
                 a[k] = [-x for x in a[k]]
             p = a[k][k]
-            dirty = False
+            # leave only remainders mod p in column k and in row k
             for i in range(k + 1, nrows):
-                if a[i][k] != 0:
-                    if a[i][k] % p != 0:
-                        dirty = True
-                    q = a[i][k] // p
+                if q := a[i][k] // p:
                     a[i] = [x - q * y for x, y in zip(a[i], a[k])]
             for j in range(k + 1, ncols):
-                if a[k][j] != 0:
-                    if a[k][j] % p != 0:
-                        dirty = True
-                    q = a[k][j] // p
+                if q := a[k][j] // p:
                     for row in a:
                         row[j] -= q * row[k]
-            if dirty:
+            if any(a[i][k] for i in range(k + 1, nrows)) or any(a[k][k + 1:]):
                 continue
             # row k and column k are clear; enforce divisibility of the rest
-            clean = True
-            for i in range(k + 1, nrows):
-                bad = next((j for j in range(k + 1, ncols) if a[i][j] % p != 0), None)
-                if bad is not None:
-                    a[k] = [x + y for x, y in zip(a[k], a[i])]
-                    clean = False
-                    break
-            if clean:
+            bad = next((i for i in range(k + 1, nrows)
+                        if any(x % p for x in a[i][k + 1:])), None)
+            if bad is None:
                 break
-        if k < min(nrows, ncols) and a[k][k] == 0:
-            break
+            a[k] = [x + y for x, y in zip(a[k], a[bad])]
     return tuple(tuple(row) for row in a[:nrows]), tuple(tuple(row) for row in a[nrows:])
 
 
 def integer_rows(mat) -> tuple[list[list[int]], int]:
     """Each row times the lcm of its denominators, and the product of those lcms.
 
-    ints and Fractions are read through numerator and denominator, so no
-    Fraction is built; anything else Fraction accepts is converted first.
+    Entries are ints or Fractions, read through numerator and denominator,
+    so no Fraction is built.
     """
     rows = []
     scale = 1
     for row in mat:
-        try:
-            dens = [x.denominator for x in row]
-        except AttributeError:
-            row = [Fraction(x) for x in row]
-            dens = [x.denominator for x in row]
+        dens = [x.denominator for x in row]
         den = lcm(*dens)
         if den == 1:
             rows.append([x.numerator for x in row])
@@ -147,8 +130,6 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     swaps = 0
     for col in range(ncols):
         r = len(pivots)
-        if r == m:
-            break
         piv = next((i for i in range(r, m) if rows[i][col]), None)
         if piv is None:
             continue

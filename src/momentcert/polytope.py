@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as iter_product
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple
 
 from . import lattice
@@ -250,8 +250,6 @@ def _compact_scan(p: Polytope) -> bool:
     unique exactly on a basis, whose cone holds -sum(nu_i) iff no coordinate
     is negative."""
     n = p.dim
-    if n == 0:
-        return True
     normals = p.normals
     if lattice.rank_exact(normals) < n:
         return False  # recession cone contains a line
@@ -282,12 +280,15 @@ def _delzant_at(p: Polytope, actives) -> bool:
 
 
 def polytope(dim: int, facets) -> Polytope:
-    """Build a Polytope from (normal, offset) pairs, coercing to exact types."""
+    """Build a Polytope from (normal, offset) pairs, coercing to exact types.
+
+    Normal entries go through operator.index, which refuses floats and
+    strings instead of truncating them."""
     fs = []
     for normal, offset in facets:
         if isinstance(offset, float):
             raise PolytopeError("offsets must be exact (int, Fraction or 'p/q' string)")
-        fs.append(Facet(tuple(int(x) for x in normal), Fraction(offset)))
+        fs.append(Facet(tuple(map(index, normal)), Fraction(offset)))
     return Polytope(dim, tuple(fs))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 
 from . import lattice
 from .errors import (
@@ -90,10 +91,15 @@ class AffineReduction:
 
 
 def section(rows, base=None) -> AffineReduction:
-    """Convenience constructor coercing rows/base to exact tuples."""
-    mat = tuple(tuple(int(x) for x in row) for row in rows)
+    """Convenience constructor coercing rows/base to exact tuples.
+
+    Matrix entries go through operator.index, which refuses floats and
+    strings instead of truncating them; a float base is refused as well."""
+    mat = tuple(tuple(map(index, row)) for row in rows)
     if base is None:
         base = (Fraction(0),) * len(mat)
+    if any(isinstance(b, float) for b in base):
+        raise SliceError("base must be exact (int, Fraction or 'p/q' string)")
     return AffineReduction(mat, tuple(Fraction(b) for b in base))
 
 

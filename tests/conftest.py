@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from momentcert.floer import BoundaryOp
@@ -87,14 +88,19 @@ def solve_oracle(rows, rhs):
 
 
 # The two-matrix Smith form the package used before it kept V under A as
-# extra rows: a test oracle for lattice.smith_normal_form, kept as it was.
-def smith_normal_form(mat) -> tuple[IntMat, IntMat]:
+# extra rows: a test oracle for lattice.smith_normal_form, kept as it was
+# but for the counts of the branches it takes.
+def smith_normal_form(mat, seen=None) -> tuple[IntMat, IntMat]:
     """Return (D, V) with U*mat*V = D in Smith normal form for some U.
 
     U and V are unimodular, D is diagonal with d_i >= 0 and d_i | d_{i+1}.
     Only V is built; no caller reads U.  The pivot choice (smallest
     absolute value, then lowest position) makes the output deterministic.
+    A Counter passed as seen counts the pivots that leave a remainder in
+    their column or row, and the rows added to the pivot row because the
+    pivot does not divide them.
     """
+    seen = Counter() if seen is None else seen
     a = [list(row) for row in mat]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
@@ -129,18 +135,22 @@ def smith_normal_form(mat) -> tuple[IntMat, IntMat]:
             if a[k][k] < 0:
                 a[k] = [-x for x in a[k]]
             p = a[k][k]
-            dirty = False
+            dirty = column_left = row_left = False
             for i in range(k + 1, nrows):
                 if a[i][k] != 0:
                     if a[i][k] % p != 0:
                         dirty = True
+                        column_left = True
                     q = a[i][k] // p
                     a[i] = [x - q * y for x, y in zip(a[i], a[k])]
             for j in range(k + 1, ncols):
                 if a[k][j] != 0:
                     if a[k][j] % p != 0:
                         dirty = True
+                        row_left = True
                     addmul_col(j, k, a[k][j] // p)
+            seen["remainder in column"] += column_left
+            seen["remainder in row"] += row_left
             if dirty:
                 continue
             # row k and column k are clear; enforce divisibility of the rest
@@ -148,6 +158,7 @@ def smith_normal_form(mat) -> tuple[IntMat, IntMat]:
             for i in range(k + 1, nrows):
                 bad = next((j for j in range(k + 1, ncols) if a[i][j] % p != 0), None)
                 if bad is not None:
+                    seen["row added"] += 1
                     a[k] = [x + y for x, y in zip(a[k], a[i])]
                     clean = False
                     break

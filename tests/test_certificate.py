@@ -450,6 +450,75 @@ def test_the_weighted_constructor_raises_as_it_did(weights, error, message):
     assert str(exc.value) == f"weighted model weights {weights}: {message}"
 
 
+def _old_model_and_bound(fact):
+    """The leaf rule as an if-chain with one branch per model, as the
+    package wrote it before one bound rule: a test oracle."""
+    n = fact.instance.dim
+    if n == 0:
+        raise ModelMismatchError("every model has positive dimension; the instance has 0")
+    if fact.kind == CLIFFORD_TORUS:
+        if fact.claim == TT:
+            return weighted_projective_normals((1,) * (n + 1)), 2**n
+        if n % 2 == 1:
+            return weighted_projective_normals((1,) * (n + 1)), 2 ** ((n + 1) // 2)
+        raise UnsupportedClaimError(
+            "real-locus bound for the Clifford torus needs odd dimension"
+        )
+    if fact.kind == WEIGHTED_PROJECTIVE:
+        if fact.claim != TT:
+            raise UnsupportedClaimError("no real-locus fact for weighted projective models")
+        if fact.weights is None or len(fact.weights) != n + 1:
+            raise ModelMismatchError(f"weighted model needs {n + 1} weights")
+        try:
+            normals = weighted_projective_normals(fact.weights)
+            if not lattice.is_primitive(normals[-1]):
+                raise PolytopeError(f"normal {normals[-1]} is not primitive")
+        except (ValueError, PolytopeError) as exc:
+            raise ModelMismatchError(f"weighted model weights {fact.weights}: {exc}") from None
+        return normals, 2**n
+    if fact.kind == CP1:
+        if n != 1:
+            raise ModelMismatchError("the sphere model is 1-dimensional")
+        return weighted_projective_normals((1, 1)), 2
+    if fact.kind == O_MINUS_ONE:
+        if fact.claim != TT:
+            raise UnsupportedClaimError("no real-locus fact for the O(-1) model")
+        if n != 2:
+            raise ModelMismatchError("the O(-1) model is 2-dimensional")
+        return O_MINUS_ONE_NORMALS, 4
+    raise UnsupportedClaimError(f"unknown base fact kind {fact.kind!r}")
+
+
+def test_one_bound_rule_matches_the_if_chain():
+    """_model_and_bound gives the chain's (normals, bound) or error type on
+    every kind, claim, dimension and weight vector below, and the chain's
+    text for every error of the weights.  The chain never saw a claim
+    other than TT and TR, which _verify_leaf rejects first, and it returned
+    a bound for "TX" on the Clifford torus in odd dimension and on the
+    sphere; the rule finds no such fact in CITATIONS."""
+    seen = Counter()
+    for kind, claim, n in iter_product(BASE_KINDS + ("sphere",), (TT, TR, "TX"), range(7)):
+        ones = (1,) * n
+        # m = 1 is the all-ones vector; (2, 1, ...) does not start with 1
+        for weights in (None, *((1,) + (m,) * n for m in range(1, 5)), (2,) + ones):
+            fact = BaseFact(kind, claim, cube(n) if n else Polytope(0, ()), weights=weights)
+            old, new = _outcome(_old_model_and_bound, fact), _outcome(_model_and_bound, fact)
+            if claim == "TX" and n:
+                assert new[0] is UnsupportedClaimError, fact
+                seen["TX" if old[0] is UnsupportedClaimError else "TX with a bound"] += 1
+            elif isinstance(old[1], int):
+                assert new == old, fact
+                seen["bound"] += 1
+            else:
+                assert new[0] is old[0], fact
+                seen[old[0].__name__] += 1
+                if old[1].startswith("weighted model"):
+                    assert new[1] == old[1], fact
+                    seen["weights"] += 1
+    assert seen == {"bound": 78, "ModelMismatchError": 210, "UnsupportedClaimError": 162,
+                    "weights": 30, "TX": 126, "TX with a bound": 54}, seen
+
+
 # -- inner nodes ------------------------------------------------------------------
 
 def test_product_multiplies_bounds_and_concatenates_points():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -136,12 +137,16 @@ def test_snf_matches_the_two_matrix_oracle():
     """D and V equal those of the Smith form that kept V in its own matrix."""
     for mat in ((), ((0,),), ((0, 0), (0, 0)), ((-4,),), ((2, 3),), ((2,), (3,))):
         assert smith_normal_form(mat) == two_matrix_smith_form(mat)
+    branches = Counter()
+    assert smith_normal_form(((2, 0), (0, 3))) == two_matrix_smith_form(((2, 0), (0, 3)), branches)
+    # 3 is added to row 0, and then 2 leaves the remainder 1 in that row
+    assert branches == {"remainder in column": 0, "remainder in row": 1, "row added": 1}
     rng = random.Random(1729)
     seen = {"zero row": 0, "zero column": 0, "rank deficit": 0,
             "negative pivot": 0, "pivot does not divide": 0}
     for _ in range(4000):
         mat = _seeded_smith_input(rng)
-        assert smith_normal_form(mat) == two_matrix_smith_form(mat), mat
+        assert smith_normal_form(mat) == two_matrix_smith_form(mat, branches), mat
         nonzero = [(abs(x), i, j, x) for i, row in enumerate(mat) for j, x in enumerate(row) if x]
         seen["zero row"] += any(not any(row) for row in mat)
         seen["zero column"] += any(not any(col) for col in transpose(mat))
@@ -151,6 +156,8 @@ def test_snf_matches_the_two_matrix_oracle():
             seen["negative pivot"] += first < 0
             seen["pivot does not divide"] += any(x % first for *_, x in nonzero)
     assert min(seen.values()) >= 800, seen
+    # the branches the remainder test and the divisibility step decide
+    assert len(branches) == 3 and min(branches.values()) >= 100, branches
 
 
 def test_primitivity():
@@ -394,8 +401,12 @@ def test_kernel_edge_cases():
     assert_kernel_matches(((0, 2), (0, 4)), (1, 2))
     assert_kernel_matches(((1, 2, 3), (2, 4, 7)), (Fraction(1, 2), 1))
     assert_kernel_matches(((Fraction(1, 2),), (Fraction(-1, 3),)), (1, Fraction(-2, 3)))
-    # anything Fraction accepts still goes in, as before the kernel
-    assert_kernel_matches(((1, "1/2"), (0.25, 3)), ("3/4", -1))
+    # entries are ints or Fractions: a float or a string is refused, not converted
+    for entry in (0.25, "1/2"):
+        with pytest.raises(AttributeError):
+            rank_exact(((1, entry),))
+        with pytest.raises(AttributeError):
+            solve_exact(((1, 0), (0, 1)), (entry, 1))
     assert det_exact(()) == 1 and type(det_exact(())) is Fraction
     with pytest.raises(ValueError):
         det_exact(((1, 2),))

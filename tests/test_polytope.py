@@ -73,6 +73,13 @@ def test_rejects_float_offset():
         polytope(1, [((1,), 0.5), ((-1,), 1)])
 
 
+@pytest.mark.parametrize("entry", [1.7, 1.0, "1"])
+def test_rejects_a_normal_entry_that_is_not_an_integer(entry):
+    # int() would truncate 1.7 to the normal (1,) without a word
+    with pytest.raises(TypeError):
+        polytope(1, [((entry,), 1), ((-1,), 1)])
+
+
 def test_rejects_too_few_facets():
     with pytest.raises(PolytopeError):
         polytope(2, [((1, 0), 1)])

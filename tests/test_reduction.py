@@ -67,6 +67,20 @@ def test_section_base_length():
         section([(1, 0), (0, 1)], base=(0,))
 
 
+@pytest.mark.parametrize("rows", [[[1.9], [0.2]], [[1.0], [0]], [["1"], [0]]])
+def test_section_refuses_a_matrix_entry_that_is_not_an_integer(rows):
+    # int() would truncate [[1.9], [0.2]] to the matrix ((1,), (0,)) without a word
+    with pytest.raises(TypeError):
+        section(rows)
+
+
+def test_section_refuses_a_float_base():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(SliceError, match="base must be exact"):
+        section([[1], [0]], [0.1, 0])
+    assert section([[1], [0]], ["1/10", 0]).base == (F(1, 10), 0)
+
+
 def test_preimage_and_map_point():
     hexa = section([(1, 0), (0, 1), (1, 1)])
     assert map_point(hexa, (0, 0)) == (0, 0, 0)

@@ -285,7 +285,7 @@ TRUSTED_BASE = (
     "reduction.weighted_projective_normals",
 )
 # the lines of those definitions, from def to last line, docstrings included
-TRUSTED_BASE_LINES = 596
+TRUSTED_BASE_LINES = 572
 
 
 def test_the_trusted_base_of_verify_is_pinned():
@@ -329,3 +329,18 @@ def test_pruning_runs_on_integer_rows():
                    "polytope._ray_witnessed"} | fm
     assert not {"Fraction", "float"} & named(own)
     assert "integer_rows" not in named(fm)
+
+
+def test_the_trusted_base_reads_exact_numbers_only():
+    """No function verify reaches names float or holds a float literal, and
+    integer_rows builds no Fraction: it reads ints and Fractions through
+    numerator and denominator, and anything else fails there instead of
+    being converted."""
+    functions, _, _ = _index()
+    for qualname in reachable("certificate.verify"):
+        for node in ast.walk(functions[qualname]):
+            assert not (isinstance(node, ast.Name) and node.id == "float"), qualname
+            assert not (isinstance(node, ast.Constant) and type(node.value) is float), qualname
+    names = {node.id for node in ast.walk(functions["lattice.integer_rows"])
+             if isinstance(node, ast.Name)}
+    assert "Fraction" not in names
