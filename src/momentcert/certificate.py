@@ -150,7 +150,7 @@ def _model_and_bound(fact: BaseFact) -> tuple[tuple[IntVec, ...], int]:
             normals = weighted_projective_normals(weights)
             if not lattice.is_primitive(normals[-1]):
                 raise PolytopeError(f"normal {normals[-1]} is not primitive")
-        except (ValueError, PolytopeError) as exc:
+        except (TypeError, ValueError, PolytopeError) as exc:
             raise ModelMismatchError(f"weighted model weights {weights}: {exc}") from None
     if fact.claim == TT:
         return normals, 2**n

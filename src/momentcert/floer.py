@@ -11,6 +11,10 @@ the set of translations of odd multiplicity, read from the translations
 without building the 2^n-bit row; the rows that are eliminated, on the
 subgroup H below, stay bit-packed in one big integer each.
 
+The invariant hf is nullity - rank.  For an even facet count it is read
+from P's own operator; for an odd one from P x P, whose invariant is
+hf(P)^2 by Kuenneth.
+
 Three exact facts about the generator g = sum of x^s over the set S of
 translations with odd multiplicity cut the elimination down:
 
@@ -32,8 +36,10 @@ translations with odd multiplicity cut the elimination down:
   doubled), and by Kuenneth its homology is the tensor product of theirs,
   so their ranks fold as r = r_a 2^k_b + r_b 2^k_a - 2 r_a r_b.  Hence
   2^n - 2 rank is the product over blocks of 2^k_B - 2 r_B, with a factor
-  2 for each coordinate no s touches, and a product P x P eliminates on
-  the blocks of P alone.
+  2 for each coordinate no s touches.  r_B depends only on the relative
+  bit positions of S_B, so a block whose elements equal another's after
+  both are shifted down to bit 0 has the same rank and is eliminated once:
+  P x P eliminates on the blocks of P alone, each of them once.
 - The coset split: for t0 in the support of m_B, m_B = x^t0 * h with h in
   the group algebra of the subgroup H spanned by the shifts s ^ t0.
   Multiplication by x^t0 is invertible, and the block's algebra is free
@@ -92,7 +98,7 @@ def _reduce_into(pivots: dict[int, int], row: int) -> None:
         row ^= pivots[p]
 
 
-def _square_zero_rank(dim: int, support: list[int]) -> int:
+def _square_zero_rank(dim: int, support: tuple[int, ...]) -> int:
     """Rank of a square-zero element on the algebra of its coordinate block.
 
     support is the element's set bits, an even number of them, all inside a
@@ -138,7 +144,9 @@ def rank_gf2(op: BoundaryOp) -> tuple[int, int]:
     the module docstring).  The scalar 1 is added to a block that holds an
     odd number of elements, and the resulting square-zero element's rank
     r_B on the block's k_B coordinates comes from _square_zero_rank, which
-    eliminates on at most 2^k_B bit-packed rows.  Square-zero operators have
+    eliminates on at most 2^k_B bit-packed rows, once per distinct block:
+    the block's elements shifted down by its lowest coordinate are the key
+    of a dict that lives for this call.  Square-zero operators have
     Jordan blocks of size at most 2, so the homology dimension 2^n - 2 rank
     is the product of the blocks' 2^k_B - 2 r_B, times 2 per coordinate no
     support element touches; the zero generator has no blocks and rank 0.
@@ -153,12 +161,16 @@ def rank_gf2(op: BoundaryOp) -> tuple[int, int]:
     if len(support) % 2:
         return size, 0
     homology, touched = 1, 0
+    ranks: dict[tuple[int, ...], int] = {}
     for mask, indices in _coordinate_blocks(support):
-        elements = [support[i] for i in indices]
-        if len(elements) % 2:
-            elements.append(0)
+        low = (mask & -mask).bit_length() - 1
+        key = tuple(support[i] >> low for i in indices)
+        if len(key) % 2:
+            key += (0,)
         k = mask.bit_count()
-        homology *= (1 << k) - 2 * _square_zero_rank(k, elements)
+        if key not in ranks:
+            ranks[key] = _square_zero_rank(k, key)
+        homology *= (1 << k) - 2 * ranks[key]
         touched += k
     rank = (size - (homology << (op.dim - touched))) // 2
     return rank, size - rank
@@ -173,11 +185,18 @@ def hf_even(p: Polytope) -> int:
 
 
 def hf(p: Polytope) -> int:
-    """The invariant for arbitrary facet parity, via the square of P x P.
+    """The invariant for arbitrary facet parity: hf_even(P) for an even facet
+    count, and for an odd one the square root of hf_even(P x P).
 
-    P x P always has an even facet count and its even invariant is a perfect
-    square; a non-square value would expose a soundness bug, hence the error.
+    By Kuenneth hf_even(P x P) = hf(P)^2, so for even P the product would
+    only square hf_even(P), which is non-negative: its support is even, so
+    the rank is at most half the dimension.  P x P always has an even facet
+    count and its even invariant is a perfect square; a non-square value
+    would expose a soundness bug, hence the error.  The odd route doubles
+    the operator's dimension, so it reaches dimension DIMENSION_LIMIT // 2.
     """
+    if p.is_even():
+        return hf_even(p)
     squared = hf_even(product(p, p))
     if squared < 0:
         raise NonSquareInvariantError(f"negative doubled invariant {squared}")

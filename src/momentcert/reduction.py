@@ -168,8 +168,9 @@ O_MINUS_ONE_NORMALS = ((1, 0), (0, 1), (1, 1))
 def weighted_projective_normals(weights) -> tuple[IntVec, ...]:
     """The normals e_1, ..., e_n and -(m_1, ..., m_n) of CP(1, m_1, ..., m_n):
     all ones give the simplex, and (1, 1) the sphere.  The last normal is
-    primitive, so a facet normal, only when the m_j are coprime."""
-    weights = tuple(int(w) for w in weights)
+    primitive, so a facet normal, only when the m_j are coprime.  A weight
+    such as 1.5 or Fraction(2) raises TypeError instead of being truncated."""
+    weights = tuple(index(w) for w in weights)
     if not weights or weights[0] != 1:
         raise ValueError("weights must start with 1")
     if any(w < 1 for w in weights):

@@ -422,6 +422,23 @@ def test_the_weighted_tables_are_written_out():
     assert seen == {"model": 67, "not primitive": 17}, seen
 
 
+@pytest.mark.parametrize("instance, weights", [
+    (weighted_projective((1, 1, 2)), (1.0, 1.5, 2.7)),
+    (cp1(), (1, 1.9)),
+    (weighted_projective((1, 1, 2)), (1, 1, F(2))),
+    (simplex(2), (1, 1, 1.0)),
+])
+def test_weights_that_are_not_integers_are_refused(instance, weights):
+    # int() would have truncated them to the weights of another model
+    # (bound 4 for the first, the sphere for the second)
+    cert = Certificate(BaseFact(WEIGHTED_PROJECTIVE, TT, instance, weights=weights), TT)
+    with pytest.raises(ModelMismatchError) as exc:
+        verify(cert)
+    assert str(exc.value).startswith(f"weighted model weights {weights}: ")
+    with pytest.raises(TypeError):
+        weighted_projective(weights)
+
+
 def test_the_sphere_and_o_minus_one_tables_are_written_out():
     assert weighted_projective_normals((1, 1)) == ((1,), (-1,))
     assert cp1().normals == ((1,), (-1,))

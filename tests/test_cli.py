@@ -133,12 +133,33 @@ def test_hf_command_counts_match_the_operator(corpus_dir, capsys, name):
 
 
 def test_hf_command_over_the_dimension_limit(tmp_path, capsys):
-    # hf works on P x P, so simplex(7) needs a 14-dimensional operator
-    path = tmp_path / "simplex7.json"
-    save_json(path, polytope_to_doc(simplex(7), name="simplex7"))
+    # simplex(8) has 9 facets, so hf works on P x P: a 16-dimensional operator
+    path = tmp_path / "simplex8.json"
+    save_json(path, polytope_to_doc(simplex(8), name="simplex8"))
     assert main(["hf", str(path)]) == 1
     err = capsys.readouterr().err
     assert "error: DimensionLimitError" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, p, out", [
+    ("simplex7", simplex(7), "hf = 16  (nullity 72, rank 56)\n"),
+    ("cube7", cube(7), "hf = 128  (nullity 128, rank 0)\n"),
+])
+def test_hf_command_on_an_even_polytope_past_dimension_6(tmp_path, capsys, name, p, out):
+    # an even facet count needs P's own operator only, not the 14-dimensional P x P
+    path = tmp_path / f"{name}.json"
+    save_json(path, polytope_to_doc(p, name=name))
+    assert main(["hf", str(path)]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_hf_command_on_an_even_polytope_over_the_dimension_limit(tmp_path, capsys):
+    path = tmp_path / "cube14.json"
+    save_json(path, polytope_to_doc(cube(14), name="cube14"))
+    assert main(["hf", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: DimensionLimitError: dimension 14 exceeds the limit 13" in err
     assert "Traceback" not in err
 
 

@@ -8,7 +8,7 @@ from conftest import generator, mat_vec, random_polytope, xor_square
 from momentcert import floer
 from momentcert.errors import DimensionLimitError, OddPolytopeError
 from momentcert.floer import DIMENSION_LIMIT, BoundaryOp, boundary_op, hf, hf_even, rank_gf2
-from momentcert.polytope import polytope, product
+from momentcert.polytope import _coordinate_blocks, polytope, product
 from momentcert.reduction import cp1, cube, simplex
 
 
@@ -255,6 +255,22 @@ def test_block_split_matches_oracles():
             seen["odd block"] += any(c % 2 for c in counts)
             seen["repeated translation"] += len(set(op.translations)) < len(op.translations)
             seen["even translation 0"] += zeros == 2
+    # P x P and P x Q x P: the blocks of P's support repeat, shifted up by
+    # the coordinates before the copy; the dimension stays within the dense
+    # oracle's reach
+    seen["repeated block"] = 0
+    for _ in range(200):
+        n1 = rng.randint(1, 3)
+        n2 = rng.randint(0, 6 - 2 * n1) if rng.random() < 0.5 else 0
+        p_translations, _ = block_translations(rng, n1)
+        q_translations, _ = block_translations(rng, n2)
+        translations = (p_translations + [t << n1 for t in q_translations]
+                        + [t << (n1 + n2) for t in p_translations])
+        op = BoundaryOp(2 * n1 + n2, tuple(sorted(translations)))
+        assert op.dim <= 6
+        assert_matches_oracles(op)
+        p_support = generator(BoundaryOp(n1, tuple(p_translations)))
+        seen["repeated block"] += support_size(op) % 2 == 0 and p_support > 1
     assert seen["folded"] >= 300, seen
     assert min(seen.values()) >= 50, seen
 
@@ -291,7 +307,41 @@ def test_hf_of_p_times_p_eliminates_on_p(monkeypatch):
     monkeypatch.setattr(floer, "rank_gf2", lambda op: calls.append(op.dim) or rank(op))
     assert hf(p) == expected
     assert calls == [12]
-    assert dims and max(dims) <= 6
+    # each block of P's support is eliminated once, not once per copy
+    g = generator(boundary_op(p))
+    blocks = _coordinate_blocks([s for s in range(1, 1 << p.dim) if g >> s & 1])
+    assert dims == [mask.bit_count() for mask, _ in blocks] == [6]
+
+
+def test_hf_of_an_even_polytope_is_hf_even():
+    # by Kuenneth hf_even(P x P) = hf(P)^2, so an even P needs only its own
+    # operator: hf agrees with hf_even, the closed form and the square root
+    rng = random.Random(2029)
+    for n in range(1, 7):
+        for _ in range(6):
+            p = random_polytope(rng, n, rng.randint(n, 9), even=True)
+            rank, _ = dense_rank(boundary_op(p))
+            value = hf(p)
+            assert value == hf_even(p) == (1 << n) - 2 * rank, p
+            assert value * value == hf_even(product(p, p)), p
+
+
+def test_hf_builds_no_product_for_an_even_polytope(monkeypatch):
+    def refuse(*factors):
+        raise AssertionError("hf built a product")
+
+    monkeypatch.setattr(floer, "product", refuse)
+    assert hf(hexagon()) == 4
+    assert hf(cube(3)) == 8
+    assert hf(simplex(3)) == 4
+    with pytest.raises(AssertionError):
+        hf(simplex(2))
+
+
+@pytest.mark.parametrize("n, expected", [(7, 16), (9, 32), (11, 64), (13, 128)])
+def test_hf_of_even_simplices_past_dimension_6(n, expected):
+    # 2^ceil(n/2), as for n <= 6; P x P would exceed DIMENSION_LIMIT
+    assert hf(simplex(n)) == expected == 2 ** ((n + 1) // 2)
 
 
 def test_hf_matches_the_closed_form():

@@ -285,7 +285,7 @@ TRUSTED_BASE = (
     "reduction.weighted_projective_normals",
 )
 # the lines of those definitions, from def to last line, docstrings included
-TRUSTED_BASE_LINES = 572
+TRUSTED_BASE_LINES = 573
 
 
 def test_the_trusted_base_of_verify_is_pinned():
@@ -331,16 +331,35 @@ def test_pruning_runs_on_integer_rows():
     assert "integer_rows" not in named(fm)
 
 
+def truncating_int_calls(tree):
+    """The lines of the int(...) calls in tree that do not take one comparison.
+
+    int(i == j) turns a bool into 0 or 1; any other int() may truncate a
+    float or a Fraction into a wrong exact value."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "int"
+            and not (len(node.args) == 1 and not node.keywords
+                     and isinstance(node.args[0], ast.Compare))]
+
+
+def test_truncating_int_calls_are_found():
+    tree = ast.parse("a = int(i == j)\nb = int(w)\nc = int(x, 2)\nd = int(i < j, base=2)\n"
+                     "e = index(w)\n")
+    assert truncating_int_calls(tree) == [2, 3, 4]
+
+
 def test_the_trusted_base_reads_exact_numbers_only():
-    """No function verify reaches names float or holds a float literal, and
-    integer_rows builds no Fraction: it reads ints and Fractions through
-    numerator and denominator, and anything else fails there instead of
-    being converted."""
+    """No function verify reaches names float, holds a float literal or
+    calls int() on anything but a comparison, and integer_rows builds no
+    Fraction: it reads ints and Fractions through numerator and
+    denominator, and anything else fails there instead of being converted."""
     functions, _, _ = _index()
     for qualname in reachable("certificate.verify"):
         for node in ast.walk(functions[qualname]):
             assert not (isinstance(node, ast.Name) and node.id == "float"), qualname
             assert not (isinstance(node, ast.Constant) and type(node.value) is float), qualname
+        assert truncating_int_calls(functions[qualname]) == [], qualname
     names = {node.id for node in ast.walk(functions["lattice.integer_rows"])
              if isinstance(node, ast.Name)}
     assert "Fraction" not in names
