@@ -304,11 +304,7 @@ def auto_certify_monotone(p: Polytope) -> Certificate:
     ambient = weighted_projective(leaf_weights, lam)
     rows = tuple(nu for i, nu in enumerate(canon.normals) if i != k)
     sec = AffineReduction(rows, (Fraction(0),) * len(rows))
-    root = Reduction(
-        child=BaseFact(WEIGHTED_PROJECTIVE, TT, ambient, weights=leaf_weights),
-        section=sec,
-        target=canon,
-    )
+    root = Reduction(BaseFact(WEIGHTED_PROJECTIVE, TT, ambient, weights=leaf_weights), sec)
     # every facet of canon has value lam at the origin, and canon is compact,
     # so the origin is its unique equidistant point
     origin = (Fraction(0),) * canon.dim

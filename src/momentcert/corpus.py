@@ -147,7 +147,6 @@ def blowup2_certificate(alpha: Fraction, lam: Fraction) -> Certificate:
             )
         ),
         section([(1, 0), (0, 1), (0, 1), (1, 1)]),
-        target=target,
     )
     return Certificate(root, cert_mod.TT, marked_point=(lam - alpha, -alpha), target=target)
 
@@ -166,7 +165,6 @@ def pentagon_certificate(lam: Fraction) -> Certificate:
             )
         ),
         section([(1, 0), (0, 1), (0, 1), (-1, -2), (0, -1)]),
-        target=target,
     )
     return Certificate(root, cert_mod.TT, marked_point=(lam, Fraction(0)), target=target)
 

@@ -62,6 +62,13 @@ def _int_matrix(value, where: str):
     return tuple(_int_list(row, f"{where}[{i}]") for i, row in enumerate(value))
 
 
+def _known_keys(doc: dict, keys: tuple[str, ...], where: str) -> None:
+    """Refuse a key outside keys: a misspelt key would drop the check it names."""
+    for key in doc:
+        if key not in keys:
+            raise DocumentError(f"{where}.{key}: unknown key; expected {', '.join(keys)}")
+
+
 # -- polytopes ---------------------------------------------------------------
 
 def polytope_from_doc(doc, where: str = "polytope") -> Polytope:
@@ -159,11 +166,13 @@ def _node_from_doc(doc, claim_kind: str, where: str, depth: int = 0):
                 f"{where}.basis_change: not accepted; write the leaf in the model's "
                 "coordinates and reduce it along the square section A = C^(-T)"
             )
+        _known_keys(doc, ("base", "instance", "weights"), where)
         return BaseFact(kind, claim_kind, instance, weights)
     if "product" in doc:
         children = doc["product"]
         if not isinstance(children, list) or not children:
             raise DocumentError(f"{where}.product: expected a non-empty list")
+        _known_keys(doc, ("product",), where)
         return Product(
             tuple(
                 _node_from_doc(c, claim_kind, f"{where}.product[{i}]", depth + 1)
@@ -179,6 +188,8 @@ def _node_from_doc(doc, claim_kind: str, where: str, depth: int = 0):
         target = None
         if "target" in red:
             target = polytope_from_doc(red["target"], f"{where}.reduce.target")
+        _known_keys(red, ("A", "x0", "child", "target"), f"{where}.reduce")
+        _known_keys(doc, ("reduce",), where)
         return Reduction(child, sec, target)
     raise DocumentError(f"{where}: node must carry 'base', 'product' or 'reduce'")
 
@@ -198,6 +209,7 @@ def certificate_from_doc(doc, where: str = "certificate") -> Certificate:
     target = None
     if "target" in claim:
         target = polytope_from_doc(claim["target"], f"{where}.claim.target")
+    _known_keys(claim, ("kind", "marked_point", "target"), f"{where}.claim")
     root = _node_from_doc(doc["tree"], kind, f"{where}.tree")
     return Certificate(root, kind, marked, target, doc.get("name", ""))
 

@@ -35,6 +35,8 @@ class Polytope:
     def __post_init__(self):
         seen = set()
         for f in self.facets:
+            if not isinstance(f.offset, (int, Fraction)):
+                raise PolytopeError(f"offset {f.offset!r} of facet {f.normal} is not exact")
             if len(f.normal) != self.dim:
                 raise PolytopeError(f"normal {f.normal} has wrong length for dimension {self.dim}")
             if not lattice.is_primitive(f.normal):

@@ -23,7 +23,7 @@ from .errors import (
     SliceOutsidePolytopeError,
 )
 from .lattice import IntMat, IntVec, RatVec
-from .polytope import Facet, Polytope, _interior_nonempty, _unvalidated, polytope, prune_redundant
+from .polytope import Facet, Polytope, _interior_nonempty, _unvalidated, polytope, product, prune_redundant
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,10 @@ class AffineReduction:
             raise SliceError("ragged section matrix")
         if len(self.base) != rows:
             raise SliceError("base point length must match the ambient dimension")
+        if not all(isinstance(x, int) for r in self.matrix for x in r) or not all(
+            isinstance(b, (int, Fraction)) for b in self.base
+        ):
+            raise SliceError("section entries must be exact: an integer matrix, a rational base")
         # A^T maps Z^rows onto Z^cols iff its cols invariant factors are all 1;
         # a zero factor, or fewer than cols of them, is a rank deficit
         d, v = lattice.smith_normal_form(lattice.transpose(self.matrix))
@@ -200,13 +204,11 @@ def o_minus_one(a1=1, a2=1, a3=1) -> Polytope:
 
 
 def cube(n: int, offset=1) -> Polytope:
-    """+-x_j + offset >= 0 for each j."""
-    facets = []
-    for j in range(n):
-        e = tuple(int(i == j) for i in range(n))
-        facets.append((e, offset))
-        facets.append((tuple(-x for x in e), offset))
-    return polytope(n, facets)
+    """The product of n spheres cp1(offset, offset): +-x_j + offset >= 0 for each j."""
+    p = polytope(0, ())
+    for _ in range(n):
+        p = product(p, cp1(offset, offset))
+    return p
 
 
 # -- the weight-finding lemma -------------------------------------------------

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+import momentcert.certificate as certificate_module
 import momentcert.polytope as polytope_module
 from conftest import (
     interior_contains,
@@ -641,6 +642,42 @@ def test_reduction_target_mismatch():
     )
     with pytest.raises(ReducedPolytopeMismatchError, match=r"^computed reduction differs "):
         verify(cert)
+
+
+def test_every_certificate_compares_its_declared_target_once(monkeypatch):
+    # the builders and the bundled files declare the target on the claim alone
+    compared = []
+    original = certificate_module._check_target
+
+    def counted(target, computed, what):
+        if target is not None:
+            compared.append(what)
+        original(target, computed, what)
+
+    monkeypatch.setattr(certificate_module, "_check_target", counted)
+    certs = [auto_certify_monotone(hexagon()), blowup2_certificate(F(1, 4), F(1, 4)),
+             pentagon_certificate(F(3, 2))]
+    certs += [load_corpus_certificate(name) for name, _ in CERTIFICATE_CASES]
+    for cert in certs:
+        compared.clear()
+        verify(cert)
+        assert compared == ["final polytope"], cert.name
+
+
+@pytest.mark.parametrize("cert", [blowup2_certificate(F(1, 4), F(1, 2)),
+                                  pentagon_certificate(F(5, 2))])
+def test_a_family_beyond_its_interval_misses_its_declared_target(cert):
+    with pytest.raises(ReducedPolytopeMismatchError, match=r"^final polytope differs "):
+        verify(cert)
+
+
+@pytest.mark.parametrize("root, message", [
+    (Product(()), "empty product node"),
+    (object(), "unknown certificate node object"),
+])
+def test_verify_refuses_a_node_it_cannot_read(root, message):
+    with pytest.raises(UnsupportedClaimError, match=message):
+        verify(Certificate(root, TT))
 
 
 @pytest.mark.parametrize(

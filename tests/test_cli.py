@@ -222,6 +222,17 @@ def _reduce_doc(rows, x0):
     return {"claim": {"kind": "TT"}, "tree": tree}
 
 
+def _hexagon_tr(claim=None, reduce=None, leaf=None, tree=None):
+    """The bundled hexagon_tr certificate with keys added to its claim, its
+    reduce body, its first leaf and its root node."""
+    doc = load_doc("hexagon_tr")
+    doc["claim"].update(claim or {})
+    doc["tree"]["reduce"].update(reduce or {})
+    doc["tree"]["reduce"]["child"]["product"][0].update(leaf or {})
+    doc["tree"].update(tree or {})
+    return doc
+
+
 HEXAGON = load_doc("hexagon")
 REJECTED = ("result: FAILED (ReducedPolytopeMismatchError)\n"
             "section does not reduce the child polytope: ")
@@ -312,6 +323,17 @@ UNWRITABLE = "polytope.json/out"  # under a regular file, so not even root can c
      "error: polytope.json.tree.weights: only a weighted_projective leaf takes weights"),
     (polytope_to_doc(cube(3)), ["render", "polytope.json", "-o", "out.svg"], 1,
      "error: MomentcertError: rendering is only available for 2-dimensional polytopes"),
+    (_hexagon_tr(claim={"marked_pont": ["5", "5"]}), ["certify", "polytope.json"], 2,
+     "error: polytope.json.claim.marked_pont: unknown key; expected kind, marked_point, target"),
+    (_hexagon_tr(reduce={"taget": load_doc("square")}), ["certify", "polytope.json"], 2,
+     "error: polytope.json.tree.reduce.taget: unknown key; expected A, x0, child, target"),
+    (_hexagon_tr(leaf={"product": [_clifford_leaf()]}), ["certify", "polytope.json"], 2,
+     "error: polytope.json.tree.reduce.child.product[0].product: unknown key; "
+     "expected base, instance, weights"),
+    (_hexagon_tr(tree={"product": [_clifford_leaf()]}), ["certify", "polytope.json"], 2,
+     "error: polytope.json.tree.reduce: unknown key; expected product"),
+    (_hexagon_tr(tree={"target": load_doc("square")}), ["certify", "polytope.json"], 2,
+     "error: polytope.json.tree.target: unknown key; expected reduce"),
 ], ids=["boolean-dim", "probe-point-length", "probe-negative-bound", "marked-point-length",
         "weights-lead", "weights-zero", "leaf-dim-0", "weights-non-primitive",
         "reduce-dim-mismatch", "reduce-non-primitive-image", "reduce-slice-outside",
@@ -321,7 +343,9 @@ UNWRITABLE = "polytope.json/out"  # under a regular file, so not even root can c
         "marked-points-type", "normal-type", "x0-type", "matrix-type", "offset-null",
         "normal-length", "normal-zero", "section-no-matrix", "ragged-slice", "reduce-no-child",
         "node-no-kind", "base-no-instance", "certificate-not-object", "certificate-no-tree",
-        "leaf-basis-change", "leaf-weights-not-weighted", "render-dimension-3"])
+        "leaf-basis-change", "leaf-weights-not-weighted", "render-dimension-3",
+        "claim-unknown-key", "reduce-unknown-key", "leaf-unknown-key", "product-unknown-key",
+        "reduce-node-unknown-key"])
 def test_hostile_input_exits_cleanly(tmp_path, monkeypatch, capsys, doc, argv, code, message):
     monkeypatch.chdir(tmp_path)
     save_json("polytope.json", doc)

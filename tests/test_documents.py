@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 
-from momentcert.certificate import verify
+from momentcert.certificate import TT, Certificate, verify
 from momentcert.corpus import data_names, load_doc
 from momentcert.documents import (
     MAX_DEPTH,
@@ -88,6 +90,17 @@ def test_certificate_doc_errors():
         certificate_from_doc({"claim": {"kind": "TT"}, "tree": {"base": "nope", "instance": {}}})
     with pytest.raises(DocumentError):
         certificate_from_doc({"claim": {"kind": "TT"}, "tree": {"product": []}})
+    with pytest.raises(DocumentError, match=r"^certificate\.tree: expected an object$"):
+        certificate_from_doc({"claim": {"kind": "TT"}, "tree": []})
+    with pytest.raises(DocumentError, match="^cannot serialize node object$"):
+        certificate_to_doc(Certificate(object(), TT))
+
+
+def test_bundled_files_are_written_as_corpus_export_writes_them():
+    # so an exported corpus equals the shipped one, and a hand edit cannot drift
+    for name in data_names():
+        text = (resources.files("momentcert") / "data" / name).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", name
 
 
 def test_load_json_reports_position(tmp_path):

@@ -80,6 +80,20 @@ def test_rejects_a_normal_entry_that_is_not_an_integer(entry):
         polytope(1, [((entry,), 1), ((-1,), 1)])
 
 
+@pytest.mark.parametrize("offset", [0.5, "1/2"])
+def test_a_polytope_built_directly_refuses_an_inexact_offset(offset):
+    # polytope() coerces its input; the dataclass itself must not take a float either
+    # (a non-integer normal entry already fails in the primitivity test)
+    with pytest.raises(PolytopeError, match=f"offset {offset!r} of facet \\(1,\\) is not exact"):
+        Polytope(1, (Facet((1,), offset), Facet((-1,), F(1, 2))))
+
+
+def test_a_polytope_without_facets_has_no_common_offset_and_no_center():
+    point = polytope(0, ())
+    assert point.is_monotone() is None
+    assert equidistant_point(point) is None
+
+
 def test_rejects_too_few_facets():
     with pytest.raises(PolytopeError):
         polytope(2, [((1, 0), 1)])

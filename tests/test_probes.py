@@ -57,6 +57,9 @@ def test_reach_errors():
         probe_reach(simplex(2), Probe(0, (1, 0), (F(-1), F(2))))
     with pytest.raises(UnboundedProbeError):
         probe_reach(o_minus_one(), Probe(0, (1, 0), (F(-1), F(1))))
+    for facet in (-1, 3):
+        with pytest.raises(ProbeError, match=f"facet index {facet} out of range"):
+            probe_reach(simplex(2), Probe(facet, (1, 0), (F(-1), F(0))))
 
 
 def test_point_errors_write_rationals_as_p_over_q():

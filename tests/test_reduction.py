@@ -15,6 +15,7 @@ from momentcert.errors import (
     NotCompactError,
     NotDelzantError,
     NotMonotoneError,
+    PolytopeError,
     SliceError,
     SliceOutsidePolytopeError,
 )
@@ -27,6 +28,7 @@ from momentcert.polytope import (
     prune_redundant,
 )
 from momentcert.reduction import (
+    AffineReduction,
     _vertex_cone_coords,
     cp1,
     cube,
@@ -79,6 +81,17 @@ def test_section_refuses_a_float_base():
     with pytest.raises(SliceError, match="base must be exact"):
         section([[1], [0]], [0.1, 0])
     assert section([[1], [0]], ["1/10", 0]).base == (F(1, 10), 0)
+
+
+@pytest.mark.parametrize("matrix, base", [
+    (((1.0,), (1.0,)), (0, 0)),
+    (((1,), (0,)), (0.5, 0)),
+    (((1,), (0,)), ("1/2", 0)),
+])
+def test_a_section_built_directly_refuses_inexact_entries(matrix, base):
+    # section() coerces its input; the dataclass itself must not take a float either
+    with pytest.raises(SliceError, match="section entries must be exact"):
+        AffineReduction(matrix, base)
 
 
 def test_preimage_and_map_point():
@@ -171,6 +184,29 @@ def test_models():
     assert cube(2).d == 4
     with pytest.raises(ValueError):
         weighted_projective((2, 1))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_cube_is_the_explicit_plus_minus_e_system(n):
+    for offset in (1, 2, F(3, 2), "5/4"):
+        facets = []
+        for j in range(n):
+            e = tuple(int(i == j) for i in range(n))
+            facets += [Facet(e, F(offset)), Facet(tuple(-x for x in e), F(offset))]
+        got = cube(n, offset)
+        assert got == Polytope(n, tuple(facets))
+        assert all(type(f.offset) is F for f in got.facets)
+
+
+@pytest.mark.parametrize("offset, error", [
+    (0, EmptyInteriorError), (-1, EmptyInteriorError), (0.5, PolytopeError),
+])
+def test_cube_refuses_an_offset_as_its_spheres_do(offset, error):
+    with pytest.raises(error) as from_cube:
+        cube(2, offset)
+    with pytest.raises(error) as from_sphere:
+        cp1(offset, offset)
+    assert str(from_cube.value) == str(from_sphere.value)
 
 
 # -- golden reductions -------------------------------------------------------------
