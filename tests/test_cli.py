@@ -677,6 +677,17 @@ def test_corpus_run_all_green(capsys):
     assert "FAIL" not in out
 
 
+def test_corpus_run_prints_the_pinned_table(capsys):
+    """All 48 rows (case, check, expected, computed, status) and the final
+    line, byte for byte."""
+    golden = (Path(__file__).resolve().parent / "golden" / "corpus_run.txt").read_text(encoding="utf-8")
+    assert main(["corpus", "run"]) == 0
+    out = capsys.readouterr().out
+    assert out == golden
+    lines = out.splitlines()
+    assert len(lines[:lines.index("")]) == 48 and lines[-1] == "all 48 checks passed"
+
+
 def test_corpus_run_reports_a_family_check_that_goes_the_wrong_way(capsys, monkeypatch):
     # lam = 1/2 is outside the interval, so this row gets a mismatch where it
     # expects a bound; the table must still be printed whole
