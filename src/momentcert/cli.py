@@ -202,10 +202,10 @@ def _cmd_corpus(args) -> int:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise DocumentError(f"{outdir}: {exc}") from exc
-        for name in corpus_mod.data_names():
-            doc = corpus_mod.load_doc(name.removesuffix(".json"))
-            save_json(outdir / name, doc)
-        print(f"exported {len(corpus_mod.data_names())} files to {outdir}")
+        names = corpus_mod.data_names()
+        for name in names:
+            save_json(outdir / name, corpus_mod.load_doc(name.removesuffix(".json")))
+        print(f"exported {len(names)} files to {outdir}")
         return 0
     rows = corpus_mod.run()
     case_w = max(len(r.case) for r in rows)

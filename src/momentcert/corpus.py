@@ -8,6 +8,7 @@ the test suite can assert on it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -52,19 +53,29 @@ def data_names() -> tuple[str, ...]:
 
 
 def load_doc(name: str) -> dict:
+    """The bundled document, read and decoded afresh: a new dict per call,
+    so a caller may change it without touching any later load."""
     path = resources.files("momentcert") / "data" / f"{name}.json"
     with resources.as_file(path) as real:
         return load_json(real)
 
 
+# The three loaders below build each bundled object once per process and
+# hand out that one object on every later call.  Sharing is safe: polytopes,
+# sections and certificates are frozen dataclasses of tuples, ints and
+# Fractions.  A load that raises is not cached, so it raises again.
+
+@functools.cache
 def load_corpus_polytope(name: str) -> Polytope:
     return polytope_from_doc(load_doc(name), name)
 
 
+@functools.cache
 def load_corpus_section(name: str):
     return section_from_doc(load_doc(name), name)
 
 
+@functools.cache
 def load_corpus_certificate(name: str) -> Certificate:
     return certificate_from_doc(load_doc(name), name)
 

@@ -225,20 +225,25 @@ def _vertex_cone_coords(p: Polytope, target: IntVec):
     """(vertex, coeffs): a vertex whose normal cone holds target, and the
     nonnegative coordinates of target in its sorted active normals.
 
-    p must be compact and Delzant.  Nothing here checks it, and on a
-    non-Delzant p int() would truncate a fractional coordinate silently.
-    Vertices are scanned in coordinate order and the first admissible one
-    wins.  At each vertex the n active normals form a Z-basis, so the one
-    solve never returns None: it gives the unique, integral coordinates of
-    target.  A
-    compact p attains min <target, x> at some vertex, and by LP duality the
-    coordinates there are nonnegative, so the scan always returns.
+    p must be compact and Delzant.  Vertices are scanned in coordinate
+    order and the first admissible one wins.  At each vertex the n active
+    normals form a Z-basis, so the one solve never returns None: it gives
+    the unique, integral coordinates of target.  A compact p attains
+    min <target, x> at some vertex, and by LP duality the coordinates there
+    are nonnegative, so the scan always returns.  A fractional coordinate
+    at the admissible vertex shows that its normals are no Z-basis, and
+    raises NotDelzantError.
     """
     for vertex in p.vertices():
         normals = [p.facets[i].normal for i in sorted(vertex.active)]
         coeffs = lattice.solve_exact(lattice.transpose(normals), target)
         if all(c >= 0 for c in coeffs):
-            return vertex, tuple(int(c) for c in coeffs)
+            if any(c.denominator != 1 for c in coeffs):
+                raise NotDelzantError(
+                    f"target {target} has coordinates {lattice.format_vec(coeffs)} "
+                    f"at vertex {lattice.format_vec(vertex.point)}"
+                )
+            return vertex, tuple(c.numerator for c in coeffs)
 
 
 def monotone_weights(p: Polytope) -> WeightVector:

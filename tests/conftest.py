@@ -4,12 +4,32 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
+from momentcert import corpus
 from momentcert.floer import BoundaryOp
 from momentcert.lattice import IntMat, dot, identity, transpose, vec_gcd
 from momentcert.polytope import Facet, Polytope, _unvalidated, polytope
 from momentcert.reduction import AffineReduction
 
 OFFSET_CHOICES = [Fraction(k, 2) for k in range(1, 7)]
+
+CORPUS_LOADERS = (
+    corpus.load_corpus_polytope,
+    corpus.load_corpus_section,
+    corpus.load_corpus_certificate,
+)
+
+
+@pytest.fixture()
+def fresh_corpus():
+    """Empty the corpus loaders' caches before and after the test, so that
+    what a test counts during a load does not depend on the tests before it."""
+    for loader in CORPUS_LOADERS:
+        loader.cache_clear()
+    yield
+    for loader in CORPUS_LOADERS:
+        loader.cache_clear()
 
 
 def mat_vec(m, v) -> tuple:

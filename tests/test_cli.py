@@ -713,6 +713,16 @@ def test_module_entry_point_lists_the_corpus():
     assert done.stdout.splitlines() == list(corpus.data_names())
 
 
+def test_corpus_export_lists_the_data_directory_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = corpus.data_names
+    monkeypatch.setattr(corpus, "data_names", lambda: calls.append(1) or original())
+    assert main(["corpus", "export", "-o", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == f"exported 32 files to {tmp_path}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == list(original())
+
+
 def test_corpus_list(capsys):
     assert main(["corpus", "list"]) == 0
     out = capsys.readouterr().out

@@ -158,7 +158,7 @@ def test_subtorus_generators_of_the_corpus_sections(name, generators):
     assert sec.levels() == (0,) * len(generators)
 
 
-def test_section_reads_its_generators_without_a_smith_form(monkeypatch):
+def test_section_reads_its_generators_without_a_smith_form(monkeypatch, fresh_corpus):
     calls = []
     original = lattice.smith_normal_form
 
@@ -518,6 +518,15 @@ def test_vertex_cone_blowup_deficit():
     slanted = p.normals.index((-1, -1))
     assert weights[slanted] == 1
     assert all(c == 0 for i, c in weights.items() if i != slanted)
+
+
+def test_vertex_cone_refuses_fractional_coordinates():
+    # CP(1,1,2) is not Delzant: at the vertex (-1, 1) the normals (-1, -2)
+    # and (1, 0) span an index-2 sublattice, and (0, -1) sits at (1/2, 1/2)
+    # in them: truncated to integers they would read as the admissible (0, 0)
+    p = weighted_projective((1, 1, 2)).canonical_form()
+    with pytest.raises(NotDelzantError, match=r"\(1/2, 1/2\) at vertex \(-1, 1\)"):
+        _vertex_cone_coords(p, (0, -1))
 
 
 # -- weight lemma on seeded compact Delzant polytopes ---------------------------
