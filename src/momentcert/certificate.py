@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from . import lattice
 from .errors import (
@@ -290,25 +289,24 @@ def auto_certify_monotone(p: Polytope) -> Certificate:
     """Certify the center fiber of a compact monotone Delzant polytope.
 
     The weight lemma writes one normal as a negative combination of the
-    others; the certificate then exhibits p as a centered reduction of the
-    weighted projective model with those weights, dilated to the common
-    offset.
+    others; the certificate then exhibits p as a reduction of the weighted
+    projective model with those weights, dilated to the value t of p's
+    equidistant center u, along the section through x0 = -A u.
     """
     canon = p.canonical_form()
     wv = monotone_weights(canon)  # NotMonotoneError, NotCompactError, NotDelzantError
-    lam = canon.is_monotone()
-    if lam is None:
-        raise NotMonotoneError("automatic certification needs equal positive offsets")
+    center = equidistant_point(canon)
+    if center is None:
+        raise NotMonotoneError("no interior point has every facet value equal")
+    u, t = center
     k = wv.pivot
     leaf_weights = (1,) + tuple(m for i, m in enumerate(wv.weights) if i != k)
-    ambient = weighted_projective(leaf_weights, lam)
-    rows = tuple(nu for i, nu in enumerate(canon.normals) if i != k)
-    sec = AffineReduction(rows, (Fraction(0),) * len(rows))
+    ambient = weighted_projective(leaf_weights, t)
+    facets = [f for i, f in enumerate(canon.facets) if i != k]
+    # <nu_i, u> + a_i = t, so the entry -<nu_i, u> of x0 is a_i - t
+    sec = AffineReduction(tuple(nu for nu, _ in facets), tuple(a - t for _, a in facets))
     root = Reduction(BaseFact(WEIGHTED_PROJECTIVE, TT, ambient, weights=leaf_weights), sec)
-    # every facet of canon has value lam at the origin, and canon is compact,
-    # so the origin is its unique equidistant point
-    origin = (Fraction(0),) * canon.dim
-    return Certificate(root, TT, marked_point=origin, target=canon)
+    return Certificate(root, TT, marked_point=u, target=canon)
 
 
 def _merge(groups) -> tuple[str, ...]:

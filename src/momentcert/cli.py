@@ -66,12 +66,11 @@ def _cmd_info(args) -> int:
     print(f"delzant: {_delzant_at(p, (v.active for v in verts))}")
     print(f"even: {p.is_even()}")
     print(f"symmetric: {p.is_symmetric()}")
-    lam = p.is_monotone()
-    print(f"monotone: {lam if lam is not None else 'no'}")
+    center = equidistant_point(p)
+    print(f"monotone: {center[1] if center is not None else 'no'}")
     print(f"vertices: {len(verts)}")
     for v in verts:
         print(f"  {format_vec(v.point)} on facets {sorted(v.active)}")
-    center = equidistant_point(p)
     if center is None:
         print("equidistant point: none")
     else:

@@ -76,15 +76,6 @@ class Polytope:
         normals = Counter(self.normals)
         return normals == Counter(lattice.neg(n) for n in normals.elements())
 
-    def is_monotone(self) -> Fraction | None:
-        """The common positive offset, if all offsets agree; None otherwise."""
-        if not self.facets:
-            return None
-        lam = self.facets[0].offset
-        if lam > 0 and all(f.offset == lam for f in self.facets):
-            return lam
-        return None
-
     def is_delzant(self) -> bool:
         """Every vertex lies on exactly dim facets whose normals form a Z-basis.
 

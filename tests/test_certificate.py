@@ -822,12 +822,48 @@ def test_auto_certify_in_random_coordinates():
             assert claim.bound == 2**n
 
 
+def textbook_simplex(n):
+    """The standard simplex x >= 0, sum(x) <= 1, whose center is 1/(n+1)."""
+    return polytope(n, [(_unit(n, j), 0) for j in range(n)] + [((-1,) * n, 1)])
+
+
+# the five smooth toric del Pezzo surfaces: CP^2, CP^1 x CP^1 and CP^2 blown
+# up at one, two and three points, each with offsets 1 about the origin
+DEL_PEZZO_NORMALS = (
+    ((1, 0), (0, 1), (-1, -1)),
+    ((1, 0), (-1, 0), (0, 1), (0, -1)),
+    ((1, 0), (0, 1), (-1, -1), (1, 1)),
+    ((1, 0), (0, 1), (-1, -1), (1, 1), (-1, 0)),
+    ((1, 0), (0, 1), (-1, -1), (1, 1), (-1, 0), (0, -1)),
+)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_auto_certify_takes_the_textbook_simplex(n):
+    center = (F(1, n + 1),) * n
+    cert = auto_certify_monotone(textbook_simplex(n))
+    assert cert.marked_point == center
+    claim = verify(cert)
+    assert claim.bound == 2**n and claim.marked_point == center
+
+
+@pytest.mark.parametrize("normals", DEL_PEZZO_NORMALS)
+def test_auto_certify_takes_a_del_pezzo_polygon_with_a_vertex_at_the_origin(normals):
+    reflexive = polytope(2, [(nu, 1) for nu in normals])
+    corner = reflexive.vertices()[0].point
+    p = polytope(2, translate(reflexive, lattice.neg(corner)).facets)
+    assert min(offsets(p)) == 0
+    claim = verify(auto_certify_monotone(p))
+    assert claim.bound == 4
+    assert claim.marked_point == lattice.neg(corner) == equidistant_point(p)[0]
+
+
 def _monotone_corpus():
     return [load_corpus_polytope(name) for name, _ in MONOTONE_CASES]
 
 
 def test_auto_certify_marks_the_origin():
-    # the origin has value lam on every facet of the canonical monotone form
+    # the corpus polytopes are centered at the origin, so the marked center is the origin
     polytopes = _monotone_corpus()
     for a, b in (("hexagon", "segment"), ("cp2_blowup1", "simplex2"), ("square", "hexagon"),
                  ("segment", "cp2_blowup1"), ("simplex2", "simplex2")):
@@ -891,9 +927,10 @@ def test_auto_certify_validates_a_translate_once(monkeypatch):
     monkeypatch.setattr(polytope_module, "feasible", counted)
     # the one validation is building p; auto_certify_monotone adds none
     p = Polytope(moved.dim, moved.facets)
-    with pytest.raises(NotMonotoneError):
-        auto_certify_monotone(p)
+    cert = auto_certify_monotone(p)
     assert len(calls) == 1
+    assert cert.marked_point == (3, 0)
+    assert verify(cert).bound == 4
 
 
 @pytest.mark.parametrize("p, error", [
@@ -901,7 +938,7 @@ def test_auto_certify_validates_a_translate_once(monkeypatch):
     (o_minus_one(1, 2, 3), NotCompactError),  # also not monotone: compactness is checked first
     (weighted_projective((1, 1, 2)), NotDelzantError),
     (polytope(2, [((1, 0), 1), ((0, 1), 1), ((-1, -2), 2)]), NotDelzantError),  # also not monotone
-    (translate(cube(2, 2), (1, 0)), NotMonotoneError),
+    (load_corpus_polytope("hirzebruch2"), NotMonotoneError),
 ])
 def test_auto_certify_rejections_keep_their_order(p, error):
     with pytest.raises(error):

@@ -51,8 +51,28 @@ def test_info_on_a_strip_has_no_vertices_and_no_center(tmp_path, capsys):
     assert main(["info", str(path)]) == 0
     out = capsys.readouterr().out
     assert "compact: False" in out
+    assert "monotone: no\n" in out  # equal offsets, but no unique equidistant point
     assert "vertices: 0\n" in out
     assert out.endswith("equidistant point: none\n")
+
+
+TEXTBOOK_CP2 = {"dim": 2, "facets": [
+    {"normal": [1, 0], "offset": 0}, {"normal": [0, 1], "offset": 0},
+    {"normal": [-1, -1], "offset": 1},
+]}
+
+
+def test_the_textbook_cp2_is_monotone_at_its_center(tmp_path, capsys):
+    path = tmp_path / "cp2.json"
+    save_json(path, TEXTBOOK_CP2)
+    assert main(["info", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "monotone: 1/3\n" in out
+    assert "equidistant point: (1/3, 1/3) at value 1/3\n" in out
+    assert main(["auto-certify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "marked point: (1/3, 1/3)\n" in out
+    assert "intersection bound: 4\n" in out
 
 
 def test_info_enumerates_vertices_once(corpus_dir, capsys, monkeypatch):
