@@ -2,13 +2,16 @@
 
 Vectors are tuples of ints (or Fractions), matrices are tuples of row
 tuples.  Everything is arbitrary precision and fully deterministic; no
-floating point anywhere.
+floating point anywhere.  Solves run on integer rows and return a
+rational point as integer numerators over one denominator; callers that
+hand out the point build its Fractions once (as_fractions).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -25,7 +28,9 @@ def is_primitive(v) -> bool:
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"dot of vectors of lengths {len(u)} and {len(v)}")
+    return sum(map(mul, u, v))
 
 
 def neg(v):
@@ -34,6 +39,11 @@ def neg(v):
 
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def as_fractions(num, den: int) -> RatVec:
+    """The point num / den, one Fraction per coordinate."""
+    return tuple(Fraction(x, den) for x in num)
 
 
 def format_vec(v) -> str:
@@ -169,13 +179,16 @@ def det_exact(mat) -> Fraction:
     return Fraction(-d if swaps % 2 else d, scale)
 
 
-def solve_exact(rows, rhs) -> RatVec | None:
-    """The unique x with rows * x = rhs, exactly, or None when the system is
-    inconsistent or has more than one solution."""
+def solve_exact(rows, rhs) -> tuple[IntVec, int] | None:
+    """The unique x with rows * x = rhs, for integer rows and rhs, as
+    (numerators, denominator) in lowest terms with denominator > 0; None
+    when the system is inconsistent or has more than one solution."""
     n = len(rows[0]) if rows else 0
-    aug, _ = integer_rows([(*row, b) for row, b in zip(rows, rhs, strict=True)])
+    aug = [[*row, b] for row, b in zip(rows, rhs, strict=True)]
     pivots, d, _ = _eliminate(aug, n)
     if len(pivots) < n or any(row[n] for row in aug[n:]):
         return None
     # the n pivots are columns 0..n-1, so row i reads d * x_i = row[n]
-    return tuple(Fraction(row[n], d) for row in aug[:n])
+    nums = [row[n] for row in aug[:n]]
+    g = gcd(d, *nums) if d > 0 else -gcd(d, *nums)
+    return tuple(x // g for x in nums), d // g

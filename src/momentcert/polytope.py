@@ -121,10 +121,11 @@ class Polytope:
         """
         point = [Fraction(0)] * self.dim
         found = []
-        blocks = [
-            (coords, facets, _vertex_scan(block)) for coords, facets, block in _blocks(self)
-        ]
-        for choice in iter_product(*(scan.items() for _, _, scan in blocks)):
+        blocks = []
+        for coords, facets, block in _blocks(self):
+            scan = [(lattice.as_fractions(*q), on) for q, on in _vertex_scan(block).items()]
+            blocks.append((coords, facets, scan))
+        for choice in iter_product(*(scan for _, _, scan in blocks)):
             active = set()
             for (coords, facets, _), (q, on) in zip(blocks, choice):
                 for c, x in zip(coords, q):
@@ -207,28 +208,28 @@ def _blocks(p: Polytope) -> list[tuple[tuple[int, ...], tuple[int, ...], Polytop
     return blocks
 
 
-def _vertex_scan(p: Polytope) -> dict[RatVec, frozenset[int]]:
-    """The vertices of p as {point: active facet indices}, by a scan of all
-    dim-subsets of facets.
+def _vertex_scan(p: Polytope) -> dict[tuple[IntVec, int], frozenset[int]]:
+    """The vertices of p as {(numerators, denominator): active facet
+    indices}, by a scan of all dim-subsets of facets.
 
     One solve_exact per subset; a subset with an invertible normal matrix
-    has a unique solution, the candidate point.  The facet rows are scaled
-    to integers once, so a new point x = P / D, with D the lcm of its
-    denominators, is tested by the sign of the integer N_i . P + A_i D for
-    each scaled facet row (N_i, A_i); no Fraction is built per facet.
+    has a unique solution, the candidate point P / D in lowest terms, so
+    each point has one key.  The facet rows are scaled to integers once,
+    and P / D is tested by the sign of the integer N_i . P + A_i D for each
+    scaled facet row (N_i, A_i), with D > 0; no Fraction is built.
     """
     n = p.dim
     rows, _ = lattice.integer_rows([(*f.normal, f.offset) for f in p.facets])
-    found: dict[RatVec, frozenset[int]] = {}
+    found: dict[tuple[IntVec, int], frozenset[int]] = {}
     for subset in combinations(range(p.d), n):
         point = lattice.solve_exact([rows[i][:n] for i in subset], [-rows[i][n] for i in subset])
         if point is None or point in found:
             continue
-        (num,), den = lattice.integer_rows([point])
+        num, den = point
         active = []
         for i, row in enumerate(rows):
-            # zip stops at len(num) = n, before the offset column row[n]
-            value = sum(a * b for a, b in zip(row, num)) + row[n] * den
+            # map stops at len(num) = n, before the offset column row[n]
+            value = sum(map(mul, row, num)) + row[n] * den
             if value < 0:
                 break
             if value == 0:
@@ -240,8 +241,9 @@ def _vertex_scan(p: Polytope) -> dict[RatVec, frozenset[int]]:
 
 def _compact_scan(p: Polytope) -> bool:
     """is_compact's test on p: one solve_exact per dim-subset of normals,
-    unique exactly on a basis, whose cone holds -sum(nu_i) iff no coordinate
-    is negative."""
+    unique exactly on a basis, whose cone holds -sum(nu_i) iff no
+    coordinate is negative, read off the numerators (the denominator is
+    > 0)."""
     n = p.dim
     normals = p.normals
     if lattice.rank_exact(normals) < n:
@@ -249,7 +251,7 @@ def _compact_scan(p: Polytope) -> bool:
     deficit = [-sum(column) for column in zip(*normals)]
     for basis in combinations(normals, n):
         coeffs = lattice.solve_exact(lattice.transpose(basis), deficit)
-        if coeffs is not None and all(c >= 0 for c in coeffs):
+        if coeffs is not None and all(c >= 0 for c in coeffs[0]):
             return True
     return False
 
@@ -319,15 +321,12 @@ def equidistant_point(p: Polytope):
     if not p.facets:
         return None
     n = p.dim
-    rows = [f.normal + (-1,) for f in p.facets]
-    rhs = [-f.offset for f in p.facets]
-    sol = lattice.solve_exact(rows, rhs)
-    if sol is None:
+    rows, _ = lattice.integer_rows([(*f.normal, -1, f.offset) for f in p.facets])
+    sol = lattice.solve_exact([row[:-1] for row in rows], [-row[-1] for row in rows])
+    if sol is None or sol[0][n] <= 0:
         return None
-    point, t = sol[:n], sol[n]
-    if t <= 0:
-        return None
-    return point, t
+    num, den = sol
+    return lattice.as_fractions(num[:n], den), Fraction(num[n], den)
 
 
 # -- exact feasibility (Fourier-Motzkin) -------------------------------------

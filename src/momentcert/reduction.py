@@ -23,7 +23,16 @@ from .errors import (
     SliceOutsidePolytopeError,
 )
 from .lattice import IntMat, IntVec, RatVec
-from .polytope import Facet, Polytope, _interior_nonempty, _unvalidated, polytope, product, prune_redundant
+from .polytope import (
+    Facet,
+    Polytope,
+    _blocks,
+    _interior_nonempty,
+    _unvalidated,
+    polytope,
+    product,
+    prune_redundant,
+)
 
 
 @dataclass(frozen=True)
@@ -77,8 +86,11 @@ class AffineReduction:
     def preimage(self, x) -> RatVec | None:
         """The unique y with matrix @ y + base = x (the columns of matrix are
         independent), or None if x is off the slice."""
-        rhs = [Fraction(xi) - bi for xi, bi in zip(x, self.base, strict=True)]
-        return lattice.solve_exact(self.matrix, rhs)
+        rows, _ = lattice.integer_rows(
+            [(*row, xi - bi) for row, xi, bi in zip(self.matrix, x, self.base, strict=True)]
+        )
+        sol = lattice.solve_exact([row[:-1] for row in rows], [row[-1] for row in rows])
+        return None if sol is None else lattice.as_fractions(*sol)
 
     def subtorus_generators(self) -> tuple[IntVec, ...]:
         """Integral basis of the kernel of A^T: the Lie algebra directions of
@@ -221,29 +233,51 @@ class WeightVector:
     pivot: int
 
 
-def _vertex_cone_coords(p: Polytope, target: IntVec):
-    """(vertex, coeffs): a vertex whose normal cone holds target, and the
-    nonnegative coordinates of target in its sorted active normals.
+def _vertex_cone_coords(p: Polytope, target: IntVec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(indices, coeffs): facets of p active at a vertex whose normal cone
+    holds target, and the nonnegative integer coordinates of target in
+    their normals, so that sum(c * normal) = target.
 
-    p must be compact and Delzant.  Vertices are scanned in coordinate
-    order and the first admissible one wins.  At each vertex the n active
-    normals form a Z-basis, so the one solve never returns None: it gives
-    the unique, integral coordinates of target.  A compact p attains
-    min <target, x> at some vertex, and by LP duality the coordinates there
-    are nonnegative, so the scan always returns.  A fractional coordinate
-    at the admissible vertex shows that its normals are no Z-basis, and
-    raises NotDelzantError.
+    p must be compact and Delzant.  A vertex of p is one vertex per
+    coordinate block (see polytope._blocks) and its normal cone is the
+    product of theirs, so target is placed block by block, by its part on
+    the block's coordinates.  A block where that part is 0 has coordinates
+    0 at any of its vertices and is skipped.  Otherwise the block's
+    vertices are scanned in coordinate order and the first admissible one
+    wins; together these make the first admissible vertex of p.  At each
+    vertex the active normals form a Z-basis, so the solve gives the
+    unique, integral coordinates of the part.  A compact block attains
+    min <part, x> at some vertex, and by LP duality the coordinates there
+    are nonnegative, so each scan finds one, or p was not compact
+    (NotCompactError).  A denominator other than 1 at the admissible
+    vertex shows that its normals are no Z-basis, and raises
+    NotDelzantError.  The indices run block after block, each block's in
+    increasing order.
     """
-    for vertex in p.vertices():
-        normals = [p.facets[i].normal for i in sorted(vertex.active)]
-        coeffs = lattice.solve_exact(lattice.transpose(normals), target)
-        if all(c >= 0 for c in coeffs):
-            if any(c.denominator != 1 for c in coeffs):
-                raise NotDelzantError(
-                    f"target {target} has coordinates {lattice.format_vec(coeffs)} "
-                    f"at vertex {lattice.format_vec(vertex.point)}"
-                )
-            return vertex, tuple(c.numerator for c in coeffs)
+    indices: list[int] = []
+    coeffs: list[int] = []
+    for coords, facets, block in _blocks(p):
+        part = tuple(target[c] for c in coords)
+        if not any(part):
+            continue
+        for vertex in block.vertices():
+            active = sorted(vertex.active)
+            normals = [block.facets[i].normal for i in active]
+            sol = lattice.solve_exact(lattice.transpose(normals), part)
+            if sol is not None and all(c >= 0 for c in sol[0]):
+                break
+        else:
+            raise NotCompactError(f"no vertex cone holds target {part}")
+        num, den = sol
+        if den != 1:
+            raise NotDelzantError(
+                f"target {part} has coordinates "
+                f"{lattice.format_vec(lattice.as_fractions(num, den))} "
+                f"at vertex {lattice.format_vec(vertex.point)}"
+            )
+        indices += (facets[i] for i in active)
+        coeffs += num
+    return tuple(indices), tuple(coeffs)
 
 
 def monotone_weights(p: Polytope) -> WeightVector:
@@ -269,9 +303,9 @@ def monotone_weights(p: Polytope) -> WeightVector:
     total = tuple(sum(nu[i] for nu in canon.normals) for i in range(n))
     if all(x == 0 for x in total):
         return WeightVector((1,) * canon.d, canon.d - 1)
-    vertex, coeffs = _vertex_cone_coords(canon, lattice.neg(total))
+    indices, coeffs = _vertex_cone_coords(canon, lattice.neg(total))
     weights = [1] * canon.d
-    for idx, c in zip(sorted(vertex.active), coeffs):
+    for idx, c in zip(indices, coeffs):
         weights[idx] += c
     pivot = max(i for i, m in enumerate(weights) if m == 1)
     return WeightVector(tuple(weights), pivot)

@@ -13,7 +13,9 @@ from conftest import smith_normal_form as two_matrix_smith_form
 from momentcert.errors import SliceError
 from momentcert.lattice import (
     det_exact,
+    dot,
     identity,
+    integer_rows,
     is_primitive,
     rank_exact,
     smith_normal_form,
@@ -233,15 +235,25 @@ def test_section_check_matches_rank_and_minor_oracle():
 
 
 def test_solve_exact_unique_and_underdetermined():
-    assert_same(solve_exact(((1, 1), (1, -1)), (4, 0)), (Fraction(2), Fraction(2)))
+    # (numerators, denominator): the point (2, 2) is ((2, 2), 1)
+    assert_same(solve_exact(((1, 1), (1, -1)), (4, 0)), ((2, 2), 1))
     # a line of solutions has no unique one
     assert solve_exact(((1, 1),), (3,)) is None
     assert solve_exact(((1, 0), (1, 0)), (0, 1)) is None
-    # consistent and overdetermined: the point all three rows agree on
-    assert_same(solve_exact(((1, 0), (0, 1), (1, 1)), (1, Fraction(1, 2), Fraction(3, 2))),
+    # consistent and overdetermined: the point (1, 1/2) all three rows agree on
+    assert_same(solve_rational(((1, 0), (0, 1), (1, 1)), (1, Fraction(1, 2), Fraction(3, 2))),
                 (Fraction(1), Fraction(1, 2)))
+    assert_same(solve_exact(((2, 0), (0, 2), (2, 2)), (2, 1, 3)), ((2, 1), 2))
     # no unknowns and a zero right-hand side: the empty point is the solution
-    assert_same(solve_exact(((), ()), (0, 0)), ())
+    assert_same(solve_exact(((), ()), (0, 0)), ((), 1))
+
+
+def test_dot_refuses_vectors_of_different_lengths():
+    assert dot((1, 2, 3), (4, 5, 6)) == 32
+    assert dot((), ()) == 0
+    for u, v in [((1, 2), (1,)), ((1,), (1, 2)), ((), (0,))]:
+        with pytest.raises(ValueError):
+            dot(u, v)
 
 
 def test_transpose_roundtrip():
@@ -312,12 +324,29 @@ def assert_same(got, want):
         assert got == want
 
 
+def solve_rational(mat, rhs):
+    """solve_exact on a rational system, the way the package's rational
+    callers use it: the rows are scaled to integers once, and the
+    Fractions are built from the result.  Checks that the result is in
+    lowest terms over a denominator > 0, with int entries."""
+    n = len(mat[0]) if mat else 0
+    rows, _ = integer_rows([(*row, b) for row, b in zip(mat, rhs, strict=True)])
+    sol = solve_exact([row[:n] for row in rows], [row[n] for row in rows])
+    if sol is None:
+        return None
+    num, den = sol
+    assert type(num) is tuple and len(num) == n
+    assert all(type(x) is int for x in (*num, den))
+    assert den > 0 and gcd(den, *num) == 1, sol
+    return tuple(Fraction(x, den) for x in num)
+
+
 def assert_kernel_matches(mat, rhs):
     assert_same(rank_exact(mat), rank_oracle(mat))
     if all(len(row) == len(mat) for row in mat):
         assert_same(det_exact(mat), det_oracle(mat))
     sol = solve_oracle(mat, rhs)
-    assert_same(solve_exact(mat, rhs), None if sol is None or sol[1] else sol[0])
+    assert_same(solve_rational(mat, rhs), None if sol is None or sol[1] else sol[0])
 
 
 def random_entry(rng: random.Random):
@@ -401,14 +430,59 @@ def test_kernel_edge_cases():
     assert_kernel_matches(((0, 2), (0, 4)), (1, 2))
     assert_kernel_matches(((1, 2, 3), (2, 4, 7)), (Fraction(1, 2), 1))
     assert_kernel_matches(((Fraction(1, 2),), (Fraction(-1, 3),)), (1, Fraction(-2, 3)))
-    # entries are ints or Fractions: a float or a string is refused, not converted
+    # entries are ints or Fractions: a float or a string is refused, not
+    # converted, where a rational system is scaled to integer rows; the
+    # solve takes integer rows and refuses one in its result
     for entry in (0.25, "1/2"):
         with pytest.raises(AttributeError):
             rank_exact(((1, entry),))
         with pytest.raises(AttributeError):
+            solve_rational(((1, 0), (0, 1)), (entry, 1))
+        with pytest.raises(TypeError):
             solve_exact(((1, 0), (0, 1)), (entry, 1))
     assert det_exact(()) == 1 and type(det_exact(())) is Fraction
     with pytest.raises(ValueError):
         det_exact(((1, 2),))
     with pytest.raises(ValueError):
         solve_exact(((1, 2),), (1, 2))
+
+
+def test_solve_exact_returns_lowest_terms_over_a_positive_denominator():
+    """Integer systems against the Fraction oracle: a unique solution comes
+    back as numerators over one denominator > 0 with no common factor, and
+    a rank-deficient or inconsistent system as None."""
+    rng = random.Random(33)
+    seen = Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        kind = rng.choice(("unique", "rank-deficient", "inconsistent"))
+        if kind == "unique":
+            # a square system, mostly invertible, and combinations of its rows
+            mat = [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n)]
+            rhs = [rng.randint(-9, 9) for _ in range(n)]
+            for _ in range(rng.randint(0, 2)):
+                c = [rng.randint(-2, 2) for _ in range(n)]
+                mat.append(tuple(dot(c, col) for col in zip(*mat[:n])))
+                rhs.append(dot(c, rhs[:n]))
+            mat, rhs = tuple(mat), tuple(rhs)
+        else:
+            mat = low_rank(rng, rng.randint(1, 6), n, rng.randint(0, n - 1))
+            rhs = tuple(dot(row, [rng.randint(-3, 3) for _ in range(n)]) for row in mat)
+            if kind == "inconsistent":
+                i = rng.randrange(len(mat))
+                mat += (mat[i],)
+                rhs += (rhs[i] + rng.choice((-2, -1, 1, 2)),)
+        want = solve_oracle(mat, rhs)
+        got = solve_exact(mat, rhs)
+        if want is None or want[1]:
+            assert got is None, (mat, rhs)
+            seen[kind if want is None else "rank-deficient"] += 1
+            continue
+        num, den = got
+        assert all(type(v) is int for v in (*num, den))
+        assert den > 0 and gcd(den, *num) == 1, got
+        assert tuple(Fraction(v, den) for v in num) == want[0], (mat, rhs)
+        seen["unique"] += 1
+        seen["denominator > 1"] += den > 1
+        seen["some numerator < 0"] += any(v < 0 for v in num)
+    assert min(seen.values()) >= 300, seen

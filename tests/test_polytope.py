@@ -247,7 +247,13 @@ def test_vertices_build_no_fraction_per_facet(monkeypatch):
 def flat_vertices(p):
     """Oracle: the unsplit scan over every dim-subset of p's facets."""
     found = polytope_module._vertex_scan(p)
-    return tuple(Vertex(point=q, active=found[q]) for q in sorted(found))
+    return tuple(sorted((Vertex(point=scan_point(*q), active=on) for q, on in found.items()),
+                        key=lambda v: v.point))
+
+
+def scan_point(num, den):
+    """A point of _vertex_scan, numerators over one denominator, as Fractions."""
+    return tuple(F(x, den) for x in num)
 
 
 def flat_is_compact(p):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd
 
@@ -22,6 +23,7 @@ from momentcert.errors import (
 from momentcert.polytope import (
     Facet,
     Polytope,
+    _blocks,
     _unvalidated,
     polytope,
     product,
@@ -497,24 +499,25 @@ def test_monotone_weights_rejects_a_polytope_with_no_facets():
 # -- vertex cones -----------------------------------------------------------------
 
 def test_vertex_cone_cube():
-    vertex, coeffs = _vertex_cone_coords(cube(3), (1, 1, 1))
-    active_normals = {cube(3).facets[i].normal for i in vertex.active}
+    indices, coeffs = _vertex_cone_coords(cube(3), (1, 1, 1))
+    active_normals = {cube(3).facets[i].normal for i in indices}
     assert active_normals == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
     assert coeffs == (1, 1, 1)
 
 
 def test_vertex_cone_origin_target():
-    vertex, coeffs = _vertex_cone_coords(simplex(2), (0, 0))
-    assert coeffs == (0, 0)
+    # every block's part of the target is 0: no coordinate, so none non-zero
+    indices, coeffs = _vertex_cone_coords(simplex(2), (0, 0))
+    assert indices == coeffs == ()
 
 
 def test_vertex_cone_blowup_deficit():
     # the deficit -(sum of normals) of the one-point blow-up sits in the cone
     # where the (-1,-1) facet is active with coefficient 1
     p = blowup1().canonical_form()
-    vertex, coeffs = _vertex_cone_coords(p, (-1, -1))
-    active = sorted(vertex.active)
-    weights = dict(zip(active, coeffs))
+    indices, coeffs = _vertex_cone_coords(p, (-1, -1))
+    assert len(indices) == p.dim
+    weights = dict(zip(indices, coeffs))
     slanted = p.normals.index((-1, -1))
     assert weights[slanted] == 1
     assert all(c == 0 for i, c in weights.items() if i != slanted)
@@ -527,6 +530,12 @@ def test_vertex_cone_refuses_fractional_coordinates():
     p = weighted_projective((1, 1, 2)).canonical_form()
     with pytest.raises(NotDelzantError, match=r"\(1/2, 1/2\) at vertex \(-1, 1\)"):
         _vertex_cone_coords(p, (0, -1))
+
+
+def test_vertex_cone_refuses_a_block_where_no_cone_holds_the_target():
+    # the wedge O(-1) is not compact: (-1, -1) lies in no cone of its two vertices
+    with pytest.raises(NotCompactError, match=r"no vertex cone holds target \(-1, -1\)"):
+        _vertex_cone_coords(o_minus_one(), (-1, -1))
 
 
 # -- weight lemma on seeded compact Delzant polytopes ---------------------------
@@ -601,13 +610,17 @@ def test_weight_lemma_on_seeded_compact_delzant_polytopes():
         deficit = tuple(-sum(nu[i] for nu in p.normals) for i in range(n))
         vertices = p.vertices()
         for target in (deficit, tuple(rng.randint(-2, 2) for _ in range(n))):
-            vertex, coeffs = _vertex_cone_coords(p, target)
+            indices, coeffs = _vertex_cone_coords(p, target)
             want, want_coeffs, active = _cone_oracle(p, vertices, target)
-            assert vertex == want
-            assert coeffs == tuple(want_coeffs)
+            # the facets of the oracle's vertex, less the blocks whose part of
+            # target is 0, where every coordinate is 0
+            assert set(indices) <= want.active
+            assert dict(zip(indices, coeffs)) == {
+                i: c for i, c in zip(active, want_coeffs) if i in indices}
+            assert all(c == 0 for i, c in zip(active, want_coeffs) if i not in indices)
             assert all(isinstance(x, int) and x >= 0 for x in coeffs)
             got = tuple(
-                sum(x * p.facets[i].normal[k] for x, i in zip(coeffs, active)) for k in range(n)
+                sum(x * p.facets[i].normal[k] for x, i in zip(coeffs, indices)) for k in range(n)
             )
             assert got == target
 
@@ -620,3 +633,97 @@ def test_weight_lemma_on_seeded_compact_delzant_polytopes():
         assert wv.pivot == max(i for i, m in enumerate(wv.weights) if m == 1)
         tilted += any(x != 0 for x in deficit)
     assert tilted >= 100
+
+
+# -- the weight lemma per block against the whole product's vertex list ---------
+
+TILTED = ("cp2_blowup1", "cp2_blowup2_alpha", "hirzebruch2", "nonfano_pentagon")
+BALANCED = ("segment", "simplex2", "square", "hexagon", "simplex3", "cube")
+
+
+def _product_vertex_cone(p, target):
+    """Oracle: the weight lemma's cone as it was found on the whole
+    product's sorted vertex list, before it ran per block.  Returns the
+    non-zero coordinates of target, by facet index, at the first vertex of
+    p.vertices() whose cone holds it."""
+    for vertex in p.vertices():
+        active = sorted(vertex.active)
+        coeffs = _fraction_solve([p.facets[i].normal for i in active], target)
+        if all(c >= 0 for c in coeffs):
+            assert all(c.denominator == 1 for c in coeffs)
+            return {i: c.numerator for i, c in zip(active, coeffs) if c}
+    raise AssertionError("no vertex cone holds the target")
+
+
+def _product_vertex_weights(p):
+    """Oracle: monotone_weights on _product_vertex_cone of the deficit."""
+    canon = p.canonical_form()
+    deficit = tuple(-sum(column) for column in zip(*canon.normals))
+    weights = [1] * canon.d
+    if any(deficit):
+        for i, c in _product_vertex_cone(canon, deficit).items():
+            weights[i] += c
+    return tuple(weights), max(i for i, m in enumerate(weights) if m == 1)
+
+
+def _shuffled_corpus_product(rng):
+    """A product of one to three compact Delzant corpus polytopes, at least
+    one with a non-zero normal sum, with its coordinates permuted and its
+    facets shuffled; a third of the inputs are sheared by a random
+    unimodular map instead, which leaves one coordinate block."""
+    sheared = rng.random() < 1 / 3
+    names = [rng.choice(TILTED)]
+    for _ in range(rng.randint(0, 1 if sheared else 2)):
+        names.append(rng.choice(TILTED + BALANCED))
+    rng.shuffle(names)
+    prod = load_corpus_polytope(names[0])
+    for name in names[1:]:
+        prod = product(prod, load_corpus_polytope(name))
+    n = prod.dim
+    if sheared:
+        c = _random_unimodular(rng, n)
+        facets = [(mat_vec(c, nu), a) for nu, a in prod.facets]
+    else:
+        perm = rng.sample(range(n), n)
+        facets = [(tuple(nu[k] for k in perm), a) for nu, a in prod.facets]
+    rng.shuffle(facets)
+    return polytope(n, facets)
+
+
+def _shape(p):
+    """The kinds of coordinate blocks p splits into, as test_reduction counts them."""
+    canon = p.canonical_form()
+    deficit = [-sum(column) for column in zip(*canon.normals)]
+    blocks = [coords for coords, _, _ in _blocks(canon)]
+    parts = [any(deficit[c] for c in coords) for coords in blocks]
+    kinds = set()
+    if len(blocks) == 1:
+        kinds.add("single block")
+    if any(parts) and not all(parts):
+        kinds.add("zero-deficit block")
+    if any(coords != tuple(range(coords[0], coords[-1] + 1)) for coords in blocks):
+        kinds.add("interleaved blocks")
+    return kinds
+
+
+def test_weight_lemma_per_block_matches_the_product_vertex_list():
+    rng = random.Random(3301)
+    seen = Counter()
+    for _ in range(240):
+        p = _shuffled_corpus_product(rng)
+        wv = monotone_weights(p)
+        assert (wv.weights, wv.pivot) == _product_vertex_weights(p), p.facets
+        # a random target, zero on a random block half the time, reaches
+        # cones the deficit does not
+        canon = p.canonical_form()
+        target = [rng.randint(-2, 2) for _ in range(canon.dim)]
+        if rng.random() < 0.5:
+            for c in rng.choice(_blocks(canon))[0]:
+                target[c] = 0
+        indices, coeffs = _vertex_cone_coords(canon, tuple(target))
+        got = {i: c for i, c in zip(indices, coeffs) if c}
+        assert got == _product_vertex_cone(canon, tuple(target)), (canon.facets, target)
+        seen.update(_shape(p))
+        seen["tilted"] += any(m > 1 for m in wv.weights)
+    assert min(seen[k] for k in ("single block", "zero-deficit block", "interleaved blocks",
+                                 "tilted")) >= 40, seen

@@ -253,6 +253,7 @@ TRUSTED_BASE = (
     "certificate._verify_reduction",
     "certificate.verify",
     "lattice._eliminate",
+    "lattice.as_fractions",
     "lattice.dot",
     "lattice.format_vec",
     "lattice.identity",
@@ -285,7 +286,7 @@ TRUSTED_BASE = (
     "reduction.weighted_projective_normals",
 )
 # the lines of those definitions, from def to last line, docstrings included
-TRUSTED_BASE_LINES = 579
+TRUSTED_BASE_LINES = 587
 
 
 def test_the_trusted_base_of_verify_is_pinned():
@@ -329,6 +330,43 @@ def test_pruning_runs_on_integer_rows():
                    "polytope._ray_witnessed"} | fm
     assert not {"Fraction", "float"} & named(own)
     assert "integer_rows" not in named(fm)
+
+
+def named_outside_raise(node):
+    """The names and attributes node reads, except inside raise statements."""
+    if isinstance(node, ast.Raise):
+        return set()
+    names = set()
+    if isinstance(node, ast.Name):
+        names.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        names.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        names |= named_outside_raise(child)
+    return names
+
+
+def test_named_outside_raise_skips_error_messages():
+    tree = ast.parse("def f(x):\n    y = lattice.as_fractions(x)\n"
+                     "    raise E(Fraction(y))\n")
+    assert named_outside_raise(tree) == {"y", "lattice", "as_fractions", "x"}
+
+
+def test_the_exact_kernels_run_on_integer_points():
+    """The solve, the vertex and compactness scans and the weight lemma
+    build no Fraction: solve_exact returns numerators over one denominator,
+    the scans dedupe and test signs on those integers, and only the callers
+    that return rational values (vertices, equidistant_point, preimage) turn
+    them into Fractions, once each.  A Fraction for an error message is
+    allowed."""
+    functions, _, _ = _index()
+    kernels = ("lattice.solve_exact", "polytope._vertex_scan", "polytope._compact_scan",
+               "reduction._vertex_cone_coords")
+    for qualname in kernels:
+        named = named_outside_raise(functions[qualname])
+        assert not {"Fraction", "as_fractions"} & named, qualname
+    # integer rows in, so the solve scales nothing itself
+    assert "integer_rows" not in named_outside_raise(functions["lattice.solve_exact"])
 
 
 def truncating_int_calls(tree):
