@@ -2,16 +2,18 @@
 
 Vectors are tuples of ints (or Fractions), matrices are tuples of row
 tuples.  Everything is arbitrary precision and fully deterministic; no
-floating point anywhere.  Solves run on integer rows and return a
-rational point as integer numerators over one denominator; callers that
-hand out the point build its Fractions once (as_fractions).
+floating point anywhere.  Rank, determinant and solves run on
+integer rows, through one forward Bareiss elimination; a solve takes an
+augmented system [A | b] and returns a rational point as integer
+numerators over one denominator, and callers that hand out the point
+build its Fractions once (as_fractions).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -123,16 +125,17 @@ def integer_rows(mat) -> tuple[list[list[int]], int]:
     return rows, scale
 
 
-def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+def _eliminate(rows: list, ncols: int) -> tuple[list[int], int, int]:
+    """Forward fraction-free (Bareiss) elimination of integer rows, in place.
 
     Columns are scanned left to right over the first ncols; the pivot is the
-    first nonzero entry at or below the current row.  Every other row is
-    updated as (p * row - f * pivot_row) // prev, with p the new pivot and
-    prev the one before it (Bareiss).  By Sylvester's identity every entry
-    is then a minor of the input, so the division is exact, and each pivot
-    row ends up d times its row of the reduced row echelon form, where d is
-    the last pivot.  Returns (pivot columns, d, number of row swaps).
+    first nonzero entry at or below the current row.  Only the rows below
+    the pivot are updated, as (p * row - f * pivot_row) // prev, with p the
+    new pivot and prev the one before it.  By Sylvester's identity every
+    entry is then a minor of the input, so the division is exact, and the
+    last pivot is the minor on the pivot rows and columns.  Rows are
+    replaced, never changed, so the input's rows may be tuples.  Returns
+    (pivot columns, last pivot, number of row swaps).
     """
     m = len(rows)
     pivots: list[int] = []
@@ -140,17 +143,18 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     swaps = 0
     for col in range(ncols):
         r = len(pivots)
-        piv = next((i for i in range(r, m) if rows[i][col]), None)
-        if piv is None:
+        piv = r
+        while piv < m and not rows[piv][col]:
+            piv += 1
+        if piv == m:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
             swaps += 1
         top = rows[r]
         p = top[col]
-        for i, row in enumerate(rows):
-            if i == r:
-                continue
+        for i in range(r + 1, m):
+            row = rows[i]
             f = row[col]
             if f:
                 rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
@@ -162,33 +166,56 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
 
 
 def rank_exact(mat) -> int:
-    """Rank over the rationals."""
-    rows, _ = integer_rows(mat)
+    """Rank of an integer matrix; entries are read through operator.index."""
+    rows = [[*map(index, row)] for row in mat]
     return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
-def det_exact(mat) -> Fraction:
-    """Determinant of a square matrix, exact."""
+def det_exact(mat) -> int:
+    """Determinant of a square integer matrix; entries are read through
+    operator.index.  The last Bareiss pivot is the determinant of the
+    matrix with its rows swapped as the elimination swapped them."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("determinant of a non-square matrix")
-    rows, scale = integer_rows(mat)
+    rows = [[*map(index, row)] for row in mat]
     pivots, d, swaps = _eliminate(rows, n)
     if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(-d if swaps % 2 else d, scale)
+        return 0
+    return -d if swaps % 2 else d
 
 
-def solve_exact(rows, rhs) -> tuple[IntVec, int] | None:
-    """The unique x with rows * x = rhs, for integer rows and rhs, as
-    (numerators, denominator) in lowest terms with denominator > 0; None
-    when the system is inconsistent or has more than one solution."""
-    n = len(rows[0]) if rows else 0
-    aug = [[*row, b] for row, b in zip(rows, rhs, strict=True)]
-    pivots, d, _ = _eliminate(aug, n)
-    if len(pivots) < n or any(row[n] for row in aug[n:]):
+def solve_exact(system) -> tuple[IntVec, int] | None:
+    """The unique x with A x = b, for an augmented integer system [A | b]
+    (one row [*a_i, b_i] per equation), as (numerators, denominator) in
+    lowest terms with denominator > 0; None when the system is
+    inconsistent or has more than one solution.
+
+    After forward elimination the first n rows are an upper triangular U
+    with right-hand side c, where n is the number of unknowns, and the
+    last pivot d is det(A') for A' the first n rows of A as the
+    elimination ordered them.  A x = b has a unique solution exactly when
+    there are n pivots and every later row's right-hand side is 0, and
+    then A' x = b' alone fixes x.  By Cramer's rule x_i = det(A'_i) / d,
+    with A'_i the matrix A' with column i replaced by b', so y = d * x is
+    an integer vector.  U y = d * c, so back-substitution reads
+    U_ii * y_i = d * c_i - sum_{j > i} U_ij * y_j, whose right side is an
+    integer and a multiple of U_ii: each division is exact.
+    """
+    rows = list(system)
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("augmented system with rows of different lengths")
+    n = len(rows[0]) - 1 if rows else 0
+    pivots, d, _ = _eliminate(rows, n)
+    if len(pivots) < n:
         return None
-    # the n pivots are columns 0..n-1, so row i reads d * x_i = row[n]
-    nums = [row[n] for row in aug[:n]]
-    g = gcd(d, *nums) if d > 0 else -gcd(d, *nums)
-    return tuple(x // g for x in nums), d // g
+    for row in rows[n:]:
+        if row[n]:
+            return None
+    # y holds 0 from i on, so the sum takes only the solved y_j, j > i
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        y[i] = (d * row[n] - sum(map(mul, row, y))) // row[i]
+    g = gcd(d, *y) if d > 0 else -gcd(d, *y)
+    return tuple(x // g for x in y), d // g

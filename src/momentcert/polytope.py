@@ -214,22 +214,26 @@ def _vertex_scan(p: Polytope) -> dict[tuple[IntVec, int], frozenset[int]]:
 
     One solve_exact per subset; a subset with an invertible normal matrix
     has a unique solution, the candidate point P / D in lowest terms, so
-    each point has one key.  The facet rows are scaled to integers once,
-    and P / D is tested by the sign of the integer N_i . P + A_i D for each
-    scaled facet row (N_i, A_i), with D > 0; no Fraction is built.
+    each point has one key.  The facet rows are scaled to integers once
+    and their offset column negated, giving the augmented rows
+    (N_i, -A_i) of N_i . x = -A_i that each subset's solve takes as they
+    are.  P / D is tested by the sign of the integer N_i . P + A_i D for
+    each row, with D > 0; no Fraction is built.
     """
     n = p.dim
     rows, _ = lattice.integer_rows([(*f.normal, f.offset) for f in p.facets])
+    for row in rows:
+        row[n] = -row[n]
     found: dict[tuple[IntVec, int], frozenset[int]] = {}
-    for subset in combinations(range(p.d), n):
-        point = lattice.solve_exact([rows[i][:n] for i in subset], [-rows[i][n] for i in subset])
+    for subset in combinations(rows, n):
+        point = lattice.solve_exact(subset)
         if point is None or point in found:
             continue
         num, den = point
         active = []
         for i, row in enumerate(rows):
-            # map stops at len(num) = n, before the offset column row[n]
-            value = sum(map(mul, row, num)) + row[n] * den
+            # map stops at len(num) = n, before the column row[n] = -A_i
+            value = sum(map(mul, row, num)) - row[n] * den
             if value < 0:
                 break
             if value == 0:
@@ -250,7 +254,7 @@ def _compact_scan(p: Polytope) -> bool:
         return False  # recession cone contains a line
     deficit = [-sum(column) for column in zip(*normals)]
     for basis in combinations(normals, n):
-        coeffs = lattice.solve_exact(lattice.transpose(basis), deficit)
+        coeffs = lattice.solve_exact(zip(*basis, deficit))
         if coeffs is not None and all(c >= 0 for c in coeffs[0]):
             return True
     return False
@@ -315,14 +319,17 @@ def prune_redundant(p: Polytope) -> Polytope:
 def equidistant_point(p: Polytope):
     """The unique interior point with all facet values equal, if it exists.
 
-    Solves support_i(x) = t for all i in the unknowns (x, t); returns
-    (point, t) when the solution is unique with t > 0, else None.
+    Solves support_i(x) = t for all i in the unknowns (x, t), as the
+    augmented rows (nu_i, -1 | -a_i) scaled to integers; returns (point,
+    t) when the solution is unique with t > 0, else None.
     """
     if not p.facets:
         return None
     n = p.dim
     rows, _ = lattice.integer_rows([(*f.normal, -1, f.offset) for f in p.facets])
-    sol = lattice.solve_exact([row[:-1] for row in rows], [-row[-1] for row in rows])
+    for row in rows:
+        row[-1] = -row[-1]
+    sol = lattice.solve_exact(rows)
     if sol is None or sol[0][n] <= 0:
         return None
     num, den = sol

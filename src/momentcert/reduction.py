@@ -89,7 +89,7 @@ class AffineReduction:
         rows, _ = lattice.integer_rows(
             [(*row, xi - bi) for row, xi, bi in zip(self.matrix, x, self.base, strict=True)]
         )
-        sol = lattice.solve_exact([row[:-1] for row in rows], [row[-1] for row in rows])
+        sol = lattice.solve_exact(rows)
         return None if sol is None else lattice.as_fractions(*sol)
 
     def subtorus_generators(self) -> tuple[IntVec, ...]:
@@ -263,7 +263,7 @@ def _vertex_cone_coords(p: Polytope, target: IntVec) -> tuple[tuple[int, ...], t
         for vertex in block.vertices():
             active = sorted(vertex.active)
             normals = [block.facets[i].normal for i in active]
-            sol = lattice.solve_exact(lattice.transpose(normals), part)
+            sol = lattice.solve_exact(zip(*normals, part))
             if sol is not None and all(c >= 0 for c in sol[0]):
                 break
         else:

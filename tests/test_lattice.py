@@ -12,6 +12,7 @@ from conftest import mat_mul, solve_oracle
 from conftest import smith_normal_form as two_matrix_smith_form
 from momentcert.errors import SliceError
 from momentcert.lattice import (
+    _eliminate,
     det_exact,
     dot,
     identity,
@@ -35,7 +36,7 @@ def minors_gcd(mat, k):
     for rows in combinations(range(nrows), k):
         for cols in combinations(range(ncols), k):
             sub = [[mat[i][j] for j in cols] for i in rows]
-            g = gcd(g, int(det_exact(sub)))
+            g = gcd(g, det_exact(sub))
     return g
 
 
@@ -234,18 +235,45 @@ def test_section_check_matches_rank_and_minor_oracle():
     assert min(seen.values()) >= 300 and wide >= 300, (seen, wide)
 
 
+def augment(mat, rhs):
+    """The augmented system [mat | rhs] that solve_exact takes."""
+    return tuple((*row, b) for row, b in zip(mat, rhs, strict=True))
+
+
 def test_solve_exact_unique_and_underdetermined():
     # (numerators, denominator): the point (2, 2) is ((2, 2), 1)
-    assert_same(solve_exact(((1, 1), (1, -1)), (4, 0)), ((2, 2), 1))
+    assert_same(solve_exact(((1, 1, 4), (1, -1, 0))), ((2, 2), 1))
     # a line of solutions has no unique one
-    assert solve_exact(((1, 1),), (3,)) is None
-    assert solve_exact(((1, 0), (1, 0)), (0, 1)) is None
+    assert solve_exact(((1, 1, 3),)) is None
+    assert solve_exact(((1, 0, 0), (1, 0, 1))) is None
     # consistent and overdetermined: the point (1, 1/2) all three rows agree on
     assert_same(solve_rational(((1, 0), (0, 1), (1, 1)), (1, Fraction(1, 2), Fraction(3, 2))),
                 (Fraction(1), Fraction(1, 2)))
-    assert_same(solve_exact(((2, 0), (0, 2), (2, 2)), (2, 1, 3)), ((2, 1), 2))
+    assert_same(solve_exact(((2, 0, 2), (0, 2, 1), (2, 2, 3))), ((2, 1), 2))
     # no unknowns and a zero right-hand side: the empty point is the solution
-    assert_same(solve_exact(((), ()), (0, 0)), ((), 1))
+    assert_same(solve_exact(((0,), (0,))), ((), 1))
+    assert_same(solve_exact(()), ((), 1))
+
+
+def test_solve_exact_on_overdetermined_systems_with_a_swap_and_a_negative_pivot():
+    """The first row has no pivot in column 0, so the elimination swaps
+    rows, and the last pivot is negative; the third row's right-hand side
+    decides between consistent and inconsistent."""
+    mat = ((0, -2), (1, 1), (3, 1))
+    for rhs, unique in [((1, 0, 1), True), ((4, -3, -5), True),
+                        ((1, 0, 2), False), ((4, -3, 0), False)]:
+        system = augment(mat, rhs)
+        pivots, last, swaps = _eliminate(list(system), 2)
+        assert (pivots, last < 0, swaps) == ([0, 1], True, 1)
+        want = solve_oracle(mat, rhs)
+        got = solve_exact(system)
+        if not unique:
+            assert want is None and got is None
+            continue
+        assert want[1] == ()
+        num, den = got
+        assert den > 0 and gcd(den, *num) == 1
+        assert tuple(Fraction(x, den) for x in num) == want[0]
 
 
 def test_dot_refuses_vectors_of_different_lengths():
@@ -330,8 +358,8 @@ def solve_rational(mat, rhs):
     Fractions are built from the result.  Checks that the result is in
     lowest terms over a denominator > 0, with int entries."""
     n = len(mat[0]) if mat else 0
-    rows, _ = integer_rows([(*row, b) for row, b in zip(mat, rhs, strict=True)])
-    sol = solve_exact([row[:n] for row in rows], [row[n] for row in rows])
+    rows, _ = integer_rows(augment(mat, rhs))
+    sol = solve_exact(rows)
     if sol is None:
         return None
     num, den = sol
@@ -342,9 +370,15 @@ def solve_rational(mat, rhs):
 
 
 def assert_kernel_matches(mat, rhs):
-    assert_same(rank_exact(mat), rank_oracle(mat))
+    """Rank and determinant on mat's rows scaled to integers, which keeps
+    the rank and multiplies the determinant by the row scales, and the
+    solve on the rational system."""
+    rows, scale = integer_rows(mat)
+    assert_same(rank_exact(rows), rank_oracle(mat))
     if all(len(row) == len(mat) for row in mat):
-        assert_same(det_exact(mat), det_oracle(mat))
+        det = det_oracle(mat) * scale
+        assert det.denominator == 1
+        assert_same(det_exact(rows), det.numerator)
     sol = solve_oracle(mat, rhs)
     assert_same(solve_rational(mat, rhs), None if sol is None or sol[1] else sol[0])
 
@@ -430,21 +464,30 @@ def test_kernel_edge_cases():
     assert_kernel_matches(((0, 2), (0, 4)), (1, 2))
     assert_kernel_matches(((1, 2, 3), (2, 4, 7)), (Fraction(1, 2), 1))
     assert_kernel_matches(((Fraction(1, 2),), (Fraction(-1, 3),)), (1, Fraction(-2, 3)))
-    # entries are ints or Fractions: a float or a string is refused, not
-    # converted, where a rational system is scaled to integer rows; the
-    # solve takes integer rows and refuses one in its result
+    # a float or a string is refused, not converted: where a rational
+    # system is scaled to integer rows, by rank and determinant, which read
+    # integer entries through operator.index (a Fraction too), and by the
+    # solve, which takes integer rows and refuses one in its result
     for entry in (0.25, "1/2"):
-        with pytest.raises(AttributeError):
-            rank_exact(((1, entry),))
         with pytest.raises(AttributeError):
             solve_rational(((1, 0), (0, 1)), (entry, 1))
         with pytest.raises(TypeError):
-            solve_exact(((1, 0), (0, 1)), (entry, 1))
-    assert det_exact(()) == 1 and type(det_exact(())) is Fraction
+            rank_exact(((1, entry),))
+        with pytest.raises(TypeError):
+            det_exact(((1, entry), (0, 1)))
+        with pytest.raises(TypeError):
+            solve_exact(((1, 0, entry), (0, 1, 1)))
+    for entry in (Fraction(1, 2), Fraction(2)):
+        with pytest.raises(TypeError):
+            rank_exact(((1, entry),))
+        with pytest.raises(TypeError):
+            det_exact(((entry,),))
+    assert_same(det_exact(()), 1)
+    assert_same(det_exact(((0, -3), (2, 5))), 6)
     with pytest.raises(ValueError):
         det_exact(((1, 2),))
     with pytest.raises(ValueError):
-        solve_exact(((1, 2),), (1, 2))
+        solve_exact(((1, 2, 1), (2,)))
 
 
 def test_solve_exact_returns_lowest_terms_over_a_positive_denominator():
@@ -473,7 +516,7 @@ def test_solve_exact_returns_lowest_terms_over_a_positive_denominator():
                 mat += (mat[i],)
                 rhs += (rhs[i] + rng.choice((-2, -1, 1, 2)),)
         want = solve_oracle(mat, rhs)
-        got = solve_exact(mat, rhs)
+        got = solve_exact(augment(mat, rhs))
         if want is None or want[1]:
             assert got is None, (mat, rhs)
             seen[kind if want is None else "rank-deficient"] += 1

@@ -404,17 +404,23 @@ def test_split_edge_cases(p, n_vertices, compact):
     assert p.is_compact() == flat_is_compact(p) == ray_scan_is_compact(p) == compact
 
 
+def count_calls(monkeypatch, name):
+    """A list that grows by one on each call of lattice.<name>."""
+    calls = []
+    original = getattr(lattice, name)
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(lattice, name, counted)
+    return calls
+
+
 def test_split_solves_each_factor_on_its_own(monkeypatch):
     prod = product(hexagon(), hexagon())
     p = shuffled_product([prod], random.Random(3).sample(range(12), 12), range(4))
-    calls = []
-    original = lattice.solve_exact
-
-    def counted(rows, rhs):
-        calls.append(len(rows))
-        return original(rows, rhs)
-
-    monkeypatch.setattr(lattice, "solve_exact", counted)
+    calls = count_calls(monkeypatch, "solve_exact")
     counts = {}
     for name, scan in [("vertices", p.vertices), ("is_compact", p.is_compact),
                        ("flat vertices", lambda: flat_vertices(p)),
@@ -427,6 +433,17 @@ def test_split_solves_each_factor_on_its_own(monkeypatch):
     # of each hexagon, and the 19th of the C(12, 4) shuffled 4-subsets
     assert counts == {"vertices": 30, "is_compact": 4,
                       "flat vertices": 495, "flat is_compact": 19}
+
+
+def test_delzant_solves_and_checks_each_factor_on_its_own(monkeypatch):
+    """is_delzant runs each hexagon's vertex scan, C(6, 2) solves, and
+    checks the determinant at each of its 6 vertices."""
+    prod = product(hexagon(), hexagon())
+    p = shuffled_product([prod], random.Random(3).sample(range(12), 12), range(4))
+    solves = count_calls(monkeypatch, "solve_exact")
+    dets = count_calls(monkeypatch, "det_exact")
+    assert p.is_delzant()
+    assert (len(solves), len(dets)) == (30, 12)
 
 
 # -- Delzant by blocks ------------------------------------------------------------

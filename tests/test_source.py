@@ -286,7 +286,7 @@ TRUSTED_BASE = (
     "reduction.weighted_projective_normals",
 )
 # the lines of those definitions, from def to last line, docstrings included
-TRUSTED_BASE_LINES = 587
+TRUSTED_BASE_LINES = 613
 
 
 def test_the_trusted_base_of_verify_is_pinned():
@@ -353,20 +353,24 @@ def test_named_outside_raise_skips_error_messages():
 
 
 def test_the_exact_kernels_run_on_integer_points():
-    """The solve, the vertex and compactness scans and the weight lemma
-    build no Fraction: solve_exact returns numerators over one denominator,
-    the scans dedupe and test signs on those integers, and only the callers
-    that return rational values (vertices, equidistant_point, preimage) turn
-    them into Fractions, once each.  A Fraction for an error message is
-    allowed."""
+    """The elimination, the solve, rank and determinant, the vertex and
+    compactness scans and the weight lemma build no Fraction: solve_exact
+    returns numerators over one denominator, rank and determinant return
+    ints, the scans dedupe and test signs on those integers, and only the
+    callers that return rational values (vertices, equidistant_point,
+    preimage) turn them into Fractions, once each.  A Fraction for an
+    error message is allowed."""
     functions, _, _ = _index()
-    kernels = ("lattice.solve_exact", "polytope._vertex_scan", "polytope._compact_scan",
-               "reduction._vertex_cone_coords")
+    lattice_kernels = ("lattice._eliminate", "lattice.solve_exact", "lattice.det_exact",
+                       "lattice.rank_exact")
+    kernels = lattice_kernels + ("polytope._vertex_scan", "polytope._compact_scan",
+                                 "reduction._vertex_cone_coords")
     for qualname in kernels:
         named = named_outside_raise(functions[qualname])
         assert not {"Fraction", "as_fractions"} & named, qualname
-    # integer rows in, so the solve scales nothing itself
-    assert "integer_rows" not in named_outside_raise(functions["lattice.solve_exact"])
+    # integer rows in, so the lattice kernels scale nothing themselves
+    for qualname in lattice_kernels:
+        assert "integer_rows" not in named_outside_raise(functions[qualname]), qualname
 
 
 def truncating_int_calls(tree):
