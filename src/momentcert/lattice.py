@@ -168,6 +168,8 @@ def _eliminate(rows: list, ncols: int) -> tuple[list[int], int, int]:
 def rank_exact(mat) -> int:
     """Rank of an integer matrix; entries are read through operator.index."""
     rows = [[*map(index, row)] for row in mat]
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("rank of rows of different lengths")
     return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as iter_product
+from math import lcm
 from operator import index, mul
 from typing import NamedTuple
 
@@ -45,7 +46,7 @@ class Polytope:
                 raise PolytopeError(f"duplicate facet {f.normal}:{f.offset}")
             seen.add(f)
         _check_facet_count(self.dim, self.facets)
-        if not _interior_nonempty(self.dim, self.facets):
+        if not _interior_nonempty(self.dim, _facet_rows(self.facets)):
             raise EmptyInteriorError("facet system has empty interior")
 
     # -- basic queries ------------------------------------------------------
@@ -260,6 +261,13 @@ def _compact_scan(p: Polytope) -> bool:
     return False
 
 
+def _facet_rows(facets) -> list[tuple[int, ...]]:
+    """The facets as rows (normal, D * offset) of the dilation D P, D the
+    lcm of the offsets' denominators, read without building a Fraction."""
+    den = lcm(*(f.offset.denominator for f in facets))
+    return [(*f.normal, f.offset.numerator * (den // f.offset.denominator)) for f in facets]
+
+
 def _check_facet_count(dim: int, facets) -> None:
     if len(facets) < dim:
         raise PolytopeError(f"{len(facets)} facets cannot cut out a {dim}-dimensional polytope")
@@ -307,13 +315,16 @@ def prune_redundant(p: Polytope) -> Polytope:
     """Drop every facet whose removal leaves the feasible set unchanged.
 
     Among parallel facets the smaller offset is the binding one, so the
-    others go; exact duplicates collapse to a single copy.  The result is
-    canonically sorted.  Only its facet count is checked: dropping facets
-    keeps the rest valid but may leave fewer than dim.
+    others go; exact duplicates collapse to a single copy.  The facets go
+    to pruning as rows over one denominator (_facet_rows), and the kept
+    rows map back to p's own facets, in canonical order.  Only the facet
+    count is checked: dropping facets keeps the rest valid but may leave
+    fewer than dim.
     """
-    kept = _prune_facet_list(p.dim, p.facets)
+    by_row = dict(zip(_facet_rows(p.facets), p.facets))
+    kept = _prune_facet_list(p.dim, sorted(by_row))
     _check_facet_count(p.dim, kept)
-    return _unvalidated(p.dim, tuple(kept))
+    return _unvalidated(p.dim, tuple(by_row[row] for row in kept))
 
 
 def equidistant_point(p: Polytope):
@@ -389,14 +400,12 @@ def feasible(rows, nvars: int) -> bool:
     return low is None or high is None or low[1] * high[0] < high[1] * low[0]
 
 
-def _interior_nonempty(dim: int, facets) -> bool:
-    if all(f.offset > 0 for f in facets):
-        return True  # the origin is interior
-    rows, _ = lattice.integer_rows([(*f.normal, f.offset) for f in facets])
-    return feasible(rows, dim)
+def _interior_nonempty(dim: int, rows) -> bool:
+    """Whether some x has <c, x> + b > 0 for every integer row: x = 0, or FM."""
+    return all(row[-1] > 0 for row in rows) or feasible(rows, dim)
 
 
-def _ray_witnessed(rows: list[list[int]]) -> set[int]:
+def _ray_witnessed(rows) -> set[int]:
     """The indices of the facets that a ray from the origin proves irredundant.
 
     rows are the facets scaled to integer rows (N_j, A_j), and every A_j
@@ -450,10 +459,10 @@ def _on_hyperplane(f: list[int], rows) -> list[list[int]]:
     return cons
 
 
-def _prune_facet_list(dim: int, facets) -> list[Facet]:
-    """The irredundant facets, sorted, with exact duplicates collapsed.
+def _prune_facet_list(dim: int, rows) -> list[tuple[int, ...]]:
+    """The irredundant rows of sorted, distinct integer facet rows, in order.
 
-    The facets' interior must be non-empty; that is not checked here.  Only
+    The rows' interior must be non-empty; that is not checked here.  Only
     an FM infeasibility proof drops a facet.  When every offset is > 0, ray
     witnesses from the origin (_ray_witnessed) first prove a core of facets
     irredundant with no FM call.  Every other facet f is tested by FM
@@ -472,14 +481,18 @@ def _prune_facet_list(dim: int, facets) -> list[Facet]:
     y.  Conversely, from such a y a small step across f gives such an x.
     The core test is the same argument, since z is inside the core too.
 
-    The facets are scaled to integer rows once and tracked by index.
+    The rows are (normal, D * offset), the dilation D P for one D > 0, so
+    sorted rows are sorted facets.  No answer here changes when the system
+    is dilated or a row scaled by a positive factor: the hit times along a
+    ray change by one common factor or not at all, _on_hyperplane's pivot
+    depends on the normal's direction alone, and FM decides exactly a
+    question that x -> D x and positive factors keep.  So the kept set is
+    the one any other scaling gives.
     """
-    work = sorted(set(facets))
-    rows, _ = lattice.integer_rows([(*f.normal, f.offset) for f in work])
-    core = _ray_witnessed(rows) if all(f.offset > 0 for f in work) else set()
+    core = _ray_witnessed(rows) if all(row[-1] > 0 for row in rows) else set()
     core_rows = [rows[j] for j in sorted(core)]
-    survivors = {}  # facet index -> the core's rows on its hyperplane
-    for i in range(len(work)):
+    survivors = {}  # row index -> the core's rows on its hyperplane
+    for i in range(len(rows)):
         if i not in core:
             # the core is a subset of the others, so a proof against it is one
             on_core = _on_hyperplane(rows[i], core_rows)
@@ -489,4 +502,4 @@ def _prune_facet_list(dim: int, facets) -> list[Facet]:
         rest = [rows[j] for j in survivors if j != i]
         if not feasible(survivors[i] + _on_hyperplane(rows[i], rest), dim - 1):
             del survivors[i]
-    return [work[i] for i in sorted(core.union(survivors))]
+    return [rows[i] for i in sorted(core.union(survivors))]

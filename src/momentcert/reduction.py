@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import index
 
 from . import lattice
@@ -27,11 +28,12 @@ from .polytope import (
     Facet,
     Polytope,
     _blocks,
+    _check_facet_count,
     _interior_nonempty,
+    _prune_facet_list,
     _unvalidated,
     polytope,
     product,
-    prune_redundant,
 )
 
 
@@ -141,36 +143,47 @@ def reduce_polytope(ambient: Polytope, sec: AffineReduction) -> Polytope:
 def reduce_with_sources(
     ambient: Polytope, sec: AffineReduction
 ) -> tuple[Polytope, dict[Facet, tuple[IntVec, ...]]]:
-    """reduce_polytope together with the ambient normals behind each image.
+    """reduce_polytope together with the ambient normals behind each facet:
+    the dict maps each reduced facet, in order, to the normals of the
+    ambient facets that map onto it, in ambient order; pruned images are
+    left out.
 
-    The dict maps every facet image, pruned or kept, to the normals of the
-    ambient facets that map onto it, in ambient facet order.
+    Facet (nu, a) maps to the integer row (A^T nu, D a + <D x0, nu>) of the
+    reduction dilated by D, the lcm of the denominators of the offsets and
+    of x0, summed from the rows (A_i, D x0_i) over the non-zero nu_i; the
+    sorted rows are in canonical order, and only kept rows become Fractions.
     """
     if sec.ambient_dim != ambient.dim:
         raise SliceError(
             f"section lives in dimension {sec.ambient_dim}, polytope in {ambient.dim}"
         )
-    cols = lattice.transpose(sec.matrix)
-    # x0 = base / den with base integral, so <x0, nu> is one Fraction per facet
-    (base,), den = lattice.integer_rows([sec.base])
-    sources: dict[Facet, tuple[IntVec, ...]] = {}
+    k = sec.reduced_dim
+    den = lcm(*(a.denominator for _, a in ambient.facets), *(b.denominator for b in sec.base))
+    lifts = [(*row, b.numerator * (den // b.denominator)) for row, b in zip(sec.matrix, sec.base)]
+    sources: dict[tuple[int, ...], tuple[IntVec, ...]] = {}
     for nu, a in ambient.facets:
-        image = tuple(lattice.dot(col, nu) for col in cols)
-        clearance = a + Fraction(lattice.dot(base, nu), den)
-        if all(x == 0 for x in image):
+        row = [0] * k + [a.numerator * (den // a.denominator)]
+        for x, lift in zip(nu, lifts):
+            if x:
+                row = [s + x * t for s, t in zip(row, lift)]
+        *image, clearance = row
+        if not any(image):
             if clearance <= 0:
-                raise SliceOutsidePolytopeError(
-                    f"slice misses the interior: facet {nu} has clearance {clearance}"
-                )
+                raise SliceOutsidePolytopeError(f"slice misses the interior: facet {nu} "
+                                                f"has clearance {Fraction(clearance, den)}")
             continue
         if not lattice.is_primitive(image):
-            raise NonPrimitiveImageError(f"facet {nu} maps to non-primitive {image}")
-        facet = Facet(image, clearance)
-        sources[facet] = sources.get(facet, ()) + (nu,)
+            raise NonPrimitiveImageError(f"facet {nu} maps to non-primitive {tuple(image)}")
+        row = tuple(row)
+        sources[row] = sources.get(row, ()) + (nu,)
     # the images are distinct and primitive; pruning needs a non-empty interior
-    if not _interior_nonempty(sec.reduced_dim, sources):
+    rows = sorted(sources)
+    if not _interior_nonempty(k, rows):
         raise EmptyInteriorError("cannot prune a system with empty interior")
-    return prune_redundant(_unvalidated(sec.reduced_dim, tuple(sources))), sources
+    kept = _prune_facet_list(k, rows)
+    _check_facet_count(k, kept)
+    facets = tuple(Facet(row[:-1], Fraction(row[-1], den)) for row in kept)
+    return _unvalidated(k, facets), {f: sources[row] for f, row in zip(facets, kept)}
 
 
 # -- standard models ----------------------------------------------------------

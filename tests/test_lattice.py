@@ -488,6 +488,11 @@ def test_kernel_edge_cases():
         det_exact(((1, 2),))
     with pytest.raises(ValueError):
         solve_exact(((1, 2, 1), (2,)))
+    # ragged rows are refused, not read at the first row's width
+    with pytest.raises(ValueError):
+        rank_exact(((1,), (0, 1)))
+    with pytest.raises(ValueError):
+        rank_exact(((1, 2), (3,)))
 
 
 def test_solve_exact_returns_lowest_terms_over_a_positive_denominator():

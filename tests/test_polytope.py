@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from types import ModuleType
 
 import pytest
@@ -963,6 +963,27 @@ def test_validation_matches_lpmax_when_the_origin_is_not_interior(monkeypatch):
     assert all(count >= 20 for count in seen.values()), seen
 
 
+def common_rows(facets):
+    """The facets as integer rows (normal, D * offset) over one D, the lcm
+    of the offsets' denominators: the rows the package hands to pruning."""
+    den = lcm(*(F(f.offset).denominator for f in facets))
+    return [(*f.normal, int(f.offset * den)) for f in facets]
+
+
+def own_rows(facets):
+    """The facets as integer rows, each scaled by its own lcm (integer_rows)."""
+    return [tuple(row) for row in lattice.integer_rows([(*f.normal, f.offset) for f in facets])[0]]
+
+
+def prune_facets(dim, facets, rows=common_rows):
+    """_prune_facet_list on the distinct facets scaled by rows, sorted, with
+    the kept rows mapped back to their facets; over common rows the result
+    is in canonical order."""
+    distinct = list(dict.fromkeys(facets))
+    by_row = dict(zip(rows(distinct), distinct))
+    return [by_row[row] for row in _prune_facet_list(dim, sorted(by_row))]
+
+
 def plain_fm_prune(dim, facets):
     """Reference: pruning with no ray witnesses, one Fourier-Motzkin test per
     facet against every facet still kept, in all dim variables; the test is
@@ -1046,7 +1067,7 @@ def test_prune_matches_fraction_fm(monkeypatch):
     cases = []
     for case in range(360):
         n, facets = _prune_case(rng, ("interior", "boundary", "outside")[case % 3])
-        got = _prune_facet_list(n, facets)
+        got = prune_facets(n, facets)
         assert got == plain_fm_prune(n, facets), facets
         distinct = sorted(set(facets))
         low = min(f.offset for f in facets)
@@ -1066,7 +1087,7 @@ def test_prune_matches_fraction_fm(monkeypatch):
     monkeypatch.setattr(polytope_module, "feasible", lambda rows, nvars: fraction_fm_feasible(
         [(tuple(row[:-1]), row[-1], True) for row in rows], nvars))
     for n, facets, got in cases:
-        assert _prune_facet_list(n, facets) == got, facets
+        assert prune_facets(n, facets) == got, facets
 
 
 @st.composite
@@ -1087,7 +1108,7 @@ def prune_systems(draw):
 @given(prune_systems())
 def test_prune_property_matches_the_plain_fm_loop(system):
     n, facets = system
-    got = _prune_facet_list(n, facets)
+    got = prune_facets(n, facets)
     assert got == plain_fm_prune(n, facets)
     if all(f.offset > 0 for f in facets):
         distinct = sorted(set(facets))
@@ -1163,7 +1184,7 @@ def test_prune_on_the_hyperplane_matches_the_full_space_question(monkeypatch):
     for case in range(250):
         n, facets, touching = _hyperplane_case(rng, case)
         calls.clear()
-        got = _prune_facet_list(n, facets)
+        got = prune_facets(n, facets)
         assert got == plain_fm_prune(n, facets), facets
         assert set(calls) <= {n - 1}, facets
         assert not {f for f, _ in touching} & set(got), facets
@@ -1195,8 +1216,43 @@ SQUARE = [Facet((1, 0), F(1)), Facet((-1, 0), F(1)), Facet((0, 1), F(1)), Facet(
     (2, SQUARE + SQUARE[:2] + [Facet((1, 0), F(2))], SQUARE, set(SQUARE)),
 ])
 def test_prune_edge_cases(dim, facets, kept, witnessed):
-    assert _prune_facet_list(dim, facets) == sorted(kept) == plain_fm_prune(dim, facets)
+    assert prune_facets(dim, facets) == sorted(kept) == plain_fm_prune(dim, facets)
     assert ray_witnessed(sorted(set(facets))) == witnessed
+
+
+def test_prune_keeps_the_same_facets_however_the_rows_are_scaled(monkeypatch):
+    """Rows over one common denominator, rows each scaled by its own lcm
+    (integer_rows) and rows each times a random positive integer keep the
+    same facets, the Fraction FM loop's, with as many FM calls: on systems
+    whose origin is interior, on the boundary or outside (no ray core), with
+    parallel facets, exact duplicates and facets tight only at a vertex."""
+    rng = random.Random(3571)
+    seen = dict.fromkeys(("ray core", "no ray core", "parallel facets", "exact duplicates",
+                          "tight at a vertex only"), 0)
+
+    def multiples(facets):
+        return [tuple(k * x for x in row)
+                for k, row in zip(rng.choices(range(1, 10), k=len(facets)), common_rows(facets))]
+
+    calls = _count_feasible(monkeypatch)
+    for case in range(120):
+        n, facets, touching = _hyperplane_case(rng, case)
+        if rng.random() < 0.5:
+            facets.append(rng.choice(facets))
+        rng.shuffle(facets)
+        counts = []
+        for rows in (common_rows, own_rows, multiples):
+            calls.clear()
+            got = sorted(prune_facets(n, facets, rows))
+            assert got == plain_fm_prune(n, facets), (rows.__name__, facets)
+            counts.append(len(calls))
+        assert len(set(counts)) == 1, (counts, facets)
+        distinct = set(facets)
+        seen["ray core" if min(f.offset for f in facets) > 0 else "no ray core"] += 1
+        seen["parallel facets"] += len({f.normal for f in distinct}) < len(distinct)
+        seen["exact duplicates"] += len(distinct) < len(facets)
+        seen["tight at a vertex only"] += "vertex" in {kind for _, kind in touching}
+    assert all(count >= 20 for count in seen.values()), seen
 
 
 # -- pruning ------------------------------------------------------------------
@@ -1292,7 +1348,7 @@ def test_prune_ray_proves_the_simplex_of_a_catalogue_system(monkeypatch):
     for n, core, facets in catalogue_systems():
         assert set(core) <= ray_witnessed(sorted(facets))
         calls = _count_feasible(monkeypatch)
-        assert _prune_facet_list(n, facets) == sorted(core)
+        assert prune_facets(n, facets) == sorted(core)
         assert len(calls) == len(facets) - len(core)
         monkeypatch.undo()
 
@@ -1327,7 +1383,7 @@ def test_prune_runs_every_core_test_before_any_full_test(monkeypatch):
             core = ray_witnessed(work)
             sizes = []
             _count_feasible(monkeypatch, sizes)
-            got = _prune_facet_list(n, facets)
+            got = prune_facets(n, facets)
             monkeypatch.undo()
             assert got == plain_fm_prune(n, facets), facets
             unproven = len(work) - len(core)
@@ -1344,7 +1400,7 @@ def test_prune_asks_every_question_on_a_hyperplane(monkeypatch):
     catalogue systems, and on a square whose origin is not interior."""
     for n, _, facets in catalogue_systems():
         calls = _count_feasible(monkeypatch)
-        _prune_facet_list(n, facets)
+        prune_facets(n, facets)
         assert calls and set(calls) == {n - 1}
         monkeypatch.undo()
     p = translate(cube(2, 2), (3, 0))
@@ -1376,7 +1432,7 @@ def test_prune_matches_lpmax_facet_by_facet_in_dimension_5():
         while implied is None:
             implied = touching_facet(rng, _unvalidated(5, tuple(facets)), rng.sample(range(d), 2))
         facets = sorted([*facets, Facet(implied.normal, implied.offset + rng.choice((0, 1)))])
-        kept = _prune_facet_list(5, facets)
+        kept = prune_facets(5, facets)
         for f in facets:
             below = (lattice.neg(f.normal), -f.offset, True)
             irredundant = lp_feasible([*((g.normal, g.offset, False) for g in facets if g != f),

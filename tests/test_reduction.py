@@ -322,13 +322,13 @@ def fraction_reduce(ambient, sec):
 
 
 def outcome(reduce, ambient, sec):
-    """The reduced polytope, the sources in order and the clearances' types;
-    or the error's type and message."""
+    """The reduced polytope, the sources of each of its facets in its order
+    and the offsets' types; or the error's type and message."""
     try:
         got, sources = reduce(ambient, sec)
     except MomentcertError as exc:
         return type(exc).__name__, str(exc)
-    return got, list(sources.items()), [type(f.offset) for f in sources]
+    return got, [(f, sources[f]) for f in got.facets], [type(f.offset) for f in got.facets]
 
 
 def _clearance_case(rng):
@@ -388,7 +388,9 @@ def test_clearances_match_fraction_arithmetic():
         if len(got) == 2:
             seen[got[0]] += 1
             continue
-        sources = dict(got[1])
+        # the package's sources hold the kept facets alone, the oracle's all
+        assert list(reduce_with_sources(ambient, sec)[1]) == list(got[0].facets)
+        sources = fraction_reduce(ambient, sec)[1]
         seen["reduced"] += 1
         seen["parallel facet dropped"] += sum(map(len, sources.values())) < ambient.d
         seen["shared image"] += any(len(normals) > 1 for normals in sources.values())

@@ -254,7 +254,6 @@ TRUSTED_BASE = (
     "certificate.verify",
     "lattice._eliminate",
     "lattice.as_fractions",
-    "lattice.dot",
     "lattice.format_vec",
     "lattice.identity",
     "lattice.integer_rows",
@@ -268,6 +267,7 @@ TRUSTED_BASE = (
     "polytope.Polytope.canonical_form",
     "polytope.Polytope.normals",
     "polytope._check_facet_count",
+    "polytope._facet_rows",
     "polytope._interior_nonempty",
     "polytope._on_hyperplane",
     "polytope._prune_facet_list",
@@ -277,7 +277,6 @@ TRUSTED_BASE = (
     "polytope.equidistant_point",
     "polytope.feasible",
     "polytope.product",
-    "polytope.prune_redundant",
     "reduction.AffineReduction.__post_init__",
     "reduction.AffineReduction.ambient_dim",
     "reduction.AffineReduction.preimage",
@@ -286,7 +285,7 @@ TRUSTED_BASE = (
     "reduction.weighted_projective_normals",
 )
 # the lines of those definitions, from def to last line, docstrings included
-TRUSTED_BASE_LINES = 613
+TRUSTED_BASE_LINES = 616
 
 
 def test_the_trusted_base_of_verify_is_pinned():
@@ -316,7 +315,10 @@ def test_pruning_runs_on_integer_rows():
     never name Fraction or float: the rows are scaled to integers once and
     every redundancy question is built from them, down to FM's bounds on
     its last variable, compared by cross-multiplying.  FM takes integer rows
-    as they come and scales nothing itself."""
+    as they come and scales nothing itself.  Its two callers scale over one
+    denominator and call no integer_rows: prune_redundant builds no
+    Fraction, and reduce_with_sources builds one only for the facets it
+    returns and for an error message."""
     functions, _, _ = _index()
 
     def named(qualnames):
@@ -330,11 +332,21 @@ def test_pruning_runs_on_integer_rows():
                    "polytope._ray_witnessed"} | fm
     assert not {"Fraction", "float"} & named(own)
     assert "integer_rows" not in named(fm)
+    callers = ("polytope.prune_redundant", "reduction.reduce_with_sources")
+    assert not {"integer_rows"} & named(callers)
+    assert not {"Fraction", "as_fractions"} & named(["polytope.prune_redundant",
+                                                     "polytope._facet_rows"])
+    reduce = functions["reduction.reduce_with_sources"]
+    assert "Fraction" in named_outside_raise(reduce)
+    assert "Fraction" not in named_outside_raise(reduce, calls=("Facet",))
 
 
-def named_outside_raise(node):
-    """The names and attributes node reads, except inside raise statements."""
+def named_outside_raise(node, calls=()):
+    """The names and attributes node reads, except inside raise statements
+    and inside calls to the functions that calls names."""
     if isinstance(node, ast.Raise):
+        return set()
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in calls:
         return set()
     names = set()
     if isinstance(node, ast.Name):
@@ -342,7 +354,7 @@ def named_outside_raise(node):
     elif isinstance(node, ast.Attribute):
         names.add(node.attr)
     for child in ast.iter_child_nodes(node):
-        names |= named_outside_raise(child)
+        names |= named_outside_raise(child, calls)
     return names
 
 
@@ -350,6 +362,9 @@ def test_named_outside_raise_skips_error_messages():
     tree = ast.parse("def f(x):\n    y = lattice.as_fractions(x)\n"
                      "    raise E(Fraction(y))\n")
     assert named_outside_raise(tree) == {"y", "lattice", "as_fractions", "x"}
+    tree = ast.parse("def f(x):\n    y = Facet(x, Fraction(x))\n    return y\n")
+    assert named_outside_raise(tree) == {"y", "Facet", "x", "Fraction"}
+    assert named_outside_raise(tree, calls=("Facet",)) == {"y"}
 
 
 def test_the_exact_kernels_run_on_integer_points():
