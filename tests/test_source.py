@@ -332,10 +332,9 @@ def test_pruning_runs_on_integer_rows():
                    "polytope._ray_witnessed"} | fm
     assert not {"Fraction", "float"} & named(own)
     assert "integer_rows" not in named(fm)
-    callers = ("polytope.prune_redundant", "reduction.reduce_with_sources")
-    assert not {"integer_rows"} & named(callers)
-    assert not {"Fraction", "as_fractions"} & named(["polytope.prune_redundant",
-                                                     "polytope._facet_rows"])
+    scaling = ("polytope.prune_redundant", "polytope._facet_rows", "reduction.reduce_with_sources")
+    assert "integer_rows" not in named(scaling)
+    assert not {"Fraction", "as_fractions"} & named(scaling[:2])
     reduce = functions["reduction.reduce_with_sources"]
     assert "Fraction" in named_outside_raise(reduce)
     assert "Fraction" not in named_outside_raise(reduce, calls=("Facet",))
