@@ -14,8 +14,10 @@ the subtorus does not act freely and the reduction step proves nothing.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import lattice
 from .errors import (
@@ -159,27 +161,41 @@ def _model_and_bound(fact: BaseFact) -> tuple[tuple[IntVec, ...], int]:
 
 
 def _verify_leaf(fact: BaseFact) -> VerifiedClaim:
-    """Accept an instance t * model + x0 by its normals and its equidistant point.
+    """Accept an instance t * model + x0 by its normals and its center, read
+    off the model's table.
 
-    Every model has distinct normals and all offsets 1, so an instance is a
-    dilated translate of it exactly when the normals agree as multisets and
-    some x has every facet value equal to t > 0; then x0 = x and the
-    dilation is t, and equidistant_point finds that (x, t) when it is
-    unique.
+    Every table is e_1, ..., e_n and then one normal v, with distinct
+    normals and all offsets 1, so an instance is a dilated translate of its
+    model exactly when it has the table's normals, each once, and some x
+    has every facet value equal to t > 0; then x0 = x and the dilation is
+    t.  With a_j the offset at e_j and a_v the one at v, the facets e_j
+    give x_j = t - a_j, and substituting that into <v, x> + a_v = t leaves
+    t (1 - sum v_j) = a_v - sum v_j a_j.  Every table has 1 - sum v_j != 0
+    (1 + sum m_j for the weighted ones, -1 for O(-1)), so (x, t) is unique
+    and t > 0 is the only test left.  The offsets are read as integers
+    A over their lcm D, so t = N / (D s) with N = A_v - sum v_j A_j and
+    s = 1 - sum v_j: t > 0 iff N s > 0, and each x_j = (N - A_j s) / (D s)
+    is one Fraction.  No solve runs.
     """
     if fact.claim not in (TT, TR):
         raise UnsupportedClaimError(f"unknown claim kind {fact.claim!r}")
     normals, bound = _model_and_bound(fact)
-    center = equidistant_point(fact.instance)
-    if center is None:
-        raise MarkedPointMismatchError("base fact instance has no equidistant center")
-    if Counter(fact.instance.normals) != Counter(normals):
+    offset_at = dict(fact.instance.facets)
+    if len(offset_at) != len(fact.instance.facets) or offset_at.keys() != set(normals):
         raise ModelMismatchError(
             f"instance is not a dilated translate of the {fact.kind} model"
         )
+    den = lcm(*(offset_at[nu].denominator for nu in normals))
+    *scaled, a_v = (offset_at[nu].numerator * (den // offset_at[nu].denominator)
+                    for nu in normals)
+    v = normals[-1]
+    s = 1 - sum(v)
+    num = a_v - sum(map(mul, v, scaled))
+    if num * s <= 0:
+        raise MarkedPointMismatchError("base fact instance has no equidistant center")
     return VerifiedClaim(
         polytope=fact.instance.canonical_form(),
-        marked_point=center[0],
+        marked_point=tuple(Fraction(num - a * s, den * s) for a in scaled),
         kind=fact.claim,
         bound=bound,
         citations=(CITATIONS[(fact.kind, fact.claim)],),

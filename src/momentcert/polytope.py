@@ -166,20 +166,28 @@ def _coordinate_blocks(masks: list[int]) -> list[tuple[int, list[int]]]:
     """The indices of the non-zero coordinate masks, grouped by block.
 
     Two coordinates share a block when some mask has both bits set.  Each
-    mask merges the blocks whose coordinate masks it meets; blocks stay
-    disjoint, so one pass suffices.  Returns (coordinate mask, indices in
-    increasing order) per block.
+    mask merges, in one loop over the current blocks, those whose
+    coordinate masks it meets, and the merged block goes last; blocks stay
+    disjoint, so testing each against the growing mask is testing it
+    against the mask itself, and one pass suffices.  Returns (coordinate
+    mask, indices in increasing order) per block.
     """
     blocks: list[tuple[int, list[int]]] = []
     for i, mask in enumerate(masks):
         if mask:
-            met = [b for b in blocks if b[0] & mask]
-            blocks = [b for b in blocks if not b[0] & mask]
-            indices = [i]
-            for m, js in met:
-                mask |= m
-                indices += js
-            blocks.append((mask, sorted(indices)))
+            kept = []
+            indices: list[int] = []
+            for block in blocks:
+                if block[0] & mask:
+                    mask |= block[0]
+                    indices += block[1]
+                else:
+                    kept.append(block)
+            # every index met so far is below i
+            indices.sort()
+            indices.append(i)
+            kept.append((mask, indices))
+            blocks = kept
     return blocks
 
 
@@ -192,11 +200,20 @@ def _blocks(p: Polytope) -> list[tuple[tuple[int, ...], tuple[int, ...], Polytop
     with no facets.  Each subsystem holds the block's facets in p's order,
     with normals restricted to the block's coordinates (still primitive:
     the entries dropped are zero).  Blocks are ordered by their first
-    coordinate.
+    coordinate.  When one block holds every coordinate and every facet,
+    its subsystem is p itself, with no restricted copy.
     """
-    split = _coordinate_blocks(
-        [sum(1 << c for c, x in enumerate(f.normal) if x) for f in p.facets]
-    )
+    masks = []
+    for f in p.facets:
+        mask = 0
+        for c, x in enumerate(f.normal):
+            if x:
+                mask |= 1 << c
+        masks.append(mask)
+    split = _coordinate_blocks(masks)
+    full = (1 << p.dim) - 1
+    if len(split) == 1 and split[0][0] == full and len(split[0][1]) == p.d:
+        return [(tuple(range(p.dim)), tuple(range(p.d)), p)]
     touched = sum(mask for mask, _ in split)
     split += [(1 << c, []) for c in range(p.dim) if not touched >> c & 1]
     blocks = []

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product as iter_product
 from math import gcd
@@ -217,7 +218,8 @@ def _model_polytope(fact):
 
 
 def _old_verify_leaf(fact, change=None):
-    """The leaf rule before it compared normals: claim, model, basis change,
+    """The leaf rule before it compared normals, in the order the leaf rule
+    checks: claim, model, basis change, the model's normals each once,
     center, then a solve for the dilation and translation."""
     if fact.claim not in (TT, TR):
         raise UnsupportedClaimError(f"unknown claim kind {fact.claim!r}")
@@ -225,6 +227,8 @@ def _old_verify_leaf(fact, change=None):
     normals = fact.instance.normals
     if change is not None:
         normals = _old_apply_basis_change(fact.instance, change)
+    if Counter(normals) != Counter(model.normals):
+        raise ModelMismatchError(f"instance is not a dilated translate of the {fact.kind} model")
     center = equidistant_point(fact.instance)
     if center is None:
         raise MarkedPointMismatchError("base fact instance has no equidistant center")
@@ -346,14 +350,69 @@ def test_leaf_rule_matches_the_dilation_solver_on_seeded_leaves():
         seen["basis change accepted"] += (
             isinstance(expected, VerifiedClaim) and change is not None
         )
+    # O(-1) with a_1 + a_2 <= a_3: the model's normals, an interior, and no
+    # center, since t = a_1 + a_2 - a_3.  Every weighted-projective relation
+    # has positive coefficients, so those leaves have t > 0 on any instance
+    # with interior, and these are the only valid leaves with no center.
+    for _ in range(250):
+        a1, a2 = (F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2))
+        a3 = a1 + a2 + F(rng.randint(0, 6), rng.randint(1, 3))
+        fact = BaseFact(O_MINUS_ONE, TT, o_minus_one(a1, a2, a3))
+        expected = _outcome(_old_verify_leaf, fact)
+        assert expected == (MarkedPointMismatchError,
+                            "base fact instance has no equidistant center"), fact
+        assert _outcome(_verify_leaf, fact) == expected, fact
+        # the same leaf given in other coordinates, changed back by a reduction
+        m, inv = _random_unimodular(rng, 2)
+        moved = BaseFact(O_MINUS_ONE, TT, polytope(2, [
+            (mat_vec(m, nu), a) for nu, a in fact.instance.facets]))
+        assert _outcome(_old_verify_leaf, moved, inv) == expected, moved
+        cert = _changed_leaf_as_reduction(moved, inv, m)
+        assert _outcome(verify, cert) == expected, moved
+        seen[expected[0].__name__] += 1
     assert seen["accepted"] >= 800 and seen["basis change accepted"] >= 100, seen
     for error in (ModelMismatchError, MarkedPointMismatchError, UnsupportedClaimError):
         assert seen[error.__name__] >= 200, seen
 
 
+def test_leaf_centers_match_the_equidistant_solve_up_to_dimension_11():
+    """The leaf rule's closed-form center against equidistant_point's solve,
+    on dilated translates t * model + x0 of every kind in shuffled facet
+    order, up to the 11-dimensional leaf of the hexagon x hexagon
+    auto-certificate: the marked point is x0, every facet value there is t,
+    and both match the solve."""
+    rng = random.Random(7121)
+    seen = Counter()
+    for case in range(400):
+        kind = BASE_KINDS[case % len(BASE_KINDS)]
+        n = {CP1: 1, O_MINUS_ONE: 2}.get(kind, rng.randint(1, 11))
+        weights = None
+        if kind == WEIGHTED_PROJECTIVE:
+            weights = (1,) + tuple(rng.randint(1, 5) for _ in range(n))
+            if gcd(*weights[1:]) != 1:
+                weights = weights[:-1] + (1,)
+        claim = TR if kind in (CLIFFORD_TORUS, CP1) and n % 2 and rng.random() < 0.3 else TT
+        fact = BaseFact(kind, claim, polytope_module._unvalidated(n, ()), weights=weights)
+        normals, _ = _model_and_bound(fact)
+        t = F(rng.randint(1, 12), rng.randint(1, 4))
+        x0 = tuple(F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n))
+        facets = [(nu, t - lattice.dot(nu, x0)) for nu in normals]
+        rng.shuffle(facets)
+        instance = polytope(n, facets)
+        verified = _verify_leaf(replace(fact, instance=instance))
+        center, value = equidistant_point(instance)
+        assert verified.marked_point == center == x0, instance
+        assert set(instance.support_values(verified.marked_point)) == {value} == {t}, instance
+        assert all(type(x) is F for x in verified.marked_point)
+        seen[kind] += 1
+        seen["dimension 11"] += n == 11
+    assert min(seen[kind] for kind in BASE_KINDS) >= 100 and seen["dimension 11"] >= 10, seen
+
+
 def test_every_model_has_offset_one_and_distinct_normals():
     # the leaf rule rests on this: a dilated translate of such a model is
-    # fixed by its normals and its equidistant point
+    # fixed by its normals and its equidistant point, which the rule reads
+    # off the table e_1, ..., e_n, v in closed form when 1 - sum(v) != 0
     accepted = Counter()
     for kind, claim, n in iter_product(BASE_KINDS, (TT, TR), range(7)):
         weight_choices = [None, (1,) * (n + 1)]
@@ -371,6 +430,9 @@ def test_every_model_has_offset_one_and_distinct_normals():
             assert len(set(model.normals)) == model.d
             # verify reads the table; the constructor builds from it in order
             assert model.normals == _model_and_bound(fact)[0]
+            *units, v = model.normals
+            assert tuple(units) == tuple(_unit(n, j) for j in range(n))
+            assert 1 - sum(v) != 0
     assert set(accepted) == set(BASE_KINDS), accepted
 
 

@@ -371,6 +371,67 @@ def test_split_matches_flat_scans_on_shuffled_products():
     assert all(count >= 20 for count in seen.values()), seen
 
 
+def connected_blocks(masks):
+    """The connected components of the non-zero masks, two joined when they
+    share a bit, found by growing each from its least index: (union of the
+    masks, indices in increasing order), ordered by greatest index, the
+    index of the mask that closed the block."""
+    left = [i for i, mask in enumerate(masks) if mask]
+    blocks = []
+    while left:
+        members, union = {left[0]}, masks[left[0]]
+        grown = True
+        while grown:
+            grown = False
+            for i in left:
+                if i not in members and masks[i] & union:
+                    members.add(i)
+                    union |= masks[i]
+                    grown = True
+        left = [i for i in left if i not in members]
+        blocks.append((union, sorted(members)))
+    return sorted(blocks, key=lambda b: b[1][-1])
+
+
+def test_coordinate_blocks_match_connected_components():
+    rng = random.Random(3607)
+    seen = Counter()
+    for _ in range(600):
+        k = rng.randint(1, 10)
+        masks = []
+        for _ in range(rng.randint(0, 14)):
+            if rng.random() < 0.2:
+                masks.append(0)
+            else:
+                masks.append(sum(1 << c for c in rng.sample(range(k), min(k, rng.choice((1, 1, 2))))))
+        before = polytope_module._coordinate_blocks(masks)
+        if rng.random() < 0.4:  # a late mask that bridges blocks found so far
+            masks.append(sum(1 << c for c in rng.sample(range(k), rng.randint(1, k))))
+        blocks = polytope_module._coordinate_blocks(masks)
+        assert blocks == connected_blocks(masks), masks
+        seen["zero mask"] += 0 in masks
+        seen["several blocks"] += len(blocks) > 1
+        seen["late merge"] += len(blocks) < len(before) and masks[-1] != 0
+        seen["empty"] += not blocks
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_one_block_is_the_polytope_itself():
+    """A polytope that is one block over every coordinate is its own
+    subsystem; a split one gets restricted copies."""
+    rng = random.Random(3613)
+    for n in range(1, 5):
+        p = random_polytope(rng, n, n + 3)
+        blocks = polytope_module._blocks(p)
+        if len(blocks) == 1:
+            assert blocks[0][2] is p
+            assert blocks == [(tuple(range(n)), tuple(range(p.d)), p)]
+    for p in (simplex(3), weighted_projective((1, 2, 3))):
+        assert polytope_module._blocks(p)[0][2] is p
+    blocks = polytope_module._blocks(cube(2))
+    assert len(blocks) == 2 and all(block is not cube(2) for _, _, block in blocks)
+
+
 @st.composite
 def shuffled_products(draw):
     """1-3 factors of at most 4 coordinates each, at most 12 facets in all."""
