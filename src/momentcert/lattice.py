@@ -54,7 +54,7 @@ def format_vec(v) -> str:
 
 
 def identity(n: int) -> IntMat:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def transpose(m) -> tuple:

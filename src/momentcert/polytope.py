@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from itertools import product as iter_product
 from math import lcm
 from operator import index, mul
@@ -85,8 +85,10 @@ class Polytope:
         union of theirs and its normal matrix is block-diagonal, so it is
         Delzant exactly when each block's vertex is.  If some block has no
         vertex, neither has the product, and the answer is vacuously True.
+        Each distinct block (_distinct) is scanned once.
         """
-        scans = [(block, _vertex_scan(block)) for _, _, block in _blocks(self)]
+        distinct = _distinct([block for _, _, block in _blocks(self)])
+        scans = [(block, _vertex_scan(block)) for block in distinct]
         if not all(scan for _, scan in scans):
             return True
         return all(_delzant_at(block, scan.values()) for block, scan in scans)
@@ -102,9 +104,10 @@ class Polytope:
         A product is compact exactly when each factor is, so the test runs
         on each coordinate block (see _blocks) and is true when every block
         is.  A coordinate no normal touches is a block with no facets, which
-        is not compact; dimension 0 has no blocks and is.
+        is not compact; dimension 0 has no blocks and is.  Each distinct
+        block (_distinct) is tested once.
         """
-        return all(_compact_scan(block) for _, _, block in _blocks(self))
+        return all(_compact_scan(block) for block in _distinct([b for _, _, b in _blocks(self)]))
 
     # -- geometry -----------------------------------------------------------
 
@@ -113,20 +116,22 @@ class Polytope:
 
         The vertices of a product are the products of its factors'
         vertices, so the facet system is split into coordinate blocks (see
-        _blocks), each block is enumerated on its own by _vertex_scan, and
-        the result is the cartesian product of the blocks' vertices: each
-        point scattered back into its coordinates, each active set the
-        union of the blocks' active facets.  A block with no facets has no
-        vertices; dimension 0 has the single vertex ().  Active sets record
-        every facet through the point, so degenerate vertices are visible.
+        _blocks), each distinct block (_distinct) is enumerated once by
+        _vertex_scan, and the result is the cartesian product of the
+        blocks' vertices: each point scattered back into its coordinates,
+        each active set the union of the blocks' active facets (equal
+        blocks share one scan, read through each block's own coordinates
+        and facet indices).  A block with no facets has no vertices;
+        dimension 0 has the single vertex ().  Active sets record every
+        facet through the point, so degenerate vertices are visible.
         """
         point = [Fraction(0)] * self.dim
         found = []
-        blocks = []
-        for coords, facets, block in _blocks(self):
-            scan = [(lattice.as_fractions(*q), on) for q, on in _vertex_scan(block).items()]
-            blocks.append((coords, facets, scan))
-        for choice in iter_product(*(scan for _, _, scan in blocks)):
+        blocks = _blocks(self)
+        distinct = _distinct([block for _, _, block in blocks])
+        scans = [[(lattice.as_fractions(*q), on) for q, on in _vertex_scan(block).items()]
+                 for block in distinct]
+        for choice in iter_product(*(scans[distinct.index(block)] for _, _, block in blocks)):
             active = set()
             for (coords, facets, _), (q, on) in zip(blocks, choice):
                 for c, x in zip(coords, q):
@@ -203,14 +208,8 @@ def _blocks(p: Polytope) -> list[tuple[tuple[int, ...], tuple[int, ...], Polytop
     coordinate.  When one block holds every coordinate and every facet,
     its subsystem is p itself, with no restricted copy.
     """
-    masks = []
-    for f in p.facets:
-        mask = 0
-        for c, x in enumerate(f.normal):
-            if x:
-                mask |= 1 << c
-        masks.append(mask)
-    split = _coordinate_blocks(masks)
+    bits = [1 << c for c in range(p.dim)]
+    split = _coordinate_blocks([sum(compress(bits, f.normal)) for f in p.facets])
     full = (1 << p.dim) - 1
     if len(split) == 1 and split[0][0] == full and len(split[0][1]) == p.d:
         return [(tuple(range(p.dim)), tuple(range(p.d)), p)]
@@ -224,6 +223,18 @@ def _blocks(p: Polytope) -> list[tuple[tuple[int, ...], tuple[int, ...], Polytop
         )
         blocks.append((tuple(cs), tuple(members), _unvalidated(len(cs), facets)))
     return blocks
+
+
+def _distinct(items: list) -> list:
+    """items without repeats, in first-seen order.  Matched by == against
+    the short list kept so far, not hashed: a hash reads every Fraction
+    offset of every block in Python code, where unequal blocks mostly
+    differ first in their dimension or their integer normals."""
+    kept = []
+    for x in items:
+        if x not in kept:
+            kept.append(x)
+    return kept
 
 
 def _vertex_scan(p: Polytope) -> dict[tuple[IntVec, int], frozenset[int]]:
@@ -479,15 +490,46 @@ def _on_hyperplane(f: list[int], rows) -> list[list[int]]:
 def _prune_facet_list(dim: int, rows) -> list[tuple[int, ...]]:
     """The irredundant rows of sorted, distinct integer facet rows, in order.
 
-    The rows' interior must be non-empty; that is not checked here.  Only
-    an FM infeasibility proof drops a facet.  When every offset is > 0, ray
-    witnesses from the origin (_ray_witnessed) first prove a core of facets
-    irredundant with no FM call.  Every other facet f is tested by FM
-    against the core alone first; only then are the survivors of those
-    tests tested again, each against the core and every other survivor
-    still kept, so no full test carries a facet the core would drop.  The
-    irredundant facets of a system with non-empty interior do not depend on
-    the order they are found in, so the result is the plain FM loop's.
+    The rows' interior must be non-empty; that is not checked here, and no
+    normal may be zero.  The rows are split into coordinate blocks
+    (_coordinate_blocks of their normals' non-zero entries), and each
+    block's rows, restricted to its coordinates and the constant, are
+    pruned on their own by _prune_block.  With a non-empty interior the
+    feasible set is the product of the blocks' feasible sets, each with
+    non-empty interior, and a facet constrains only its own block's
+    factor; so a facet is redundant in the whole iff it is redundant in
+    its block, and the kept rows are the union of the blocks' kept rows.
+    When one block holds every coordinate, the rows are pruned as they
+    are, with no restricted copy; a row with no zero entry shows that
+    before any block is built.
+    """
+    if any(0 not in row for row in rows):
+        return [rows[i] for i in _prune_block(dim, rows)]
+    bits = [1 << c for c in range(dim)]
+    blocks = _coordinate_blocks([sum(compress(bits, row)) for row in rows])
+    if len(blocks) == 1 and blocks[0][0] == (1 << dim) - 1:
+        return [rows[i] for i in _prune_block(dim, rows)]
+    kept = []
+    for mask, members in blocks:
+        coords = [c for c in range(dim) if mask >> c & 1] + [dim]
+        block = [tuple(rows[i][c] for c in coords) for i in members]
+        kept += (members[j] for j in _prune_block(len(coords) - 1, block))
+    return [rows[i] for i in sorted(kept)]
+
+
+def _prune_block(dim: int, rows) -> list[int]:
+    """The indices of the irredundant rows of distinct integer facet rows,
+    in increasing order.
+
+    The rows' interior must be non-empty.  Only an FM infeasibility proof
+    drops a facet.  When every offset is > 0, ray witnesses from the
+    origin (_ray_witnessed) first prove a core of facets irredundant with
+    no FM call.  Every other facet f is tested by FM against the core
+    alone first; only then are the survivors of those tests tested again,
+    each against the core and every other survivor still kept, so no full
+    test carries a facet the core would drop.  The irredundant facets of a
+    system with non-empty interior do not depend on the order they are
+    found in, so the result is the plain FM loop's.
 
     Each test is asked on f's hyperplane, in dim - 1 variables
     (_on_hyperplane): f is redundant iff no point y with f(y) = 0
@@ -519,4 +561,4 @@ def _prune_facet_list(dim: int, rows) -> list[tuple[int, ...]]:
         rest = [rows[j] for j in survivors if j != i]
         if not feasible(survivors[i] + _on_hyperplane(rows[i], rest), dim - 1):
             del survivors[i]
-    return [rows[i] for i in sorted(core.union(survivors))]
+    return sorted(core.union(survivors))

@@ -81,6 +81,11 @@ def test_snf_diag_2_3():
     assert diag == [1, 6]
 
 
+def test_identity_matches_the_comprehension_over_entries():
+    for n in range(16):
+        assert identity(n) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def test_snf_identity():
     diag = assert_snf(identity(3))
     assert diag == [1, 1, 1]

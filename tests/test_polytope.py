@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import momentcert.polytope as polytope_module
 from conftest import interior_contains, offsets, random_polytope, solve_oracle, translate
 from momentcert import lattice
+from momentcert.corpus import load_corpus_polytope
 from momentcert.errors import EmptyInteriorError, PolytopeError
 from momentcert.polytope import (
     Facet,
@@ -348,27 +349,82 @@ def with_untouched_coordinate(p, c):
     return polytope_module._unvalidated(p.dim + 1, facets)
 
 
+def repeated_factor_products(rng):
+    """Products in canonical order whose blocks repeat: q x q for a random
+    factor q, and q x q' with q' the same normals at other offsets, whose
+    blocks must not share a vertex scan."""
+    q = _vertex_test_polytope(rng, rng.randint(1, 2))
+    moved = translate(q, tuple(F(rng.randint(1, 4), 3) for _ in range(q.dim)))
+    return [product(q, q).canonical_form(), product(q, moved).canonical_form()]
+
+
 def test_split_matches_flat_scans_on_shuffled_products():
-    rng, lines = random.Random(2011), random.Random(2012)
+    rng, lines, repeats = random.Random(2011), random.Random(2012), random.Random(2013)
     seen = {"unbounded": 0, "degenerate": 0, "indecomposable": 0, "several blocks": 0,
-            "untouched coordinate": 0}
+            "untouched coordinate": 0, "repeated block": 0,
+            "equal normals at other offsets": 0}
     for case in range(300):
         p = _random_shuffled_product(rng)
         cases = [p]
         if case % 3 == 0:
             cases.append(with_untouched_coordinate(p, lines.randint(0, p.dim)))
+        if case % 10 == 0:
+            cases += repeated_factor_products(repeats)
         for p in cases:
             verts = p.vertices()
-            assert verts == flat_vertices(p), p.facets
+            flat = flat_vertices(p)
+            assert verts == flat, p.facets
             assert p.is_compact() == flat_is_compact(p) == ray_scan_is_compact(p), p.facets
+            assert p.is_delzant() == _delzant_at(p, [v.active for v in flat]), p.facets
             blocks = polytope_module._blocks(p)
             assert blocks == union_find_blocks(p), p.facets
+            subsystems = [block for _, _, block in blocks]
+            distinct = polytope_module._distinct(subsystems)
             seen["unbounded"] += not p.is_compact()
             seen["degenerate"] += any(len(v.active) > p.dim for v in verts)
             seen["indecomposable"] += len(blocks) == 1
             seen["several blocks"] += len(blocks) > 1
             seen["untouched coordinate"] += any(not facets for _, facets, _ in blocks)
+            seen["repeated block"] += len(distinct) < len(blocks)
+            seen["equal normals at other offsets"] += len({b.normals for b in distinct}) < len(
+                distinct)
     assert all(count >= 20 for count in seen.values()), seen
+
+
+@pytest.mark.parametrize("p, vertex_scans, compact_scans", [
+    (product(cube(3), cp1()).canonical_form(), 1, 1),  # cube x segment: four equal blocks
+    (product(hexagon(), hexagon()).canonical_form(), 1, 1),
+    (product(cp1(1, 1), cp1(1, 2)).canonical_form(), 2, 2),  # equal normals, other offsets
+    (product(hexagon(), translate(hexagon(), (1, 0))).canonical_form(), 2, 2),
+    (product(cp1(), cp1()), 1, 1),
+    (product(simplex(2), cube(2)).canonical_form(), 2, 2),
+])
+def test_each_distinct_block_is_scanned_once(monkeypatch, p, vertex_scans, compact_scans):
+    """vertices(), is_compact() and is_delzant() scan each distinct block
+    once, matched by its restricted facets, offsets included.  The answers
+    are the flat scans'."""
+    verts = flat_vertices(p)
+    flat = verts, flat_is_compact(p), _delzant_at(p, [v.active for v in verts])
+
+    def counted(name):
+        calls, original = [], getattr(polytope_module, name)
+
+        def scan(q):
+            calls.append(q)
+            return original(q)
+
+        monkeypatch.setattr(polytope_module, name, scan)
+        return calls
+
+    scans = {name: counted(name) for name in ("_vertex_scan", "_compact_scan")}
+    got = []
+    for query in (p.vertices, p.is_compact, p.is_delzant):
+        for calls in scans.values():
+            calls.clear()
+        got.append(query())
+        assert len(scans["_vertex_scan"]) == (0 if query == p.is_compact else vertex_scans)
+        assert len(scans["_compact_scan"]) == (compact_scans if query == p.is_compact else 0)
+    assert tuple(got) == flat
 
 
 def connected_blocks(masks):
@@ -1151,6 +1207,85 @@ def test_prune_matches_fraction_fm(monkeypatch):
         assert prune_facets(n, facets) == got, facets
 
 
+# corpus polytopes of dimension at most 2, all offsets > 0
+PRUNING_CORPUS = ("cp2_blowup1", "cp2_blowup2_alpha", "hexagon", "hirzebruch2",
+                  "nonfano_pentagon", "o_minus_one", "segment", "simplex2", "square", "wp112")
+
+
+def _pruning_factor(rng):
+    """(factor, kinds): a corpus polytope or a random system of dimension at
+    most 2, often with a redundant facet added (a looser parallel copy, or
+    one tight only at a vertex) or a tighter parallel copy that makes its
+    original redundant.  Every offset is still > 0."""
+    kinds = set()
+    if rng.random() < 0.5:
+        q = load_corpus_polytope(rng.choice(PRUNING_CORPUS))
+        kinds.add("corpus factor")
+    else:
+        n = rng.randint(1, 2)
+        q = random_polytope(rng, n, rng.randint(n + 1, 4))
+    facets = list(q.facets)
+    roll = rng.random()
+    if roll < 0.3:
+        f = rng.choice(facets)
+        facets.append(Facet(f.normal, f.offset * rng.choice((F(1, 2), F(3, 2), 2))))
+        kinds.add("parallel facets")
+    elif roll < 0.6 and (verts := q.vertices()):
+        extra = touching_facet(rng, q, rng.choice(verts).active)
+        if extra is not None:
+            facets.append(extra)
+            kinds.add("redundant facet in one block")
+    rng.shuffle(facets)
+    return _unvalidated(q.dim, tuple(facets)), kinds
+
+
+def test_prune_splits_products_into_blocks(monkeypatch):
+    """On seeded shuffled products of corpus polytopes and random systems,
+    _prune_facet_list keeps exactly the plain FM loop's facets, and makes
+    the FM calls, in count and in nvars, of each coordinate block pruned
+    alone: the ray core runs per block, so a factor translated to put the
+    origin on its boundary or outside costs no ray core to the others."""
+    rng = random.Random(4409)
+    seen = dict.fromkeys(("several blocks", "corpus factor", "parallel facets",
+                          "redundant facet in one block", "offsets <= 0 in one factor only",
+                          "facets dropped"), 0)
+    calls = _count_feasible(monkeypatch)
+    for case in range(150):
+        factors, kinds = [], set()
+        while sum(q.dim for q in factors) < 2 or rng.random() < 0.3:
+            q, more = _pruning_factor(rng)
+            if sum(f.dim for f in factors) + q.dim > 4 or sum(f.d for f in factors) + q.d > 12:
+                break
+            factors.append(q)
+            kinds |= more
+        if case % 2 and len(factors) > 1:
+            i = rng.randrange(len(factors))
+            verts = factors[i].vertices()
+            moved = translate(factors[i], lattice.neg(rng.choice(verts).point)) if verts else None
+            while moved is None or min(f.offset for f in moved.facets) > 0:
+                moved = translate(factors[i], tuple(F(rng.randint(-8, 8), 2)
+                                                    for _ in range(factors[i].dim)))
+            factors[i] = moved
+            kinds.add("offsets <= 0 in one factor only")
+        dim, d = sum(q.dim for q in factors), sum(q.d for q in factors)
+        p = shuffled_product(factors, rng.sample(range(d), d), rng.sample(range(dim), dim))
+        facets = list(p.facets)
+        calls.clear()
+        got = prune_facets(dim, facets)
+        whole = sorted(calls)
+        assert got == plain_fm_prune(dim, facets), facets
+        blocks = union_find_blocks(_unvalidated(dim, tuple(sorted(set(facets)))))
+        calls.clear()
+        for coords, _, block in blocks:
+            prune_facets(len(coords), list(block.facets))
+        assert whole == sorted(calls), facets
+        seen["several blocks"] += len(blocks) > 1
+        seen["facets dropped"] += len(got) < len(set(facets))
+        for kind in kinds:
+            seen[kind] += 1
+    assert all(count >= 20 for count in seen.values()), seen
+
+
 @st.composite
 def prune_systems(draw):
     """(dim, facet list): positive offsets, so the origin is interior, then
@@ -1457,8 +1592,11 @@ def test_prune_runs_every_core_test_before_any_full_test(monkeypatch):
 
 
 def test_prune_asks_every_question_on_a_hyperplane(monkeypatch):
-    """Every FM call _prune_facet_list makes is in dim - 1 variables: on the
-    catalogue systems, and on a square whose origin is not interior."""
+    """Every FM call _prune_facet_list makes is in the block's dimension - 1
+    variables: on the catalogue systems, which are one block, and on a
+    square whose origin is not interior.  The square is two 1-dimensional
+    blocks; only the x-block has an offset <= 0, so its two facets are
+    tested in 0 variables, and the ray core proves the y-block's two."""
     for n, _, facets in catalogue_systems():
         calls = _count_feasible(monkeypatch)
         prune_facets(n, facets)
@@ -1467,7 +1605,7 @@ def test_prune_asks_every_question_on_a_hyperplane(monkeypatch):
     p = translate(cube(2, 2), (3, 0))
     calls = _count_feasible(monkeypatch)
     prune_redundant(p)
-    assert calls == [1] * 4
+    assert calls == [0, 0]
 
 
 def grid_system(rng, n, d):
@@ -1507,7 +1645,7 @@ def test_prune_does_not_validate_its_result(monkeypatch):
     p = translate(cube(2, 2), (3, 0))
     calls = _count_feasible(monkeypatch)
     pruned = prune_redundant(p)
-    assert len(calls) == 4  # one redundancy test per facet
+    assert len(calls) == 2  # one per facet of the block with an offset <= 0
     assert pruned == Polytope(p.dim, p.canonical_form().facets)
 
 
