@@ -88,6 +88,8 @@ def polytope_from_doc(doc, where: str = "polytope") -> Polytope:
         if not isinstance(f, dict) or "normal" not in f or "offset" not in f:
             raise DocumentError(f"{fw}: needs 'normal' and 'offset'")
         pairs.append((_int_list(f["normal"], f"{fw}.normal"), parse_rational(f["offset"], f"{fw}.offset")))
+        _known_keys(f, ("normal", "offset"), fw)
+    _known_keys(doc, ("name", "citation", "dim", "facets", "marked_points"), where)
     try:
         return polytope(dim, pairs)
     except MomentcertError as exc:
@@ -122,13 +124,17 @@ def polytope_to_doc(p: Polytope, name: str = "") -> dict:
 
 # -- sections ----------------------------------------------------------------
 
-def section_from_doc(doc, where: str = "section") -> AffineReduction:
+def section_from_doc(doc, where: str = "section",
+                     keys: tuple[str, ...] = ("A", "x0", "name", "citation")) -> AffineReduction:
+    """The section a document gives, refusing keys outside keys: those of a
+    section document by default, those of a reduce body for one."""
     if not isinstance(doc, dict) or "A" not in doc:
         raise DocumentError(f"{where}: needs the matrix 'A' (and optional 'x0')")
     mat = _int_matrix(doc["A"], f"{where}.A")
     base = None
     if "x0" in doc:
         base = _rational_list(doc["x0"], f"{where}.x0")
+    _known_keys(doc, keys, where)
     try:
         return section(mat, base)
     except MomentcertError as exc:
@@ -183,12 +189,11 @@ def _node_from_doc(doc, claim_kind: str, where: str, depth: int = 0):
         red = doc["reduce"]
         if not isinstance(red, dict) or "child" not in red:
             raise DocumentError(f"{where}.reduce: needs 'A', optional 'x0', and 'child'")
-        sec = section_from_doc(red, f"{where}.reduce")
+        sec = section_from_doc(red, f"{where}.reduce", ("A", "x0", "child", "target"))
         child = _node_from_doc(red["child"], claim_kind, f"{where}.reduce.child", depth + 1)
         target = None
         if "target" in red:
             target = polytope_from_doc(red["target"], f"{where}.reduce.target")
-        _known_keys(red, ("A", "x0", "child", "target"), f"{where}.reduce")
         _known_keys(doc, ("reduce",), where)
         return Reduction(child, sec, target)
     raise DocumentError(f"{where}: node must carry 'base', 'product' or 'reduce'")
@@ -210,6 +215,7 @@ def certificate_from_doc(doc, where: str = "certificate") -> Certificate:
     if "target" in claim:
         target = polytope_from_doc(claim["target"], f"{where}.claim.target")
     _known_keys(claim, ("kind", "marked_point", "target"), f"{where}.claim")
+    _known_keys(doc, ("name", "citation", "claim", "tree"), where)
     root = _node_from_doc(doc["tree"], kind, f"{where}.tree")
     return Certificate(root, kind, marked, target, doc.get("name", ""))
 

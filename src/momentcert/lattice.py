@@ -106,14 +106,13 @@ def smith_normal_form(mat) -> tuple[IntMat, IntMat]:
     return tuple(tuple(row) for row in a[:nrows]), tuple(tuple(row) for row in a[nrows:])
 
 
-def integer_rows(mat) -> tuple[list[list[int]], int]:
-    """Each row times the lcm of its denominators, and the product of those lcms.
+def integer_rows(mat) -> list[list[int]]:
+    """Each row times the lcm of its denominators.
 
     Entries are ints or Fractions, read through numerator and denominator,
     so no Fraction is built.
     """
     rows = []
-    scale = 1
     for row in mat:
         dens = [x.denominator for x in row]
         den = lcm(*dens)
@@ -121,8 +120,7 @@ def integer_rows(mat) -> tuple[list[list[int]], int]:
             rows.append([x.numerator for x in row])
         else:
             rows.append([x.numerator * (den // d) for x, d in zip(row, dens)])
-            scale *= den
-    return rows, scale
+    return rows
 
 
 def _eliminate(rows: list, ncols: int) -> tuple[list[int], int, int]:

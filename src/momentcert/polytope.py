@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, compress
 from itertools import product as iter_product
 from math import lcm
-from operator import index, mul
+from operator import index, itemgetter, mul
 from typing import NamedTuple
 
 from . import lattice
@@ -85,10 +85,9 @@ class Polytope:
         union of theirs and its normal matrix is block-diagonal, so it is
         Delzant exactly when each block's vertex is.  If some block has no
         vertex, neither has the product, and the answer is vacuously True.
-        Each distinct block (_distinct) is scanned once.
+        Each distinct block is scanned once.
         """
-        distinct = _distinct([block for _, _, block in _blocks(self)])
-        scans = [(block, _vertex_scan(block)) for block in distinct]
+        scans = [(block, _vertex_scan(block)) for block in _blocks(self)[1]]
         if not all(scan for _, scan in scans):
             return True
         return all(_delzant_at(block, scan.values()) for block, scan in scans)
@@ -105,9 +104,9 @@ class Polytope:
         on each coordinate block (see _blocks) and is true when every block
         is.  A coordinate no normal touches is a block with no facets, which
         is not compact; dimension 0 has no blocks and is.  Each distinct
-        block (_distinct) is tested once.
+        block is tested once.
         """
-        return all(_compact_scan(block) for block in _distinct([b for _, _, b in _blocks(self)]))
+        return all(_compact_scan(block) for block in _blocks(self)[1])
 
     # -- geometry -----------------------------------------------------------
 
@@ -116,24 +115,23 @@ class Polytope:
 
         The vertices of a product are the products of its factors'
         vertices, so the facet system is split into coordinate blocks (see
-        _blocks), each distinct block (_distinct) is enumerated once by
-        _vertex_scan, and the result is the cartesian product of the
-        blocks' vertices: each point scattered back into its coordinates,
-        each active set the union of the blocks' active facets (equal
-        blocks share one scan, read through each block's own coordinates
-        and facet indices).  A block with no facets has no vertices;
-        dimension 0 has the single vertex ().  Active sets record every
-        facet through the point, so degenerate vertices are visible.
+        _blocks), each distinct block is enumerated once by _vertex_scan,
+        and the result is the cartesian product of the blocks' vertices:
+        each point scattered back into its coordinates, each active set the
+        union of the blocks' active facets (equal blocks share one scan,
+        read through each block's own coordinates and facet indices).  A
+        block with no facets has no vertices; dimension 0 has the single
+        vertex ().  Active sets record every facet through the point, so
+        degenerate vertices are visible.
         """
         point = [Fraction(0)] * self.dim
         found = []
-        blocks = _blocks(self)
-        distinct = _distinct([block for _, _, block in blocks])
+        layout, distinct = _blocks(self)
         scans = [[(lattice.as_fractions(*q), on) for q, on in _vertex_scan(block).items()]
                  for block in distinct]
-        for choice in iter_product(*(scans[distinct.index(block)] for _, _, block in blocks)):
+        for choice in iter_product(*(scans[k] for _, _, k in layout)):
             active = set()
-            for (coords, facets, _), (q, on) in zip(blocks, choice):
+            for (coords, facets, _), (q, on) in zip(layout, choice):
                 for c, x in zip(coords, q):
                     point[c] = x
                 active.update(facets[i] for i in on)
@@ -196,45 +194,53 @@ def _coordinate_blocks(masks: list[int]) -> list[tuple[int, list[int]]]:
     return blocks
 
 
-def _blocks(p: Polytope) -> list[tuple[tuple[int, ...], tuple[int, ...], Polytope]]:
-    """p split into coordinate blocks: (coordinates, facet indices, subsystem).
+def _split(dim: int, rows) -> list[tuple[list[int], list[int]]]:
+    """The coordinate blocks of rows that start with dim normal entries:
+    (coordinates, row indices) per block, ordered by first coordinate.
 
-    The blocks are _coordinate_blocks of the facet normals' non-zero
-    entries, so p is the product of their subsystems up to a permutation of
-    coordinates and facets; a coordinate that no normal touches is a block
-    with no facets.  Each subsystem holds the block's facets in p's order,
-    with normals restricted to the block's coordinates (still primitive:
-    the entries dropped are zero).  Blocks are ordered by their first
-    coordinate.  When one block holds every coordinate and every facet,
-    its subsystem is p itself, with no restricted copy.
+    Two coordinates share a block when some row's normal has both non-zero
+    (compress reads the first dim entries only, not pruning's constant); a
+    coordinate no row touches is a block with no rows.  A row with no zero
+    entry touches every coordinate, so it gives one block before any mask
+    is built.  Callers read one block as "use the system as it is".
     """
-    bits = [1 << c for c in range(p.dim)]
-    split = _coordinate_blocks([sum(compress(bits, f.normal)) for f in p.facets])
-    full = (1 << p.dim) - 1
-    if len(split) == 1 and split[0][0] == full and len(split[0][1]) == p.d:
-        return [(tuple(range(p.dim)), tuple(range(p.d)), p)]
+    if any(0 not in row for row in rows):
+        return [(list(range(dim)), list(range(len(rows))))]
+    bits = [1 << c for c in range(dim)]
+    split = _coordinate_blocks([sum(compress(bits, row)) for row in rows])
     touched = sum(mask for mask, _ in split)
-    split += [(1 << c, []) for c in range(p.dim) if not touched >> c & 1]
-    blocks = []
-    for mask, members in sorted(split, key=lambda b: b[0] & -b[0]):
-        cs = [c for c in range(p.dim) if mask >> c & 1]
-        facets = tuple(
-            Facet(tuple(p.facets[i].normal[c] for c in cs), p.facets[i].offset) for i in members
-        )
-        blocks.append((tuple(cs), tuple(members), _unvalidated(len(cs), facets)))
-    return blocks
+    split += [(1 << c, []) for c in range(dim) if not touched >> c & 1]
+    return [([c for c in range(dim) if mask >> c & 1], members)
+            for mask, members in sorted(split, key=lambda b: b[0] & -b[0])]
 
 
-def _distinct(items: list) -> list:
-    """items without repeats, in first-seen order.  Matched by == against
-    the short list kept so far, not hashed: a hash reads every Fraction
-    offset of every block in Python code, where unequal blocks mostly
-    differ first in their dimension or their integer normals."""
-    kept = []
-    for x in items:
-        if x not in kept:
-            kept.append(x)
-    return kept
+def _blocks(p: Polytope) -> tuple[list[tuple[list[int], list[int], int]], list[Polytope]]:
+    """p split into coordinate blocks (_split of its normals): the layout,
+    (coordinates, facet indices, k) per block, and the distinct subsystems,
+    the k-th of which is the block's.
+
+    p is the product of the blocks' subsystems up to a permutation of
+    coordinates and facets.  Each subsystem holds the block's facets in p's
+    order, with normals restricted to the block's coordinates (still
+    primitive: the entries dropped are zero); a one-block p is its own
+    subsystem, with no restricted copy.  Each block is matched once by ==
+    against the subsystems kept so far, not hashed: a hash reads every
+    Fraction offset in Python code, where unequal blocks mostly differ
+    first in their dimension or their integer normals.  So equal blocks
+    share one subsystem, and each distinct one is scanned once.
+    """
+    split = _split(p.dim, p.normals)
+    layout: list[tuple[list[int], list[int], int]] = []
+    distinct: list[Polytope] = []
+    for coords, members in split:
+        block = p if len(split) == 1 else _unvalidated(len(coords), tuple(
+            Facet(tuple(p.facets[i].normal[c] for c in coords), p.facets[i].offset)
+            for i in members))
+        k = next((k for k, seen in enumerate(distinct) if seen == block), len(distinct))
+        if k == len(distinct):
+            distinct.append(block)
+        layout.append((coords, members, k))
+    return layout, distinct
 
 
 def _vertex_scan(p: Polytope) -> dict[tuple[IntVec, int], frozenset[int]]:
@@ -250,7 +256,7 @@ def _vertex_scan(p: Polytope) -> dict[tuple[IntVec, int], frozenset[int]]:
     each row, with D > 0; no Fraction is built.
     """
     n = p.dim
-    rows, _ = lattice.integer_rows([(*f.normal, f.offset) for f in p.facets])
+    rows = lattice.integer_rows([(*f.normal, f.offset) for f in p.facets])
     for row in rows:
         row[n] = -row[n]
     found: dict[tuple[IntVec, int], frozenset[int]] = {}
@@ -365,7 +371,7 @@ def equidistant_point(p: Polytope):
     if not p.facets:
         return None
     n = p.dim
-    rows, _ = lattice.integer_rows([(*f.normal, -1, f.offset) for f in p.facets])
+    rows = lattice.integer_rows([(*f.normal, -1, f.offset) for f in p.facets])
     for row in rows:
         row[-1] = -row[-1]
     sol = lattice.solve_exact(rows)
@@ -492,28 +498,23 @@ def _prune_facet_list(dim: int, rows) -> list[tuple[int, ...]]:
 
     The rows' interior must be non-empty; that is not checked here, and no
     normal may be zero.  The rows are split into coordinate blocks
-    (_coordinate_blocks of their normals' non-zero entries), and each
-    block's rows, restricted to its coordinates and the constant, are
-    pruned on their own by _prune_block.  With a non-empty interior the
-    feasible set is the product of the blocks' feasible sets, each with
-    non-empty interior, and a facet constrains only its own block's
-    factor; so a facet is redundant in the whole iff it is redundant in
-    its block, and the kept rows are the union of the blocks' kept rows.
-    When one block holds every coordinate, the rows are pruned as they
-    are, with no restricted copy; a row with no zero entry shows that
-    before any block is built.
+    (_split), and each block's rows, restricted to its coordinates and the
+    constant, are pruned on their own by _prune_block.  With a non-empty
+    interior the feasible set is the product of the blocks' feasible sets,
+    each with non-empty interior, and a facet constrains only its own
+    block's factor; so a facet is redundant in the whole iff it is
+    redundant in its block.  One block is pruned as it is, with no
+    restricted copy.
     """
-    if any(0 not in row for row in rows):
-        return [rows[i] for i in _prune_block(dim, rows)]
-    bits = [1 << c for c in range(dim)]
-    blocks = _coordinate_blocks([sum(compress(bits, row)) for row in rows])
-    if len(blocks) == 1 and blocks[0][0] == (1 << dim) - 1:
+    split = _split(dim, rows)
+    if len(split) == 1:
         return [rows[i] for i in _prune_block(dim, rows)]
     kept = []
-    for mask, members in blocks:
-        coords = [c for c in range(dim) if mask >> c & 1] + [dim]
-        block = [tuple(rows[i][c] for c in coords) for i in members]
-        kept += (members[j] for j in _prune_block(len(coords) - 1, block))
+    for coords, members in split:
+        if members:  # a coordinate no row touches constrains nothing
+            restrict = itemgetter(*coords, dim)
+            block = [restrict(rows[i]) for i in members]
+            kept += (members[j] for j in _prune_block(len(coords), block))
     return [rows[i] for i in sorted(kept)]
 
 

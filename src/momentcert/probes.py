@@ -95,7 +95,7 @@ def probe_scan(p: Polytope, u, direction_bound: int):
     values = p.support_values(u)
     if not all(v > 0 for v in values):
         raise ProbeError(f"scan point {format_vec(u)} is not interior")
-    (scaled,), _ = lattice.integer_rows([values])
+    (scaled,) = lattice.integer_rows([values])
     normals = p.normals
     for f, nu in enumerate(normals):
         s_f = scaled[f]

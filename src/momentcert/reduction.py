@@ -88,7 +88,7 @@ class AffineReduction:
     def preimage(self, x) -> RatVec | None:
         """The unique y with matrix @ y + base = x (the columns of matrix are
         independent), or None if x is off the slice."""
-        rows, _ = lattice.integer_rows(
+        rows = lattice.integer_rows(
             [(*row, xi - bi) for row, xi, bi in zip(self.matrix, x, self.base, strict=True)]
         )
         sol = lattice.solve_exact(rows)
@@ -269,7 +269,9 @@ def _vertex_cone_coords(p: Polytope, target: IntVec) -> tuple[tuple[int, ...], t
     """
     indices: list[int] = []
     coeffs: list[int] = []
-    for coords, facets, block in _blocks(p):
+    layout, distinct = _blocks(p)
+    for coords, facets, k in layout:
+        block = distinct[k]
         part = tuple(target[c] for c in coords)
         if not any(part):
             continue

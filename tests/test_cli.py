@@ -253,6 +253,15 @@ def _hexagon_tr(claim=None, reduce=None, leaf=None, tree=None):
     return doc
 
 
+def _target_at_top_level(name):
+    """A bundled certificate with its claim's target moved to the top level
+    and one offset changed there: misplaced, the target would check nothing."""
+    doc = load_doc(name)
+    target = doc["claim"].pop("target")
+    target["facets"][0]["offset"] = 7
+    return {**doc, "target": target}
+
+
 HEXAGON = load_doc("hexagon")
 REJECTED = ("result: FAILED (ReducedPolytopeMismatchError)\n"
             "section does not reduce the child polytope: ")
@@ -354,6 +363,19 @@ UNWRITABLE = "polytope.json/out"  # under a regular file, so not even root can c
      "error: polytope.json.tree.reduce: unknown key; expected product"),
     (_hexagon_tr(tree={"target": load_doc("square")}), ["certify", "polytope.json"], 2,
      "error: polytope.json.tree.target: unknown key; expected reduce"),
+    (_target_at_top_level("cp2_blowup1_tt"), ["certify", "polytope.json"], 2,
+     "error: polytope.json.target: unknown key; expected name, citation, claim, tree"),
+    ({**HEXAGON, "dimension": 2}, ["info", "polytope.json"], 2,
+     "error: polytope.json.dimension: unknown key; "
+     "expected name, citation, dim, facets, marked_points"),
+    ({"dim": 1, "facets": [{"normal": [1], "offset": 1, "ofset": 2}, {"normal": [-1], "offset": 1}]},
+     ["info", "polytope.json"], 2,
+     "error: polytope.json.facets[0].ofset: unknown key; expected normal, offset"),
+    (_hexagon_tr(leaf={"instance": {**HEXAGON, "facet": []}}), ["certify", "polytope.json"], 2,
+     "error: polytope.json.tree.reduce.child.product[0].instance.facet: unknown key; "
+     "expected name, citation, dim, facets, marked_points"),
+    (HEXAGON, ["reduce", "polytope.json", "--slice", '{"A": [[1], [0]], "xo": ["1/2"]}'], 2,
+     "error: inline section.xo: unknown key; expected A, x0, name, citation"),
 ], ids=["boolean-dim", "probe-point-length", "probe-negative-bound", "marked-point-length",
         "weights-lead", "weights-zero", "leaf-dim-0", "weights-non-primitive",
         "reduce-dim-mismatch", "reduce-non-primitive-image", "reduce-slice-outside",
@@ -365,7 +387,8 @@ UNWRITABLE = "polytope.json/out"  # under a regular file, so not even root can c
         "node-no-kind", "base-no-instance", "certificate-not-object", "certificate-no-tree",
         "leaf-basis-change", "leaf-weights-not-weighted", "render-dimension-3",
         "claim-unknown-key", "reduce-unknown-key", "leaf-unknown-key", "product-unknown-key",
-        "reduce-node-unknown-key"])
+        "reduce-node-unknown-key", "certificate-unknown-key", "polytope-unknown-key",
+        "facet-unknown-key", "instance-unknown-key", "section-unknown-key"])
 def test_hostile_input_exits_cleanly(tmp_path, monkeypatch, capsys, doc, argv, code, message):
     monkeypatch.chdir(tmp_path)
     save_json("polytope.json", doc)

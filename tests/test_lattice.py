@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -363,7 +363,7 @@ def solve_rational(mat, rhs):
     Fractions are built from the result.  Checks that the result is in
     lowest terms over a denominator > 0, with int entries."""
     n = len(mat[0]) if mat else 0
-    rows, _ = integer_rows(augment(mat, rhs))
+    rows = integer_rows(augment(mat, rhs))
     sol = solve_exact(rows)
     if sol is None:
         return None
@@ -376,9 +376,10 @@ def solve_rational(mat, rhs):
 
 def assert_kernel_matches(mat, rhs):
     """Rank and determinant on mat's rows scaled to integers, which keeps
-    the rank and multiplies the determinant by the row scales, and the
-    solve on the rational system."""
-    rows, scale = integer_rows(mat)
+    the rank and multiplies the determinant by the row scales, the lcms of
+    the rows' denominators, and the solve on the rational system."""
+    rows = integer_rows(mat)
+    scale = prod(lcm(*(x.denominator for x in row)) for row in mat)
     assert_same(rank_exact(rows), rank_oracle(mat))
     if all(len(row) == len(mat) for row in mat):
         det = det_oracle(mat) * scale

@@ -342,6 +342,13 @@ def union_find_blocks(p):
     return blocks
 
 
+def blocks_and_distinct(p):
+    """_blocks(p) read through its layout as (coordinates, facet indices,
+    subsystem) tuples, like union_find_blocks, and its distinct subsystems."""
+    layout, distinct = polytope_module._blocks(p)
+    return [(tuple(cs), tuple(fs), distinct[k]) for cs, fs, k in layout], distinct
+
+
 def with_untouched_coordinate(p, c):
     """p times a line: a zero entry inserted at coordinate c of every normal."""
     facets = tuple(polytope_module.Facet(f.normal[:c] + (0,) + f.normal[c:], f.offset)
@@ -376,10 +383,11 @@ def test_split_matches_flat_scans_on_shuffled_products():
             assert verts == flat, p.facets
             assert p.is_compact() == flat_is_compact(p) == ray_scan_is_compact(p), p.facets
             assert p.is_delzant() == _delzant_at(p, [v.active for v in flat]), p.facets
-            blocks = polytope_module._blocks(p)
+            blocks, distinct = blocks_and_distinct(p)
             assert blocks == union_find_blocks(p), p.facets
             subsystems = [block for _, _, block in blocks]
-            distinct = polytope_module._distinct(subsystems)
+            # each subsystem once, in first-seen order
+            assert distinct == [q for i, q in enumerate(subsystems) if q not in subsystems[:i]]
             seen["unbounded"] += not p.is_compact()
             seen["degenerate"] += any(len(v.active) > p.dim for v in verts)
             seen["indecomposable"] += len(blocks) == 1
@@ -472,20 +480,61 @@ def test_coordinate_blocks_match_connected_components():
     assert all(count >= 20 for count in seen.values()), seen
 
 
+def test_split_matches_union_find_on_integer_rows(monkeypatch):
+    """_split on integer rows (normal, constant) gives union_find_blocks'
+    partition of the same normals, as (coordinates, row indices): the
+    constant is not read, a coordinate no row touches is a block of its
+    own, and a row with no zero entry gives one block with no mask built."""
+    rng = random.Random(3617)
+    masks_built = []
+    original = polytope_module._coordinate_blocks
+
+    def counted(masks):
+        masks_built.append(masks)
+        return original(masks)
+
+    monkeypatch.setattr(polytope_module, "_coordinate_blocks", counted)
+    seen = Counter()
+    for _ in range(400):
+        dim = rng.randint(0, 5)
+        rows = []
+        for _ in range(rng.randint(0, 7) if dim else 0):
+            support = rng.sample(range(dim), min(dim, rng.choice((1, 1, 2, dim))))
+            normal = [rng.choice((-2, -1, 1, 2)) if c in support else 0 for c in range(dim)]
+            rows.append((*normal, rng.choice((0, 0, 1, -3, 5))))
+        facets = tuple(Facet(row[:-1], F(row[-1])) for row in rows)
+        masks_built.clear()
+        split = polytope_module._split(dim, rows)
+        want = [(list(cs), list(fs)) for cs, fs, _ in union_find_blocks(_unvalidated(dim, facets))]
+        assert split == want, (dim, rows)
+        zero_free = any(0 not in row for row in rows)
+        assert not (zero_free and masks_built)
+        if zero_free:
+            assert len(split) == 1
+        seen["constant 0"] += any(row[-1] == 0 for row in rows)
+        seen["zero-free normal"] += any(0 not in row[:-1] for row in rows)
+        seen["untouched coordinate"] += any(not fs for _, fs in split)
+        seen["several blocks"] += len(split) > 1
+        seen["dimension 0"] += dim == 0
+        seen["no rows"] += dim > 0 and not rows
+    assert all(count >= 20 for count in seen.values()), seen
+
+
 def test_one_block_is_the_polytope_itself():
     """A polytope that is one block over every coordinate is its own
     subsystem; a split one gets restricted copies."""
     rng = random.Random(3613)
     for n in range(1, 5):
         p = random_polytope(rng, n, n + 3)
-        blocks = polytope_module._blocks(p)
-        if len(blocks) == 1:
-            assert blocks[0][2] is p
-            assert blocks == [(tuple(range(n)), tuple(range(p.d)), p)]
+        layout, distinct = polytope_module._blocks(p)
+        if len(layout) == 1:
+            assert distinct[0] is p
+            assert layout == [(list(range(n)), list(range(p.d)), 0)]
     for p in (simplex(3), weighted_projective((1, 2, 3))):
-        assert polytope_module._blocks(p)[0][2] is p
-    blocks = polytope_module._blocks(cube(2))
-    assert len(blocks) == 2 and all(block is not cube(2) for _, _, block in blocks)
+        (only,) = polytope_module._blocks(p)[1]
+        assert only is p
+    layout, distinct = polytope_module._blocks(cube(2))
+    assert len(layout) == 2 and distinct == [cp1()] and distinct[0] is not cube(2)
 
 
 @st.composite
@@ -894,8 +943,7 @@ def strict_rows(constraints):
     """feasible's input for constraints that are all strict: the rows
     (coeffs, const) scaled to integers."""
     assert all(strict for _, _, strict in constraints)
-    rows, _ = lattice.integer_rows([(*c, b) for c, b, _ in constraints])
-    return rows
+    return lattice.integer_rows([(*c, b) for c, b, _ in constraints])
 
 
 def _random_system(rng, nvars):
@@ -1089,7 +1137,7 @@ def common_rows(facets):
 
 def own_rows(facets):
     """The facets as integer rows, each scaled by its own lcm (integer_rows)."""
-    return [tuple(row) for row in lattice.integer_rows([(*f.normal, f.offset) for f in facets])[0]]
+    return [tuple(row) for row in lattice.integer_rows([(*f.normal, f.offset) for f in facets])]
 
 
 def prune_facets(dim, facets, rows=common_rows):
@@ -1132,7 +1180,7 @@ def ray_first_hits(facets):
 
 def ray_witnessed(facets):
     """_ray_witnessed on a facet list, as the set of facets it proves."""
-    rows, _ = lattice.integer_rows([(*f.normal, f.offset) for f in facets])
+    rows = lattice.integer_rows([(*f.normal, f.offset) for f in facets])
     return {facets[i] for i in _ray_witnessed(rows)}
 
 
@@ -1155,7 +1203,7 @@ def _prune_case(rng, origin):
     facets = list(p.facets)
     if rng.random() < 0.8:
         v = rng.choice(verts)
-        (num,), _ = lattice.integer_rows([v])
+        (num,) = lattice.integer_rows([v])
         nu = tuple(-x // lattice.vec_gcd(num) for x in num)
         facets.append(Facet(nu, -lattice.dot(nu, v)))
     if rng.random() < 0.5:
@@ -1274,7 +1322,10 @@ def test_prune_splits_products_into_blocks(monkeypatch):
         got = prune_facets(dim, facets)
         whole = sorted(calls)
         assert got == plain_fm_prune(dim, facets), facets
-        blocks = union_find_blocks(_unvalidated(dim, tuple(sorted(set(facets)))))
+        q = _unvalidated(dim, tuple(sorted(set(facets))))
+        blocks = union_find_blocks(q)
+        # the split pruning makes is the one _blocks makes of the same facets
+        assert blocks_and_distinct(q)[0] == blocks
         calls.clear()
         for coords, _, block in blocks:
             prune_facets(len(coords), list(block.facets))

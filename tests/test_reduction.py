@@ -696,7 +696,7 @@ def _shape(p):
     """The kinds of coordinate blocks p splits into, as test_reduction counts them."""
     canon = p.canonical_form()
     deficit = [-sum(column) for column in zip(*canon.normals)]
-    blocks = [coords for coords, _, _ in _blocks(canon)]
+    blocks = [tuple(coords) for coords, _, _ in _blocks(canon)[0]]
     parts = [any(deficit[c] for c in coords) for coords in blocks]
     kinds = set()
     if len(blocks) == 1:
@@ -720,7 +720,7 @@ def test_weight_lemma_per_block_matches_the_product_vertex_list():
         canon = p.canonical_form()
         target = [rng.randint(-2, 2) for _ in range(canon.dim)]
         if rng.random() < 0.5:
-            for c in rng.choice(_blocks(canon))[0]:
+            for c in rng.choice(_blocks(canon)[0])[0]:
                 target[c] = 0
         indices, coeffs = _vertex_cone_coords(canon, tuple(target))
         got = {i: c for i, c in zip(indices, coeffs) if c}

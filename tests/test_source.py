@@ -273,6 +273,7 @@ TRUSTED_BASE = (
     "polytope._prune_block",
     "polytope._prune_facet_list",
     "polytope._ray_witnessed",
+    "polytope._split",
     "polytope._tightest",
     "polytope._unvalidated",
     "polytope.feasible",
@@ -285,7 +286,7 @@ TRUSTED_BASE = (
     "reduction.weighted_projective_normals",
 )
 # the lines of those definitions, from def to last line, docstrings included
-TRUSTED_BASE_LINES = 666
+TRUSTED_BASE_LINES = 677
 
 
 def test_the_trusted_base_of_verify_is_pinned():
@@ -317,6 +318,19 @@ def test_delzant_scans_blocks_not_the_product_vertices():
     assert "polytope.Polytope.vertices" not in reached
 
 
+def test_one_routine_decides_the_coordinate_split():
+    """_split is the only polytope function that reads _coordinate_blocks,
+    and both the product split (_blocks) and pruning reach it, so a change
+    to how systems split lands in one place."""
+    functions, _, _ = _index()
+    readers = {q for q, node in functions.items() if q.startswith("polytope.")
+               and any(isinstance(n, ast.Name) and n.id == "_coordinate_blocks"
+                       for n in ast.walk(node))}
+    assert readers == {"polytope._split"}
+    for caller in ("polytope._blocks", "polytope._prune_facet_list"):
+        assert "polytope._split" in reachable(caller), caller
+
+
 def test_pruning_runs_on_integer_rows():
     """_prune_facet_list and the helpers it calls, Fourier-Motzkin included,
     never name Fraction or float: the rows are scaled to integers once and
@@ -335,7 +349,7 @@ def test_pruning_runs_on_integer_rows():
 
     own = {q for q in reachable("polytope._prune_facet_list") if q.startswith("polytope.")}
     fm = {"polytope.feasible", "polytope._tightest"}
-    assert own == {"polytope._prune_facet_list", "polytope._prune_block",
+    assert own == {"polytope._prune_facet_list", "polytope._prune_block", "polytope._split",
                    "polytope._coordinate_blocks", "polytope._on_hyperplane",
                    "polytope._ray_witnessed"} | fm
     assert not {"Fraction", "float"} & named(own)
