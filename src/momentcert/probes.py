@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from operator import add
 
 from . import lattice
 from .errors import NotOnFacetError, NotTransverseError, ProbeError, UnboundedProbeError
@@ -91,20 +91,30 @@ def probe_scan(p: Polytope, u, direction_bound: int):
     2 t0 < reach, that is S_i + S_f c_i > 0 for each c_i < 0.  Together
     the two tests say S_i > S_f |c_i| for every i != f.
     """
+    inexact = [x for x in u if isinstance(x, float)]
+    if inexact:
+        raise ProbeError(
+            f"scan point coordinate {inexact[0]!r} is not exact (int, Fraction or 'p/q' string)"
+        )
     u = tuple(Fraction(x) for x in u)
     values = p.support_values(u)
     if not all(v > 0 for v in values):
         raise ProbeError(f"scan point {format_vec(u)} is not interior")
     (scaled,) = lattice.integer_rows([values])
-    normals = p.normals
-    for f, nu in enumerate(normals):
-        s_f = scaled[f]
-        for w in iter_product(range(-direction_bound, direction_bound + 1), repeat=p.dim):
-            if lattice.dot(nu, w) != 1:
-                continue
-            pairings = [lattice.dot(m, w) for m in normals]
-            if min(pairings) >= 0:
-                continue  # the probe never exits the polytope
-            if all(i == f or s > s_f * abs(c) for i, (s, c) in enumerate(zip(scaled, pairings))):
+    # one table of every direction w in scan order with its pairings
+    # <nu_i, w>, built a coordinate at a time; only directions with a
+    # negative pairing stay, the others never exit the polytope
+    steps = range(-direction_bound, direction_bound + 1)
+    table = [((), [0] * p.d)]
+    for column in zip(*p.normals):
+        multiples = [(x, [x * e for e in column]) for x in steps]
+        table = [(w + (x,), list(map(add, pairings, m)))
+                 for w, pairings in table for x, m in multiples]
+    table = [row for row in table if min(row[1], default=0) < 0]
+    for f, s_f in enumerate(scaled):
+        for w, pairings in table:
+            if pairings[f] == 1 and all(
+                i == f or s > s_f * abs(c) for i, (s, c) in enumerate(zip(scaled, pairings))
+            ):
                 return Probe(f, w, tuple(x - values[f] * c for x, c in zip(u, w)))
     return None

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import product as iter_product
 from pathlib import Path
 
 import pytest
@@ -20,8 +21,9 @@ from momentcert.documents import (
     polytope_to_doc,
     save_json,
 )
+from momentcert.errors import MomentcertError
 from momentcert.floer import boundary_op, rank_gf2
-from momentcert.polytope import Polytope, polytope, product
+from momentcert.polytope import Polytope, equidistant_point, polytope, product
 from momentcert.reduction import cube, simplex
 from momentcert.render import _angle_key, render_svg
 
@@ -704,6 +706,209 @@ def test_render_skips_a_facet_line_that_misses_the_box():
     svg = render_svg(square)
     assert svg.count("<line ") == 4
     assert svg.count("<polygon ") == 1 and svg.count("<circle ") == 4
+
+
+def test_render_takes_integer_marked_points():
+    """Integer anchors make an integer extent; the box is still exact."""
+    strip = polytope(2, [((1, 0), 1), ((-1, 0), 1)])
+    svg = render_svg(strip, [(0, 0), (4, 3)])
+    assert svg == fraction_render_svg(strip, [(Fraction(0), Fraction(0)), (Fraction(4), Fraction(3))])
+    assert svg.count("<path ") == 2 and svg.count("<line ") == 2
+
+
+def test_render_reads_marked_points_in_every_exact_form():
+    expected = fraction_render_svg(cube(2), [(Fraction(1, 2), Fraction(-3, 4))])
+    for point in ((Fraction(1, 2), Fraction(-3, 4)), ("1/2", "-3/4"), ("0.5", Fraction(-3, 4))):
+        assert render_svg(cube(2), [point]) == expected
+
+
+@pytest.mark.parametrize("point, named", [((0.1, 0.2), "0.1"), ((0, 0.5), "0.5")])
+def test_render_refuses_a_float_marked_point(point, named):
+    with pytest.raises(MomentcertError, match=f"marked point coordinate {named} is not exact"):
+        render_svg(cube(2), [point])
+
+
+def fractions_built(call):
+    """How many Fractions call() constructs, counted at Fraction.__new__."""
+    code, built = Fraction.__new__.__code__, 0
+
+    def profile(frame, event, arg):
+        nonlocal built
+        built += event == "call" and frame.f_code is code
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return built
+
+
+@pytest.mark.parametrize("name", ["hexagon", "nonfano_pentagon", "o_minus_one"])
+def test_render_builds_fractions_only_to_read_its_anchors(name):
+    """Past the polytope's own vertices, center and compactness test,
+    render_svg builds two Fractions per marked point (reading it) and one
+    per ring vertex (its angle key): nothing for the box, the clipped lines
+    or the canvas."""
+    doc = load_doc(name)
+    p, marked = polytope_from_doc(doc, name), marked_points_from_doc(doc, name)
+    own = fractions_built(lambda: (p.vertices(), equidistant_point(p), p.is_compact()))
+    ring = len(p.vertices()) if p.is_compact() else 0
+    assert fractions_built(lambda: render_svg(p, marked)) <= own + 2 * len(marked) + ring
+    assert fractions_built(lambda: fraction_render_svg(p, marked)) > 4 * own
+
+
+def _fraction_clip(normal, offset, box):
+    """Endpoints of {<x, normal> + offset = 0} clipped to the box, or None."""
+    (x0, x1), (y0, y1) = box
+    a, b = normal
+    points = []
+    # intersect with the four box edges
+    if a != 0:
+        for y in (y0, y1):
+            x = Fraction(-offset - b * y, a)
+            if x0 <= x <= x1:
+                points.append((x, y))
+    if b != 0:
+        for x in (x0, x1):
+            y = Fraction(-offset - a * x, b)
+            if y0 <= y <= y1:
+                points.append((x, y))
+    points = sorted(set(points))
+    if len(points) < 2:
+        return None
+    return points[0], points[-1]
+
+
+def fraction_box(p, marked_points):
+    """The drawn box in Fraction arithmetic: the anchors' bounding box
+    padded by a quarter of its larger extent (at least 1)."""
+    anchors = [v.point for v in p.vertices()] + [tuple(pt) for pt in marked_points]
+    center = equidistant_point(p)
+    if center is not None:
+        anchors.append(center[0])
+    if not anchors:
+        anchors = [(Fraction(-1), Fraction(-1)), (Fraction(1), Fraction(1))]
+    xs = [a[0] for a in anchors]
+    ys = [a[1] for a in anchors]
+    lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
+    extent = max(hi_x - lo_x, hi_y - lo_y, Fraction(1))
+    pad = extent * 1 / 4
+    return ((lo_x - pad, hi_x + pad), (lo_y - pad, hi_y + pad))
+
+
+def fraction_render_svg(p, marked_points=()):
+    """render_svg as drawn in Fraction arithmetic, the reference for the
+    integer geometry: marked points must be Fractions here."""
+    vertices = [v.point for v in p.vertices()]
+    box = fraction_box(p, marked_points)
+    span = max(box[0][1] - box[0][0], box[1][1] - box[1][0])
+    scale = Fraction(480) / span
+
+    def to_canvas(pt):
+        x = (pt[0] - box[0][0]) * scale
+        y = Fraction(480) - (pt[1] - box[1][0]) * scale
+        return float(x), float(y)
+
+    lines = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="480" height="480" '
+        'viewBox="0 0 480 480">',
+        '<rect x="0" y="0" width="480" height="480" fill="#ffffff"/>',
+    ]
+    for f in sorted(p.facets):
+        seg = _fraction_clip(f.normal, f.offset, box)
+        if seg is None:
+            continue
+        (ax, ay), (bx, by) = to_canvas(seg[0]), to_canvas(seg[1])
+        lines.append(
+            f'<line x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" y2="{by:.2f}" '
+            f'stroke="#888888" stroke-width="1"/>'
+        )
+    if len(vertices) >= 3 and p.is_compact():
+        cx = sum(v[0] for v in vertices) / len(vertices)
+        cy = sum(v[1] for v in vertices) / len(vertices)
+        ring = sorted(vertices, key=lambda v: _angle_key(v[0] - cx, v[1] - cy))
+        path = " ".join("{:.2f},{:.2f}".format(*to_canvas(v)) for v in ring)
+        lines.append(
+            f'<polygon points="{path}" fill="none" stroke="#000000" stroke-width="2"/>'
+        )
+    for v in vertices:
+        x, y = to_canvas(v)
+        lines.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="#000000"/>')
+    for pt in marked_points:
+        x, y = to_canvas(tuple(pt))
+        lines.append(
+            f'<path d="M {x - 5:.2f} {y:.2f} L {x + 5:.2f} {y:.2f} '
+            f'M {x:.2f} {y - 5:.2f} L {x:.2f} {y + 5:.2f}" '
+            f'stroke="#cc0000" stroke-width="2"/>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def _primitive(rng):
+    while True:
+        nu = rng.randint(-3, 3), rng.randint(-3, 3)
+        if lattice.is_primitive(nu):
+            return nu
+
+
+def _rational(rng, top):
+    return Fraction(rng.randint(-top, top), rng.randint(1, 7))
+
+
+def _render_case(rng):
+    """A seeded polygon (compact, unbounded or a strip, perhaps with a far
+    facet or a facet through a corner of its box) and marked points, each
+    coordinate an int, a Fraction or a 'p/q' string."""
+    marked = [(_rational(rng, 12), _rational(rng, 12)) for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.3:
+        marked = [tuple(Fraction(x.numerator) for x in pt) for pt in marked]
+    if rng.random() < 0.15:
+        nu = _primitive(rng)
+        facets = [(nu, abs(_rational(rng, 6)) + 1), (lattice.neg(nu), abs(_rational(rng, 6)) + 1)]
+    else:
+        facets = {}
+        while len(facets) < rng.randint(2, 7):
+            facets[_primitive(rng)] = abs(_rational(rng, 9)) + Fraction(1, 3)
+        facets = list(facets.items())
+    p = polytope(2, facets)
+    extra = rng.random()
+    if extra < 0.2:  # a facet whose line misses the box
+        p = polytope(2, facets + [(_primitive(rng), Fraction(rng.randint(200, 400), rng.randint(1, 3)))])
+    elif extra < 0.5:  # a facet through a box corner, the box on its inner side
+        (x0, x1), (y0, y1) = fraction_box(p, marked)
+        sx, sy = rng.choice(((1, 1), (-1, 1), (1, -1), (-1, -1)))
+        corner = (x0 if sx > 0 else x1, y0 if sy > 0 else y1)
+        nu = rng.choice(((sx, 0), (0, sy), (sx, sy), (sx, 2 * sy), (3 * sx, sy)))
+        offset = -lattice.dot(nu, corner)
+        if (nu, offset) not in facets:
+            p = polytope(2, facets + [(nu, offset)])
+    forms = (lambda x: x, str, lambda x: x.numerator if x.denominator == 1 else x)
+    return p, marked, [tuple(rng.choice(forms)(x) for x in pt) for pt in marked]
+
+
+def test_render_matches_the_fraction_geometry_on_seeded_polygons():
+    """Byte for byte the SVG the Fraction geometry draws, on compact and
+    unbounded polygons, strips with no vertex and no center, lines that miss
+    the box or pass through its corner, and marked points read from ints,
+    Fractions and strings."""
+    rng = random.Random(3901)
+    seen = dict.fromkeys(("compact", "unbounded", "strip", "misses the box",
+                          "through a corner", "int", "Fraction", "str"), 0)
+    for _ in range(1200):
+        p, marked, given = _render_case(rng)
+        assert render_svg(p, given) == fraction_render_svg(p, marked), (p.facets, given)
+        seen["compact" if p.is_compact() else "unbounded"] += 1
+        seen["strip"] += not p.vertices() and equidistant_point(p) is None
+        corners = list(iter_product(*fraction_box(p, marked)))
+        for f in p.facets:
+            values = [lattice.dot(f.normal, c) + f.offset for c in corners]
+            seen["misses the box"] += min(values) > 0 or max(values) < 0
+            seen["through a corner"] += 0 in values
+        for x in (x for pt in given for x in pt):
+            seen[type(x).__name__] += 1
+    assert all(count >= 50 for count in seen.values()), seen
 
 
 def test_corpus_run_has_no_color_option(capsys):

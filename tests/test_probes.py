@@ -168,3 +168,44 @@ def test_scan_matches_oracle_on_random_interior_points():
         seen["probe" if found else "none"] += 1
         seen["unbounded polytope"] += not p.is_compact()
     assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_scan_matches_oracle_on_points_near_the_boundary():
+    """Points on the ray from the origin to a random target, halved back
+    until interior, lie near the boundary and are displaceable more often:
+    the scan finds the oracle's probe, direction bounds 1 to 4, in
+    dimensions 2 and 3."""
+    rng = random.Random(7703)
+    seen = {"probe": 0, "none": 0, "probe n=3": 0, "probe bound 4": 0}
+    for _ in range(120):
+        n = rng.choice((2, 2, 3))
+        p = random_polytope(rng, n, rng.randint(n + 1, n + 4))
+        target = tuple(F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n))
+        # the origin is interior; walk toward the target while staying inside
+        t = F(1)
+        while not interior_contains(p, tuple(t * x for x in target)):
+            t /= 2
+        u = tuple(t * x for x in target)
+        bound = rng.randint(1, 4 if n == 2 else 3) if rng.random() < 0.8 else 4
+        found = probe_scan(p, u, bound)
+        assert found == scan_oracle(p, u, bound), (p.facets, u, bound)
+        if found:
+            seen["probe"] += 1
+            seen["probe n=3"] += n == 3
+            seen["probe bound 4"] += bound == 4
+        else:
+            seen["none"] += 1
+    assert seen["probe"] >= 50 and min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("point, named", [((0.1, 0), "0.1"), ((F(1, 4), -0.25), "-0.25")])
+def test_scan_refuses_a_float_point(point, named):
+    with pytest.raises(ProbeError, match=f"scan point coordinate {named} is not exact"):
+        probe_scan(simplex(2), point, 1)
+
+
+def test_scan_reads_a_point_in_every_exact_form():
+    expected = probe_scan(simplex(2), (F(-1, 2), F(0)), 1)
+    assert expected is not None
+    for point in ((F(-1, 2), 0), ("-1/2", "0"), ("-0.5", F(0))):
+        assert probe_scan(simplex(2), point, 1) == expected

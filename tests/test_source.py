@@ -362,10 +362,11 @@ def test_pruning_runs_on_integer_rows():
     assert "Fraction" not in named_outside_raise(reduce, calls=("Facet",))
 
 
-def named_outside_raise(node, calls=()):
+def named_outside_raise(node, calls=(), skip=(ast.Raise,)):
     """The names and attributes node reads, except inside raise statements
-    and inside calls to the functions that calls names."""
-    if isinstance(node, ast.Raise):
+    (or the statement types skip names) and inside calls to the functions
+    that calls names."""
+    if isinstance(node, skip):
         return set()
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in calls:
         return set()
@@ -375,7 +376,7 @@ def named_outside_raise(node, calls=()):
     elif isinstance(node, ast.Attribute):
         names.add(node.attr)
     for child in ast.iter_child_nodes(node):
-        names |= named_outside_raise(child, calls)
+        names |= named_outside_raise(child, calls, skip)
     return names
 
 
@@ -386,6 +387,8 @@ def test_named_outside_raise_skips_error_messages():
     tree = ast.parse("def f(x):\n    y = Facet(x, Fraction(x))\n    return y\n")
     assert named_outside_raise(tree) == {"y", "Facet", "x", "Fraction"}
     assert named_outside_raise(tree, calls=("Facet",)) == {"y"}
+    assert named_outside_raise(tree, skip=(ast.Return,)) == {"y", "Facet", "x", "Fraction"}
+    assert named_outside_raise(tree.body[0].body[1], skip=(ast.Return,)) == set()
 
 
 def test_the_exact_kernels_run_on_integer_points():
@@ -407,6 +410,28 @@ def test_the_exact_kernels_run_on_integer_points():
     # integer rows in, so the lattice kernels scale nothing themselves
     for qualname in lattice_kernels:
         assert "integer_rows" not in named_outside_raise(functions[qualname]), qualname
+
+
+def test_render_and_the_probe_scan_run_on_integer_points():
+    """render_svg reads its anchors' numerators and denominators once and
+    then computes the box, the clipped facet lines and every canvas
+    coordinate on integers, so neither it nor _clip names Fraction or
+    float; only reading a marked coordinate (_exact) and the ring's angle
+    key build Fractions.  probe_scan's direction loops read neither
+    Fraction nor the rational point u or its support values, except for
+    the base of the probe they return."""
+    functions, _, _ = _index()
+    assert "render._clip_line_to_box" not in functions
+    for qualname in ("render.render_svg", "render._clip"):
+        named = named_outside_raise(functions[qualname])
+        assert not {"Fraction", "as_fractions", "float"} & named, qualname
+    assert "render._exact" in reachable("render.render_svg")
+    scan = functions["probes.probe_scan"]
+    loops = [node for node in scan.body if isinstance(node, ast.For)]
+    assert len(loops) == 2  # the table of pairings, then facets and directions
+    for loop in loops:
+        named = named_outside_raise(loop, skip=(ast.Raise, ast.Return))
+        assert not {"Fraction", "as_fractions", "u", "values"} & named
 
 
 def truncating_int_calls(tree):
