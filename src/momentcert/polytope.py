@@ -410,10 +410,11 @@ def feasible(rows, nvars: int) -> bool:
         return all(r[-1] > 0 for r in rows)
     cons = rows
     for var in range(nvars - 1, 0, -1):
-        cons = _tightest(cons)
-        pos = [r for r in cons if r[var] > 0]
-        negs = [r for r in cons if r[var] < 0]
-        cons = [r for r in cons if r[var] == 0]
+        pos, negs, zeros = [], [], []
+        for r in _tightest(cons):
+            c = r[var]
+            (pos if c > 0 else negs if c < 0 else zeros).append(r)
+        cons = zeros
         # with no pos or no negs the variable escapes to +/- infinity
         for rp in pos:
             for rn in negs:
@@ -442,20 +443,30 @@ def _interior_nonempty(dim: int, rows) -> bool:
 def _ray_witnessed(rows) -> set[int]:
     """The indices of the facets that a ray from the origin proves irredundant.
 
-    rows are the facets scaled to integer rows (N_j, A_j), and every A_j
-    must be > 0, so the origin is interior.  The ray along -N_i meets
-    facet j at time A_j / <N_j, N_i> when <N_j, N_i> > 0; times are
-    compared by cross-multiplying, and scaling N_i does not change their
-    order.  A facet met first and alone is irredundant: the hit point lies
-    on it and strictly inside every other half-space.  A tie proves
-    nothing.  One ray per facet, all read off one Gram matrix of the N_j,
-    each product computed once; no FM.
+    rows are the facets scaled to integer rows (N_j, A_j), no two of them
+    one half-space, and every A_j must be > 0, so the origin is interior.
+    The ray along -N_i meets facet j at time A_j / <N_j, N_i> when
+    <N_j, N_i> > 0; times are compared by cross-multiplying.  The set T of
+    facets met first is met at one point q, where every other facet is
+    > 0, so near q the polytope is the cone where every g in T is >= 0.
+    When the normals of T are linearly independent, each g in T has points
+    near q with g = 0 and every other member of T > 0, so every facet of
+    the system but g is > 0 there: g is irredundant.  A T of one facet is
+    independent, and so is one of two: both normals pair positively with
+    N_i, so they are not opposite, and parallel ones met at one time would
+    be one half-space.  From three up to dim members lattice.rank_exact
+    decides; more than dim are dependent and prove nothing.  Scaling row j
+    by c_j > 0 multiplies every hit time of ray i by the same 1 / c_i and
+    keeps every rank, so the proven set does not depend on the scaling.
+    One ray per facet, all read off one Gram matrix of the N_j, each
+    product computed once; no FM.
     """
     normals = [row[:-1] for row in rows]
     gram = [[0] * len(rows) for _ in rows]
     for i, nu in enumerate(normals):
         for j in range(i, len(rows)):
             gram[i][j] = gram[j][i] = sum(map(mul, nu, normals[j]))
+    dim = len(rows[0]) - 1 if rows else 0
     proven = set()
     for products in gram:
         first, time = [], None  # the facets met earliest, and that time as (A, s)
@@ -467,8 +478,9 @@ def _ray_witnessed(rows) -> set[int]:
                 first, time = [j], (a, s)
             elif a * time[1] == time[0] * s:
                 first.append(j)
-        if len(first) == 1:
-            proven.add(first[0])
+        if len(first) <= 2 or (len(first) <= dim
+                               and lattice.rank_exact([normals[j] for j in first]) == len(first)):
+            proven.update(first)
     return proven
 
 
@@ -481,8 +493,11 @@ def _on_hyperplane(f: list[int], rows) -> list[list[int]]:
     wherever f = 0, so on the hyperplane it is > 0 exactly where g is.
     Column k is then dropped; in dimension 1 only the constants are left.
     """
-    k = min((c for c, x in enumerate(f[:-1]) if x), key=lambda c: abs(f[c]))
-    p = abs(f[k])
+    k = p = 0
+    for c in range(len(f) - 1):
+        x = abs(f[c])
+        if x and (not p or x < p):
+            k, p = c, x
     sign = 1 if f[k] > 0 else -1
     cons = []
     for g in rows:
@@ -528,9 +543,13 @@ def _prune_block(dim: int, rows) -> list[int]:
     no FM call.  Every other facet f is tested by FM against the core
     alone first; only then are the survivors of those tests tested again,
     each against the core and every other survivor still kept, so no full
-    test carries a facet the core would drop.  The irredundant facets of a
-    system with non-empty interior do not depend on the order they are
-    found in, so the result is the plain FM loop's.
+    test carries a facet the core would drop.  A lone survivor is kept
+    with no full test: its full test would be against the core alone,
+    the core test it passed (or, with no core, against nothing).  That
+    rule reads only the set of survivors, not the order they are tested
+    in, so the FM calls are the same for every scaling of the rows.  The
+    irredundant facets of a system with non-empty interior do not depend
+    on the order they are found in, so the result is the plain FM loop's.
 
     Each test is asked on f's hyperplane, in dim - 1 variables
     (_on_hyperplane): f is redundant iff no point y with f(y) = 0
@@ -544,10 +563,11 @@ def _prune_block(dim: int, rows) -> list[int]:
     The rows are (normal, D * offset), the dilation D P for one D > 0, so
     sorted rows are sorted facets.  No answer here changes when the system
     is dilated or a row scaled by a positive factor: the hit times along a
-    ray change by one common factor or not at all, _on_hyperplane's pivot
-    depends on the normal's direction alone, and FM decides exactly a
-    question that x -> D x and positive factors keep.  So the kept set is
-    the one any other scaling gives.
+    ray change by one common factor or not at all, and ranks not at all
+    (_ray_witnessed); _on_hyperplane's pivot depends on the normal's
+    direction alone, and FM decides exactly a question that x -> D x and
+    positive factors keep.  So the kept set, and the FM calls made, are
+    the ones any other scaling gives.
     """
     core = _ray_witnessed(rows) if all(row[-1] > 0 for row in rows) else set()
     core_rows = [rows[j] for j in sorted(core)]
@@ -558,8 +578,9 @@ def _prune_block(dim: int, rows) -> list[int]:
             on_core = _on_hyperplane(rows[i], core_rows)
             if not core or feasible(on_core, dim - 1):
                 survivors[i] = on_core
-    for i in list(survivors):
-        rest = [rows[j] for j in survivors if j != i]
-        if not feasible(survivors[i] + _on_hyperplane(rows[i], rest), dim - 1):
-            del survivors[i]
+    if len(survivors) > 1:
+        for i in list(survivors):
+            rest = [rows[j] for j in survivors if j != i]
+            if not feasible(survivors[i] + _on_hyperplane(rows[i], rest), dim - 1):
+                del survivors[i]
     return sorted(core.union(survivors))

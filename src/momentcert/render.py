@@ -50,6 +50,14 @@ def _exact(x):
     return Fraction(x)
 
 
+def _marked(pt):
+    """A marked point as its two exact coordinates (_exact); a point of
+    any other length is refused, naming it and its length."""
+    if len(pt) != 2:
+        raise MomentcertError(f"marked point {tuple(pt)} has length {len(pt)}, expected 2")
+    return _exact(pt[0]), _exact(pt[1])
+
+
 def _clip(normal, offset, unit, box):
     """The ends of the line <x, normal> + offset = 0 inside the box, or None.
 
@@ -87,7 +95,7 @@ def render_svg(p: Polytope, marked_points=()) -> str:
     if p.dim != 2:
         raise MomentcertError("rendering is only available for 2-dimensional polytopes")
     vertices = [v.point for v in p.vertices()]
-    marked = [(_exact(pt[0]), _exact(pt[1])) for pt in marked_points]
+    marked = [_marked(pt) for pt in marked_points]
     center = equidistant_point(p)
     anchors = vertices + marked + ([center[0]] if center is not None else [])
     if not anchors:

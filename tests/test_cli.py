@@ -728,6 +728,15 @@ def test_render_refuses_a_float_marked_point(point, named):
         render_svg(cube(2), [point])
 
 
+@pytest.mark.parametrize("point, named", [((0, 0, 5), r"\(0, 0, 5\) has length 3"),
+                                          ((0,), r"\(0,\) has length 1")])
+def test_render_refuses_a_marked_point_of_another_length(point, named):
+    """A marked point must have two coordinates: a third is not dropped,
+    and a missing one is not a bare IndexError."""
+    with pytest.raises(MomentcertError, match=f"^marked point {named}, expected 2$"):
+        render_svg(cube(2), [point])
+
+
 def fractions_built(call):
     """How many Fractions call() constructs, counted at Fraction.__new__."""
     code, built = Fraction.__new__.__code__, 0

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import momentcert.polytope as polytope_module
 from conftest import interior_contains, offsets, random_polytope, solve_oracle, translate
 from momentcert import lattice
-from momentcert.corpus import load_corpus_polytope
+from momentcert.corpus import data_names, load_corpus_polytope, load_doc
 from momentcert.errors import EmptyInteriorError, PolytopeError
 from momentcert.polytope import (
     Facet,
@@ -1178,6 +1178,34 @@ def ray_first_hits(facets):
     return hits
 
 
+def independent(normals):
+    """Whether the normals are linearly independent, by sympy's exact rank:
+    the test-side oracle for the tie rule, sharing no code with lattice."""
+    from sympy import Matrix
+    return Matrix(normals).rank() == len(normals)
+
+
+def tie_proven(hits):
+    """The facets the rays prove: the union of the first-hit sets whose
+    normals are linearly independent."""
+    return {g for h in hits if independent([g.normal for g in h]) for g in h}
+
+
+TIE_KINDS = ("two-way tie", "independent tie of three or more", "dependent tie")
+
+
+def tie_kinds(hits):
+    """Which kinds of tie the first-hit sets hold (names from TIE_KINDS)."""
+    kinds = set()
+    for h in hits:
+        if len(h) == 2:
+            kinds.add("two-way tie")
+        elif len(h) > 2:
+            independent_tie = independent([g.normal for g in h])
+            kinds.add("independent tie of three or more" if independent_tie else "dependent tie")
+    return kinds
+
+
 def ray_witnessed(facets):
     """_ray_witnessed on a facet list, as the set of facets it proves."""
     rows = lattice.integer_rows([(*f.normal, f.offset) for f in facets])
@@ -1222,16 +1250,63 @@ def _prune_case(rng, origin):
     return n, facets
 
 
+def monotone_style_normals(rng, n):
+    """Distinct normals with entries in {-1, 0, 1} and full rank: +-e_i for
+    some coordinates i, then random ones, at least n + 2 in all."""
+    normals = set()
+    for i in rng.sample(range(n), rng.randint(1, n)):
+        normals.update((tuple(int(j == i) for j in range(n)), tuple(-int(j == i) for j in range(n))))
+    while len(normals) < n + 2 + rng.randint(0, 4 if n < 5 else 3) or lattice.rank_exact(
+            list(normals)) < n:
+        nu = tuple(rng.choice((-1, 0, 0, 1)) for _ in range(n))
+        if any(nu):
+            normals.add(nu)
+    return sorted(normals)
+
+
+def tied_case(rng, n):
+    """(facet list, kinds): a monotone-style system in dimension n, every
+    facet at one offset so the origin is the equidistant point, where rays
+    often leave through a face of several facets.  From dimension 4 some
+    are products of two such systems; some are sheared by a unimodular
+    change of coordinates, which moves the ties."""
+    kinds = set()
+    if n >= 4 and rng.random() < 0.4:
+        m = rng.randint(2, n - 2)
+        normals = ([nu + (0,) * (n - m) for nu in monotone_style_normals(rng, m)]
+                   + [(0,) * m + nu for nu in monotone_style_normals(rng, n - m)])
+        kinds.add("product")
+    else:
+        normals = monotone_style_normals(rng, n)
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 3)):  # x_i += k x_j on every normal
+            i, j = rng.sample(range(n), 2)
+            k = rng.choice((-1, 1))
+            normals = [tuple(x + k * nu[j] if c == i else x for c, x in enumerate(nu))
+                       for nu in normals]
+        kinds.add("shear")
+    offset = F(rng.randint(1, 4), rng.choice((1, 2, 3)))
+    facets = [Facet(nu, offset) for nu in normals]
+    rng.shuffle(facets)
+    return facets, kinds
+
+
 def test_prune_matches_fraction_fm(monkeypatch):
     """_prune_facet_list keeps exactly the facets of the plain FM loop, and
     of itself over fraction_fm_feasible; the ray witnesses are exactly the
-    Fraction-timed rays met first and alone, and are all kept."""
+    facets of the Fraction-timed first-hit sets whose normals are linearly
+    independent, and are all kept.  The last 120 systems are tied ones
+    (tied_case) in dimension 3."""
     rng = random.Random(6502)
     seen = dict.fromkeys(("origin interior", "origin on the boundary", "origin outside",
                           "tied rays", "parallel facets", "exact duplicates"), 0)
+    ties = dict.fromkeys(TIE_KINDS, 0)
     cases = []
-    for case in range(360):
-        n, facets = _prune_case(rng, ("interior", "boundary", "outside")[case % 3])
+    for case in range(480):
+        if case < 360:
+            n, facets = _prune_case(rng, ("interior", "boundary", "outside")[case % 3])
+        else:
+            n, facets = 3, tied_case(rng, 3)[0]
         got = prune_facets(n, facets)
         assert got == plain_fm_prune(n, facets), facets
         distinct = sorted(set(facets))
@@ -1239,9 +1314,11 @@ def test_prune_matches_fraction_fm(monkeypatch):
         if low > 0:
             hits = ray_first_hits(distinct)
             witnessed = ray_witnessed(distinct)
-            assert witnessed == {h[0] for h in hits if len(h) == 1}, facets
+            assert witnessed == tie_proven(hits), facets
             assert witnessed <= set(got), facets
             seen["tied rays"] += any(len(h) > 1 for h in hits)
+            for kind in tie_kinds(hits):
+                ties[kind] += 1
         seen["origin interior"] += low > 0
         seen["origin on the boundary"] += low == 0
         seen["origin outside"] += low < 0
@@ -1249,6 +1326,7 @@ def test_prune_matches_fraction_fm(monkeypatch):
         seen["exact duplicates"] += len(distinct) < len(facets)
         cases.append((n, facets, got))
     assert all(count >= 50 for count in seen.values()), seen
+    assert all(count >= 20 for count in ties.values()), ties
     monkeypatch.setattr(polytope_module, "feasible", lambda rows, nvars: fraction_fm_feasible(
         [(tuple(row[:-1]), row[-1], True) for row in rows], nvars))
     for n, facets, got in cases:
@@ -1351,17 +1429,42 @@ def prune_systems(draw):
     return n, shifted(facets, shift)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(prune_systems())
-def test_prune_property_matches_the_plain_fm_loop(system):
-    n, facets = system
-    got = prune_facets(n, facets)
-    assert got == plain_fm_prune(n, facets)
-    if all(f.offset > 0 for f in facets):
-        distinct = sorted(set(facets))
-        witnessed = ray_witnessed(distinct)
-        assert witnessed == {h[0] for h in ray_first_hits(distinct) if len(h) == 1}
-        assert witnessed <= set(got)
+@st.composite
+def tied_systems(draw):
+    """(dim, facet list): distinct normals with entries in {-1, 0, 1} and
+    one offset for every facet, as a monotone polytope has, so the origin
+    is the equidistant point and rays from it often leave through a face
+    of several facets."""
+    n = draw(st.integers(2, 3))
+    normals = st.lists(st.tuples(*[st.integers(-1, 1)] * n).filter(any),
+                       min_size=n + 2, max_size=8, unique=True)
+    offset = draw(st.fractions(F(1, 3), 4, max_denominator=3))
+    return n, [Facet(nu, offset) for nu in draw(normals)]
+
+
+def test_prune_property_matches_the_plain_fm_loop():
+    """On general systems and on tied ones, _prune_facet_list keeps the
+    plain FM loop's facets, and when the origin is interior the ray
+    witnesses are the facets of the first-hit sets with independent
+    normals, all kept."""
+    ties = dict.fromkeys(TIE_KINDS, 0)
+
+    def check(system):
+        n, facets = system
+        got = prune_facets(n, facets)
+        assert got == plain_fm_prune(n, facets)
+        if all(f.offset > 0 for f in facets):
+            distinct = sorted(set(facets))
+            hits = ray_first_hits(distinct)
+            witnessed = ray_witnessed(distinct)
+            assert witnessed == tie_proven(hits)
+            assert witnessed <= set(got)
+            for kind in tie_kinds(hits):
+                ties[kind] += 1
+
+    for systems in (prune_systems(), tied_systems()):
+        settings(max_examples=150, deadline=None, derandomize=True)(given(systems)(check))()
+    assert all(count >= 20 for count in ties.values()), ties
 
 
 def touching_facet(rng, p, active):
@@ -1448,6 +1551,34 @@ def test_prune_on_the_hyperplane_matches_the_full_space_question(monkeypatch):
             assert len(facets) <= 9
             seen["dimension 4"] += 1
     assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_prune_proves_tied_facets_as_the_plain_fm_loop_keeps_them():
+    """On tied systems in dimensions 2-5 (tied_case: monotone-style systems
+    with the origin at their equidistant point, products of them and
+    shears), _prune_facet_list keeps exactly the plain FM loop's facets,
+    and the ray witnesses are the facets of the Fraction-timed first-hit
+    sets whose normals are independent, all kept."""
+    rng = random.Random(6143)
+    seen = dict.fromkeys(("product", "shear", "dimension 5", "facets dropped"), 0)
+    ties = dict.fromkeys(TIE_KINDS, 0)
+    for case in range(300):
+        n = 2 + case % 4
+        facets, kinds = tied_case(rng, n)
+        got = prune_facets(n, facets)
+        assert got == plain_fm_prune(n, facets), facets
+        hits = ray_first_hits(sorted(facets))
+        witnessed = ray_witnessed(sorted(facets))
+        assert witnessed == tie_proven(hits), facets
+        assert witnessed <= set(got), facets
+        for kind in tie_kinds(hits):
+            ties[kind] += 1
+        for kind in kinds:
+            seen[kind] += 1
+        seen["dimension 5"] += n == 5
+        seen["facets dropped"] += len(got) < len(facets)
+    assert all(count >= 20 for count in seen.values()), seen
+    assert all(count >= 20 for count in ties.values()), ties
 
 
 SQUARE = [Facet((1, 0), F(1)), Facet((-1, 0), F(1)), Facet((0, 1), F(1)), Facet((0, -1), F(1))]
@@ -1565,6 +1696,32 @@ def test_prune_cube_needs_no_fm(monkeypatch):
     calls = _count_feasible(monkeypatch)
     assert prune_redundant(cube(3)) == cube(3).canonical_form()
     assert calls == []
+
+
+def test_prune_keeps_a_lone_survivor_without_a_full_test(monkeypatch):
+    """When exactly one facet survives the core tests, the block costs the
+    core tests alone: its full test would ask its core test again."""
+    cut = Facet((1, 3), F(7, 2))  # cuts the corner (-1, -1); its ray meets (0, 1) first
+    facets = SQUARE + [cut, Facet((1, 3), F(5))]
+    assert ray_witnessed(sorted(facets)) == set(SQUARE)
+    calls = _count_feasible(monkeypatch)
+    assert prune_facets(2, facets) == sorted(SQUARE + [cut]) == plain_fm_prune(2, facets)
+    assert calls == [1, 1]
+
+
+def test_prune_needs_fm_on_no_corpus_polytope_but_the_non_fano_pentagon(monkeypatch):
+    """The rays prove every facet of every bundled polytope but one facet
+    of the non-Fano pentagon, which costs one FM call: ties at vertices are
+    read, not sent to FM."""
+    calls = _count_feasible(monkeypatch)
+    names = [n.removesuffix(".json") for n in data_names()]
+    polytopes = {name: load_corpus_polytope(name) for name in names
+                 if "facets" in load_doc(name)}
+    assert len(polytopes) == 18
+    for name, p in polytopes.items():
+        calls.clear()
+        assert prune_redundant(p).facets == p.canonical_form().facets, name
+        assert len(calls) == (name == "nonfano_pentagon"), (name, calls)
 
 
 def catalogue_systems():
